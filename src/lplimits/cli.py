@@ -43,6 +43,8 @@ EXIT_CAP = 3
 EXIT_ASSUMPTION = 4
 EXIT_DEGENERATE = 5
 
+_CSV_BLOCK = 1024  # rows formatted per write; bounds the temporary Python lists and strings
+
 _INPUT_ERRORS = (
     json.JSONDecodeError,
     DimensionMismatch,
@@ -121,8 +123,11 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
         handle.write(",".join(header) + "\n")
         if rows.size == 0:
             return
-        for row in np.atleast_2d(rows):
-            handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        rows = np.atleast_2d(rows)
+        fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[start : start + _CSV_BLOCK].tolist()
+            handle.write("".join(fmt % tuple(row) for row in block))
 
 
 def write_otc_csv(path, thresholds, values) -> None:
@@ -352,7 +357,7 @@ def cmd_certify(args) -> int:
     lp, problem, payload = _load_problem(args.problem)
     if problem is None:
         raise DimensionMismatch("certify needs an OT problem form")
-    report = ot.certify(problem, max_len=args.max_cycle_len)
+    report = ot.certify(problem, max_len=args.max_cycle_len, tols=_tols(args))
 
     def check_dict(check: ot.CertificateCheck) -> dict:
         witness = check.witness

@@ -404,13 +404,15 @@ def certify(
 ) -> CertificateReport:
     """Run all four certificates; uniqueness follows from a strictly
     cyclically monotone optimal support or from dual summability."""
-    monge = check_strict_monge(ot.cost)
-    primal = check_primal_summability(ot.r, ot.s)
-    dual = check_dual_summability(ot.cost, max_len=max_len)
+    cost_tol = tols.sum_tol_at(np.abs(ot.cost).sum())
+    mass_tol = tols.sum_tol_at(float(np.abs(ot.r).sum() + np.abs(ot.s).sum()))
+    monge = check_strict_monge(ot.cost, tol=cost_tol)
+    primal = check_primal_summability(ot.r, ot.s, tol=mass_tol)
+    dual = check_dual_summability(ot.cost, max_len=max_len, tol=cost_tol)
     lp = reduce_to_lp(ot, tols)
     pair = lp_core.solve_min_index(lp, tols)
     coupling = coupling_from_lp_solution(pair.primal, tols)
-    monotone = check_strict_cyclical_monotonicity(ot.cost, coupling.support, max_len=max_len)
+    monotone = check_strict_cyclical_monotonicity(ot.cost, coupling.support, max_len, tol=cost_tol)
     return CertificateReport(
         strict_monge=monge,
         primal_summability=primal,

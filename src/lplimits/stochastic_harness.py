@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.spatial.distance
 import scipy.stats
 
 from . import cones_limit, ot as ot_module
@@ -29,6 +30,8 @@ from .ot import OneSample, OtProblem, TwoSample
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 SampleSize = Union[int, tuple[int, int]]
+
+_CDIST_BLOCK = 500  # rows per cdist call: 500 x 5000 distances are 20 MB
 
 
 @dataclass(frozen=True)
@@ -368,6 +371,14 @@ def two_sample_ks(x: np.ndarray, y: np.ndarray) -> float:
     return float(scipy.stats.ks_2samp(x, y, method="asymp").statistic)
 
 
+def _mean_distance(A: np.ndarray, B: np.ndarray) -> float:
+    """Mean Euclidean distance over all row pairs, summed over fixed blocks of A's rows."""
+    total = 0.0
+    for start in range(0, A.shape[0], _CDIST_BLOCK):
+        total += scipy.spatial.distance.cdist(A[start : start + _CDIST_BLOCK], B).sum()
+    return total / (A.shape[0] * B.shape[0])
+
+
 def energy_distance(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
     """Energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'|| with all-pairs means.
 
@@ -376,30 +387,12 @@ def energy_distance(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float
     """
     X = np.asarray(x, dtype=float)[:max_rows]
     Y = np.asarray(y, dtype=float)[:max_rows]
-
-    def mean_cross(A, B):
-        total = 0.0
-        chunk = max(1, int(2**22 // max(1, B.shape[0])))
-        for start in range(0, A.shape[0], chunk):
-            block = A[start : start + chunk]
-            total += np.sqrt(
-                ((block[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-            ).sum()
-        return total / (A.shape[0] * B.shape[0])
-
-    return float(2.0 * mean_cross(X, Y) - mean_cross(X, X) - mean_cross(Y, Y))
+    return float(2.0 * _mean_distance(X, Y) - _mean_distance(X, X) - _mean_distance(Y, Y))
 
 
 def mean_pairwise_norm(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
     """Mean cross-pair distance; the natural scale for energy-distance thresholds."""
-    X = np.asarray(x, dtype=float)[:max_rows]
-    Y = np.asarray(y, dtype=float)[:max_rows]
-    total = 0.0
-    chunk = max(1, int(2**22 // max(1, Y.shape[0])))
-    for start in range(0, X.shape[0], chunk):
-        block = X[start : start + chunk]
-        total += np.sqrt(((block[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)).sum()
-    return float(total / (X.shape[0] * Y.shape[0]))
+    return float(_mean_distance(np.asarray(x, float)[:max_rows], np.asarray(y, float)[:max_rows]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,7 +542,7 @@ def run_experiment(
     model = MultinomialMarginal(ot.n_points, two_sample=isinstance(config.mode, TwoSample))
     batches = fluctuation_run(lp, config, model, solver=solver, tols=tols)
     main = batches[-1]
-    limit_result = sample_limit(spec, config.comparison_samples, seed=config.seed + 1)
+    limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1, tols.boundary_tol)
     duals = spec.ledger.optimal_duals()[:, : spec.m0]
     limit_values = (limit_result.gaussian_directions @ duals.T).max(axis=1)
     report = compare_distributions(

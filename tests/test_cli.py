@@ -231,6 +231,18 @@ class TestCurveWriters:
         assert lines[0] == "coord_1,weight"
         assert len(lines) == 3
 
+    def test_csv_matches_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(21)
+        rows = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+        rows[0] = [-0.0, np.nan, np.inf, -np.inf]
+        rows[1] = [5e-324, -2.2250738585072e-310, 1.0, 0.1]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, ["a", "b", "c", "d"], rows)
+        expected = "a,b,c,d\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
 
 class TestCertify:
     def test_unit_exponent_line_witness(self, problem_paths):
@@ -250,6 +262,15 @@ class TestCertify:
         payload = json.loads((out / "certificates.json").read_text())
         assert payload["strict_monge"]["holds"] is True
         assert payload["primal_summability"]["holds"] is False  # equal marginals
+
+    def test_sum_tol_flag_reaches_certificates(self, problem_paths):
+        # The smallest strict-Monge margin of the p=2 line cost is 2; a
+        # relative sum tolerance of 0.2 scales to 0.2 * (1 + 12) = 2.6.
+        out = problem_paths["dir"] / "cert_tol"
+        argv = ["certify", problem_paths["p2"], "--out-dir", str(out), "--sum-tol", "0.2"]
+        assert run(argv) == 0
+        payload = json.loads((out / "certificates.json").read_text())
+        assert payload["strict_monge"] == {"holds": False, "witness": [0, 1, 0, 1]}
 
     def test_single_point_all_vacuous(self, tmp_path):
         path = tmp_path / "one.json"

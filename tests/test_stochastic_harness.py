@@ -1,9 +1,14 @@
 """Resampling, projections, Hausdorff distances, and distribution comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lplimits as lpl
+from lplimits import cones_limit
 from conftest import SKEWED_R, SKEWED_S, line_problem
 
 
@@ -281,6 +286,57 @@ class TestCompareDistributions:
         assert lpl.energy_distance(X, Y) > 1.0
 
 
+def _oracle_mean_distance(A, B):
+    return sum(np.linalg.norm(a - b) for a in A for b in B) / (len(A) * len(B))
+
+
+@st.composite
+def _sample_pair(draw):
+    rank = draw(st.integers(1, 9))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    x = draw(hnp.arrays(float, (draw(st.integers(1, 12)), rank), elements=values))
+    y = draw(hnp.arrays(float, (draw(st.integers(1, 12)), rank), elements=values))
+    return x, y, draw(st.integers(1, 14))
+
+
+class TestEnergyKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_sample_pair())
+    def test_matches_double_loop_oracle(self, pair):
+        x, y, max_rows = pair
+        X, Y = x[:max_rows], y[:max_rows]
+        cross = _oracle_mean_distance(X, Y)
+        within_x = _oracle_mean_distance(X, X)
+        within_y = _oracle_mean_distance(Y, Y)
+        scale = cross + within_x + within_y
+        energy = lpl.energy_distance(x, y, max_rows)
+        assert abs(energy - (2.0 * cross - within_x - within_y)) <= 1e-12 * scale
+        assert lpl.mean_pairwise_norm(x, y, max_rows) == pytest.approx(cross, rel=1e-12, abs=0.0)
+
+    def test_blocks_cover_every_row(self):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((1100, 2))
+        y = rng.standard_normal((7, 2))
+        expected = _oracle_mean_distance(x, y)
+        assert lpl.mean_pairwise_norm(x, y, 5000) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_identical_inputs_give_exact_zero(self):
+        X = np.random.default_rng(22).standard_normal((1200, 9))
+        assert lpl.energy_distance(X, X) == 0.0
+
+    def test_peak_allocation_is_blocked(self):
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((5000, 9))
+        Y = rng.standard_normal((5000, 9))
+        tracemalloc.start()
+        try:
+            lpl.energy_distance(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestSupportFrequencies:
     def test_nondegenerate_instance_has_empty_dz(self):
         from conftest import nondegenerate_problem
@@ -322,3 +378,21 @@ class TestSeedDeterminism:
         np.testing.assert_array_equal(
             first.batches[-1].fluctuations, second.batches[-1].fluctuations
         )
+
+
+class TestRunExperimentTolerances:
+    def test_boundary_tol_reaches_limit_draws(self, monkeypatch):
+        seen = []
+        original = cones_limit.evaluate_limit
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cones_limit, "evaluate_limit", spy)
+        config = lpl.ExperimentConfig(
+            sample_sizes=(500,), replicates=20, seed=16, comparison_samples=200
+        )
+        tols = lpl.DEFAULT_TOLS.with_(boundary_tol=1e-5)
+        lpl.run_experiment(line_problem(2.0), config, tols=tols)
+        assert seen == [1e-5]
