@@ -7,7 +7,7 @@ Subcommands: ``analyze`` (bases, assumptions, partition, cones),
 the library modules; this module only parses inputs and writes files.
 
 Exit codes: 0 success, 2 input error, 3 cap exceeded, 4 assumption
-violated, 5 experiment degenerate.
+violated, 5 experiment degenerate, 6 internal failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     LpLimitsError,
+    NoFeasibleCone,
+    NonConvergence,
     NotAProbabilityVector,
     NotUnique,
     RankDeficient,
@@ -42,8 +44,11 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_ASSUMPTION = 4
 EXIT_DEGENERATE = 5
+EXIT_INTERNAL = 6
 
 _CSV_BLOCK = 1024  # rows formatted per write; bounds the temporary Python lists and strings
+
+_TOL_NAMES = ("feas_tol", "rank_tol", "dedup_tol", "boundary_tol", "sum_tol")
 
 _INPUT_ERRORS = (
     json.JSONDecodeError,
@@ -63,6 +68,7 @@ class RunManifest:
     command: str
     input_paths: tuple[str, ...]
     seed: Optional[int]
+    threads: int
     tool_version: str
     config_digest: str
     started: str
@@ -73,6 +79,7 @@ class RunManifest:
             "command": self.command,
             "input_paths": list(self.input_paths),
             "seed": self.seed,
+            "threads": self.threads,
             "tool_version": self.tool_version,
             "config_digest": self.config_digest,
             "started": self.started,
@@ -144,11 +151,12 @@ def write_geodesic_csv(path, measure) -> None:
     _write_csv(Path(path), header, rows)
 
 
-def _manifest(command, inputs, seed, digest_payload, started) -> RunManifest:
+def _manifest(command, inputs, seed, threads, digest_payload, started) -> RunManifest:
     return RunManifest(
         command=command,
         input_paths=tuple(str(p) for p in inputs),
         seed=seed,
+        threads=threads,
         tool_version=__version__,
         config_digest=config_digest(digest_payload),
         started=started,
@@ -164,7 +172,7 @@ def _out_dir(args) -> Path:
 
 def _tols(args):
     overrides = {}
-    for name in ("feas_tol", "rank_tol", "dedup_tol", "boundary_tol", "sum_tol", "value_tol", "slack_tol"):
+    for name in _TOL_NAMES:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -222,7 +230,7 @@ def cmd_analyze(args) -> int:
         ]
     out_dir = _out_dir(args)
     _write_json(out_dir / "analysis.json", out)
-    manifest = _manifest("analyze", [args.problem], None, payload, started)
+    manifest = _manifest("analyze", [args.problem], None, args.threads, payload, started)
     _write_json(out_dir / "manifest.json", manifest.to_dict())
     return EXIT_OK
 
@@ -274,7 +282,9 @@ def cmd_limit_sample(args) -> int:
     _write_json(out_dir / "limit_samples.json", sidecar)
     digest = {"problem": payload, "samples": args.samples, "seed": args.seed,
               "mode": args.mode, "lambda": args.lam, "policy": args.policy}
-    manifest = _manifest("limit-sample", [args.problem], args.seed, digest, started)
+    manifest = _manifest(
+        "limit-sample", [args.problem], args.seed, args.threads, digest, started
+    )
     _write_json(out_dir / "manifest.json", manifest.to_dict())
     return EXIT_OK
 
@@ -321,7 +331,8 @@ def cmd_monte_carlo(args) -> int:
     report = result.report
     freqs = report.support_frequencies
     manifest = _manifest(
-        "monte-carlo", [args.problem, args.config], config.seed, config_payload, started
+        "monte-carlo", [args.problem, args.config], config.seed, args.threads, config_payload,
+        started,
     )
     report_payload = {
         "manifest": manifest.to_dict(),
@@ -375,7 +386,7 @@ def cmd_certify(args) -> int:
     out_dir = _out_dir(args)
     _write_json(out_dir / "certificates.json", out)
     digest = {"problem": payload, "max_cycle_len": args.max_cycle_len}
-    manifest = _manifest("certify", [args.problem], None, digest, started)
+    manifest = _manifest("certify", [args.problem], None, args.threads, digest, started)
     _write_json(out_dir / "manifest.json", manifest.to_dict())
     return EXIT_OK
 
@@ -388,8 +399,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=int(os.environ.get("LP_LIMITLAW_THREADS", os.cpu_count() or 1)),
         help="worker hint; results are deterministic regardless of its value",
     )
-    for name in ("feas-tol", "rank-tol", "dedup-tol", "boundary-tol", "sum-tol", "value-tol", "slack-tol"):
-        parser.add_argument(f"--{name}", type=float, default=None, dest=name.replace("-", "_"))
+    for name in _TOL_NAMES:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,12 +455,16 @@ def main(argv=None) -> int:
     except TooManyInfeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (NonConvergence, NoFeasibleCone) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LpLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # the bare base class marks a failure of the numerics, not of the input
+        return EXIT_INTERNAL if type(exc) is LpLimitsError else EXIT_INPUT
 
 
 if __name__ == "__main__":

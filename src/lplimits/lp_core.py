@@ -34,6 +34,19 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
+# Column subsets screened per vectorized step; bounds the (K, m, m) stacks.
+_SCAN_BLOCK = 4096
+# The screen calls a subset singular only at or below this fraction of the
+# exact pivot-ratio threshold rank_tol.  Exactly singular subsets screen at
+# ratios near machine epsilon (at most 3e-16 on small integer matrices), so
+# the wide margin costs nothing and absorbs pivot choices that differ from
+# LAPACK's on near ties.
+_PIVOT_MARGIN = 1e-3
+# It calls a value infeasible only below -_SIGN_MARGIN * feas_tol, scaled by
+# one plus the magnitude of the terms that form it, against the exact
+# threshold -feas_tol.
+_SIGN_MARGIN = 1e3
+
 
 @dataclass(frozen=True, eq=False)
 class StandardLp:
@@ -114,10 +127,6 @@ class BasisLedger:
     optimal_value: float
     primal_optimal_vertices: tuple[np.ndarray, ...]
     vertex_ids: tuple[int, ...]
-
-    @property
-    def dual_feasible_bases(self) -> tuple[Basis, ...]:
-        return self.bases
 
     def optimal_pairs(self) -> tuple[BasicSolutionPair, ...]:
         return self.pairs[: self.optimal_count]
@@ -237,6 +246,82 @@ def basic_pair(lp: StandardLp, basis, tols: Tolerances = DEFAULT_TOLS) -> BasicS
     return _pair_from_factor(lp, indices, lu_piv, tols)
 
 
+def _screen(lp: StandardLp, block: np.ndarray, tols: Tolerances, primal: bool) -> np.ndarray:
+    """Mask of the column subsets in ``block`` (one per row) that need the exact check.
+
+    One vectorized LU with partial pivoting factors the whole ``(K, m, m)``
+    stack of submatrices, and triangular solves give each dual and, when
+    ``primal``, each x_B.  A subset is ruled out only when it is clearly
+    singular, or clearly dual infeasible and (when ``primal``) clearly
+    primal infeasible too; the margins are documented at ``_PIVOT_MARGIN``
+    and ``_SIGN_MARGIN``.  A NaN never rules a subset out.
+    """
+    A = lp.constraint_matrix
+    k_count, m = block.shape
+    rows = np.arange(k_count)
+    lu = np.moveaxis(A[:, block], 0, 1)
+    perm = np.tile(np.arange(m), (k_count, 1))
+    with np.errstate(all="ignore"):
+        for j in range(m):
+            p = j + np.argmax(np.abs(lu[:, j:, j]), axis=1)
+            lu[rows, j], lu[rows, p] = lu[rows, p], lu[rows, j]
+            perm[rows, j], perm[rows, p] = perm[rows, p], perm[rows, j]
+            pivot = lu[:, j, j]
+            lu[:, j + 1 :, j] /= np.where(pivot == 0.0, 1.0, pivot)[:, None]
+            lu[:, j + 1 :, j + 1 :] -= lu[:, j + 1 :, j, None] * lu[:, j, None, j + 1 :]
+        diag = np.diagonal(lu, axis1=1, axis2=2)
+        size = np.abs(diag)
+        singular = size.min(axis=1) <= _PIVOT_MARGIN * tols.rank_tol * size.max(axis=1)
+
+        # dual: B'y = c_B with B = P'LU, so U'w = c_B, L'v = w, y[perm] = v
+        v = lp.cost[block]
+        for i in range(m):
+            v[:, i] = (v[:, i] - np.einsum("kl,kl->k", lu[:, :i, i], v[:, :i])) / diag[:, i]
+        for i in reversed(range(m)):
+            v[:, i] -= np.einsum("kl,kl->k", lu[:, i + 1 :, i], v[:, i + 1 :])
+        y = np.empty_like(v)
+        y[rows[:, None], perm] = v
+        reduced = lp.cost - y @ A
+        scale = 1.0 + np.abs(lp.cost) + np.abs(y) @ np.abs(A)
+        keep = ~np.any(reduced < -_SIGN_MARGIN * tols.feas_tol * scale, axis=1)
+
+        if primal:
+            # primal: LUx = Pb
+            x = lp.rhs[perm]
+            for i in range(m):
+                x[:, i] -= np.einsum("kl,kl->k", lu[:, i, :i], x[:, :i])
+            for i in reversed(range(m)):
+                x[:, i] -= np.einsum("kl,kl->k", lu[:, i, i + 1 :], x[:, i + 1 :])
+                x[:, i] /= diag[:, i]
+            bound = -_SIGN_MARGIN * tols.feas_tol * (1.0 + np.abs(x).max(axis=1))
+            keep |= ~np.any(x < bound[:, None], axis=1)
+    return keep & ~singular
+
+
+def _scan(lp: StandardLp, tols: Tolerances, enumeration_cap: int, primal: bool):
+    """Exact pairs of the nonsingular m-column subsets the screen keeps, in lexicographic order.
+
+    ``_screen`` checks ``_SCAN_BLOCK`` subsets at a time; its survivors go
+    one by one through ``_lu_basis`` and ``_pair_from_factor``,
+    so every pair and every singularity and feasibility verdict comes from
+    the exact per-subset path.  Subsets the screen drops are dual infeasible
+    (and, with ``primal``, primal infeasible as well) in the exact path too.
+    """
+    m, d = lp.n_rows, lp.n_cols
+    if math.comb(d, m) > enumeration_cap:
+        raise EnumerationCapExceeded(
+            f"C({d},{m}) = {math.comb(d, m)} exceeds enumeration cap {enumeration_cap}"
+        )
+    combos = itertools.combinations(range(d), m)
+    while block := list(itertools.islice(combos, _SCAN_BLOCK)):
+        for k in np.flatnonzero(_screen(lp, np.array(block), tols, primal)):
+            try:
+                lu_piv = _lu_basis(lp, block[k], tols)
+            except SingularBasis:
+                continue
+            yield _pair_from_factor(lp, block[k], lu_piv, tols)
+
+
 def enumerate_ledger(
     lp: StandardLp,
     tols: Tolerances = DEFAULT_TOLS,
@@ -250,22 +335,11 @@ def enumerate_ledger(
     rest.  Optimal vertices are deduplicated in max-norm; the representative
     of each vertex is the lexicographically smallest basis generating it.
     """
-    m, d = lp.n_rows, lp.n_cols
-    if math.comb(d, m) > enumeration_cap:
-        raise EnumerationCapExceeded(
-            f"C({d},{m}) = {math.comb(d, m)} exceeds enumeration cap {enumeration_cap}"
-        )
     optimal: list[BasicSolutionPair] = []
     rest: list[BasicSolutionPair] = []
-    for combo in itertools.combinations(range(d), m):
-        try:
-            lu_piv = _lu_basis(lp, combo, tols)
-        except SingularBasis:
-            continue
-        pair = _pair_from_factor(lp, combo, lu_piv, tols)
-        if not pair.dual_feasible:
-            continue
-        (optimal if pair.primal_feasible else rest).append(pair)
+    for pair in _scan(lp, tols, enumeration_cap, primal=False):
+        if pair.dual_feasible:
+            (optimal if pair.primal_feasible else rest).append(pair)
     if not optimal and not rest:
         raise NoDualFeasibleBasis("no dual feasible basis exists")
 
@@ -311,19 +385,9 @@ def solve_min_index(
     both primal and dual feasible.  Raises Infeasible when no basis is
     primal feasible and Unbounded when the dual is infeasible everywhere.
     """
-    m, d = lp.n_rows, lp.n_cols
-    if math.comb(d, m) > enumeration_cap:
-        raise EnumerationCapExceeded(
-            f"C({d},{m}) = {math.comb(d, m)} exceeds enumeration cap {enumeration_cap}"
-        )
     saw_primal = False
     saw_dual = False
-    for combo in itertools.combinations(range(d), m):
-        try:
-            lu_piv = _lu_basis(lp, combo, tols)
-        except SingularBasis:
-            continue
-        pair = _pair_from_factor(lp, combo, lu_piv, tols)
+    for pair in _scan(lp, tols, enumeration_cap, primal=True):
         saw_primal = saw_primal or pair.primal_feasible
         saw_dual = saw_dual or pair.dual_feasible
         if pair.primal_feasible and pair.dual_feasible:

@@ -15,9 +15,7 @@ class Tolerances:
 
     rank_tol      relative pivot threshold for singularity checks
     feas_tol      absolute slack allowed on nonnegativity constraints
-    value_tol     relative objective-value agreement, scaled by 1 + |value|
     dedup_tol     max-norm threshold for identifying two basic solutions
-    slack_tol     complementary-slackness product threshold
     boundary_tol  half-width of the band classified as a cone boundary
     sum_tol       relative strictness margin for subset-sum and cycle-sum
                   equality tests, scaled by 1 + total magnitude
@@ -25,14 +23,9 @@ class Tolerances:
 
     rank_tol: float = 1e-10
     feas_tol: float = 1e-9
-    value_tol: float = 1e-8
     dedup_tol: float = 1e-8
-    slack_tol: float = 1e-8
     boundary_tol: float = 1e-9
     sum_tol: float = 1e-9
-
-    def value_tol_at(self, value: float) -> float:
-        return self.value_tol * (1.0 + abs(value))
 
     def sum_tol_at(self, magnitude: float) -> float:
         return self.sum_tol * (1.0 + abs(magnitude))

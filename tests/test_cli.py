@@ -77,6 +77,23 @@ class TestAnalyze:
         )
         assert run(["analyze", str(path), "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("error", ["NonConvergence", "NoFeasibleCone", "LpLimitsError"])
+    def test_internal_failure_exits_six(self, problem_paths, monkeypatch, capsys, error):
+        import lplimits
+
+        def explode(*args, **kwargs):
+            raise getattr(lplimits, error)("forced for the exit-code contract")
+
+        monkeypatch.setattr(cli.lp_core, "enumerate_ledger", explode)
+        out = problem_paths["dir"] / "internal"
+        assert run(["analyze", problem_paths["p2"], "--out-dir", str(out)]) == 6
+        assert "forced" in capsys.readouterr().err
+
+    def test_removed_tolerance_flags_are_rejected(self, problem_paths):
+        for flag in ("--value-tol", "--slack-tol"):
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(["analyze", problem_paths["p2"], flag, "1e-3"])
+
     def test_zero_marginal_warns(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(
@@ -147,6 +164,24 @@ class TestLimitSample:
         assert run(
             ["limit-sample", str(path), "--samples", "10", "--out-dir", str(tmp_path)]
         ) == 2
+
+
+class TestThreads:
+    def test_outputs_do_not_depend_on_threads(self, problem_paths):
+        outs = {}
+        for threads in (1, 2):
+            out = problem_paths["dir"] / f"threads{threads}"
+            assert run(["analyze", problem_paths["p2"], "--threads", str(threads),
+                        "--out-dir", str(out / "analyze")]) == 0
+            assert run(["limit-sample", problem_paths["p2"], "--samples", "500", "--seed", "4",
+                        "--threads", str(threads), "--out-dir", str(out / "limit")]) == 0
+            outs[threads] = out
+        for name in ("analyze/analysis.json", "limit/limit_samples.csv", "limit/limit_samples.json"):
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        for threads, out in outs.items():
+            for command in ("analyze", "limit"):
+                manifest = json.loads((out / command / "manifest.json").read_text())
+                assert manifest["threads"] == threads
 
 
 class TestMonteCarlo:

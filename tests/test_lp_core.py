@@ -1,11 +1,15 @@
 """Basis machinery, enumeration, and assumption checks."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lplimits as lpl
+from lplimits import lp_core
 from conftest import (
     EQUAL_MARGINAL_SCHEMES,
     OPTIMAL_SCHEME_IDS,
@@ -72,6 +76,109 @@ def random_solvable_lp(rng, degenerate=False, max_m=6, max_d=12):
             return lpl.make_lp(A, A @ x0, A.T @ lam + slack)
         except lpl.RankDeficient:
             continue
+
+
+def exhaustive_ledger(lp, tols=lpl.DEFAULT_TOLS):
+    """Oracle: the one-subset-at-a-time scan enumerate_ledger is checked against."""
+    optimal, rest = [], []
+    for combo in itertools.combinations(range(lp.n_cols), lp.n_rows):
+        try:
+            lu_piv = lp_core._lu_basis(lp, combo, tols)
+        except lpl.SingularBasis:
+            continue
+        pair = lp_core._pair_from_factor(lp, combo, lu_piv, tols)
+        if not pair.dual_feasible:
+            continue
+        (optimal if pair.primal_feasible else rest).append(pair)
+    if not optimal and not rest:
+        raise lpl.NoDualFeasibleBasis("no dual feasible basis exists")
+    vertices, vertex_ids = [], []
+    for pair in optimal:
+        for vid, v in enumerate(vertices):
+            if np.max(np.abs(v - pair.primal), initial=0.0) <= tols.dedup_tol:
+                vertex_ids.append(vid)
+                break
+        else:
+            vertices.append(pair.primal)
+            vertex_ids.append(len(vertices) - 1)
+    value = float(lp.cost @ optimal[0].primal) if optimal else math.nan
+    pairs = tuple(optimal + rest)
+    return lpl.BasisLedger(
+        lp=lp,
+        bases=tuple(p.basis for p in pairs),
+        pairs=pairs,
+        optimal_count=len(optimal),
+        optimal_value=value,
+        primal_optimal_vertices=tuple(vertices),
+        vertex_ids=tuple(vertex_ids),
+    )
+
+
+def exhaustive_min_index(lp, tols=lpl.DEFAULT_TOLS):
+    """Oracle: the one-subset-at-a-time scan solve_min_index is checked against."""
+    saw_primal = saw_dual = False
+    for combo in itertools.combinations(range(lp.n_cols), lp.n_rows):
+        try:
+            lu_piv = lp_core._lu_basis(lp, combo, tols)
+        except lpl.SingularBasis:
+            continue
+        pair = lp_core._pair_from_factor(lp, combo, lu_piv, tols)
+        saw_primal = saw_primal or pair.primal_feasible
+        saw_dual = saw_dual or pair.dual_feasible
+        if pair.primal_feasible and pair.dual_feasible:
+            return pair
+    if not saw_primal:
+        raise lpl.Infeasible("no primal feasible basis exists")
+    if not saw_dual:
+        raise lpl.Unbounded("primal feasible but no dual feasible basis exists")
+    raise lpl.LpLimitsError("primal and dual feasible bases never coincide")
+
+
+def _outcome(solve, lp):
+    """(error class or None, result) of one solve."""
+    try:
+        return None, solve(lp)
+    except lpl.LpLimitsError as exc:
+        return type(exc), None
+
+
+def assert_same_pair(a, b):
+    assert a.basis == b.basis
+    for name in ("primal", "dual", "reduced_costs"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for flag in ("primal_feasible", "dual_feasible", "primal_degenerate", "dual_degenerate"):
+        assert getattr(a, flag) == getattr(b, flag), flag
+
+
+def assert_matches_oracle(lp):
+    error, ledger = _outcome(lpl.enumerate_ledger, lp)
+    oracle_error, oracle = _outcome(exhaustive_ledger, lp)
+    assert error is oracle_error
+    if oracle is not None:
+        assert ledger.bases == oracle.bases
+        for pair, expected in zip(ledger.pairs, oracle.pairs):
+            assert_same_pair(pair, expected)
+        assert ledger.optimal_count == oracle.optimal_count
+        assert ledger.vertex_ids == oracle.vertex_ids
+        assert np.float64(ledger.optimal_value).tobytes() == np.float64(oracle.optimal_value).tobytes()
+        for v, w in zip(ledger.primal_optimal_vertices, oracle.primal_optimal_vertices, strict=True):
+            assert v.tobytes() == w.tobytes()
+    error, pair = _outcome(lpl.solve_min_index, lp)
+    oracle_error, expected = _outcome(exhaustive_min_index, lp)
+    assert error is oracle_error
+    if expected is not None:
+        assert_same_pair(pair, expected)
+
+
+@st.composite
+def _lp_arrays(draw):
+    """(A, b, c): small integer entries (many singular subsets and ties) or Gaussian ones."""
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(m, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return (rng.integers(-2, 3, (m, d)), rng.integers(-2, 4, m), rng.integers(-1, 4, d))
+    return rng.standard_normal((m, d)), rng.standard_normal(m), rng.standard_normal(d)
 
 
 class TestMakeLp:
@@ -258,6 +365,54 @@ class TestSolveMinIndex:
         lp = lpl.make_lp([[1.0, -1.0]], [0.0], [-1.0, 0.0])
         with pytest.raises(lpl.Unbounded):
             lpl.solve_min_index(lp)
+
+
+class TestScanMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_lp_arrays())
+    # an optimal basis with pivot ratio 3e-10, just above rank_tol
+    @example((np.array([[1.0, 1.0], [0.0, 3e-10]]), np.array([2.0, 3e-10]), np.ones(2)))
+    def test_random_lps(self, arrays):
+        try:
+            lp = lpl.make_lp(*arrays)
+        except lpl.RankDeficient:
+            return
+        assert_matches_oracle(lp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_planted_optimum_lps(self, seed, degenerate):
+        lp = random_solvable_lp(np.random.default_rng(seed), degenerate, max_m=5, max_d=9)
+        assert_matches_oracle(lp)
+
+    def test_transport_n4_spans_several_blocks(self):
+        rng = np.random.default_rng(404)
+        problem = lpl.make_ot_problem(
+            points_x=rng.standard_normal((4, 2)), r=rng.dirichlet(np.ones(4)),
+            s=rng.dirichlet(np.ones(4)), p=2.0, q=2.0,
+        )
+        lp = lpl.reduce_to_lp(problem)
+        assert math.comb(lp.n_cols, lp.n_rows) == 11_440 > 2 * lp_core._SCAN_BLOCK
+        assert_matches_oracle(lp)
+
+    def test_scan_memory_is_bounded_by_the_block(self):
+        # Six copies of each of five columns, dearer copy by copy: C(30, 5) =
+        # 142,506 subsets, of which only the cheapest copy of each is kept.
+        rng = np.random.default_rng(5)
+        base = np.eye(5) + 0.2 * rng.standard_normal((5, 5))
+        A = np.hstack([base] * 6)
+        c = np.concatenate([np.ones(5) + 0.1 * t for t in range(6)])
+        lp = lpl.make_lp(A, base @ np.ones(5), c)
+        tracemalloc.start()
+        try:
+            ledger = lpl.enumerate_ledger(lp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [b.indices for b in ledger.bases] == [(0, 1, 2, 3, 4)]
+        assert ledger.optimal_count == 1
+        # One (subset, row, column) stack of all subsets alone would take 28 MB.
+        assert peak < 16 * 2**20
 
 
 class TestSimplexFastPath:
