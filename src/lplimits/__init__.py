@@ -47,7 +47,6 @@ from .lp_core import (
     make_lp,
     optimality_set,
     solve_min_index,
-    solve_simplex_bland,
 )
 from .cones_limit import (
     ConeH,

@@ -163,20 +163,18 @@ def build_cones(
     cones = []
     for k in range(ledger.optimal_count):
         idx = ledger.bases[k].indices
-        sub = ledger.lp.constraint_matrix[:, list(idx)]
-        inverse = np.linalg.inv(sub)
         j_rows = tuple(j for j, col in enumerate(idx) if col not in pos)
         if len(j_rows) != expected:
             raise LpLimitsError(
                 f"basis {idx} does not carry every positive coordinate of the optimum"
             )
-        normals = inverse[list(j_rows)][:, :m0].copy()
+        normals = ledger.inverses[k][list(j_rows)][:, :m0].copy()
         normals.flags.writeable = False
         cones.append(
             ConeH(
                 basis_index=k,
                 halfspace_normals=normals,
-                generator_matrix=sub,
+                generator_matrix=ledger.lp.constraint_matrix[:, list(idx)],
                 j_rows=j_rows,
                 m0=m0,
             )
@@ -184,39 +182,29 @@ def build_cones(
     return tuple(cones)
 
 
+def _smallest_products(cone: ConeH, g_matrix: np.ndarray) -> np.ndarray:
+    """Smallest halfspace product of each row; +inf for a cone with no half-spaces."""
+    if cone.halfspace_normals.shape[0] == 0:
+        return np.full(g_matrix.shape[0], np.inf)
+    return cone.products(g_matrix).min(axis=1)
+
+
 def cone_contains(cone: ConeH, v, tol: Optional[float] = None) -> Verdict:
     """Tri-state membership of a direction in a cone.
 
-    Inside when all halfspace products exceed tol, Boundary when the
-    smallest product sits within [-tol, tol], Outside otherwise.  A cone
-    with no half-spaces is all of the ambient space.
+    Boundary when the smallest halfspace product sits within [-tol, tol],
+    Inside when it exceeds tol, Outside otherwise.  A cone with no
+    half-spaces is all of the ambient space.  The limit law applies the
+    same rule: a cone is feasible for a direction unless it is Outside.
     """
     if tol is None:
         tol = DEFAULT_TOLS.boundary_tol
-    if cone.halfspace_normals.shape[0] == 0:
-        return Verdict.INSIDE
-    products = cone.products(np.asarray(v, dtype=float))
-    smallest = products.min()
-    if smallest > tol:
-        return Verdict.INSIDE
-    if smallest >= -tol:
+    smallest = _smallest_products(cone, np.asarray(v, dtype=float).reshape(1, -1))[0]
+    if abs(smallest) <= tol:
         return Verdict.BOUNDARY
+    if smallest >= -tol:
+        return Verdict.INSIDE
     return Verdict.OUTSIDE
-
-
-def _embed(spec: LimitLawSpec, g: np.ndarray) -> np.ndarray:
-    m = spec.ledger.lp.n_rows
-    emb = np.zeros(m)
-    emb[: spec.m0] = g
-    return emb
-
-
-def _basic_fluctuation(spec: LimitLawSpec, k: int, emb: np.ndarray) -> np.ndarray:
-    cone = spec.cones[k]
-    coords = np.linalg.solve(cone.generator_matrix, emb)
-    out = np.zeros(spec.ledger.lp.n_cols)
-    out[list(spec.ledger.bases[k].indices)] = coords
-    return out
 
 
 def limit_functional(
@@ -230,35 +218,20 @@ def limit_functional(
     Feasible cones are those whose membership verdict is not Outside
     (Boundary resolves to Inside and is logged).  Min-index returns the
     basic fluctuation of the smallest feasible index; the randomized policy
-    mixes all feasible ones with uniform simplex weights.
+    mixes all feasible ones with uniform simplex weights drawn from rng.
+    The value is row 0 of ``evaluate_limit`` on the one-row stack.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (spec.m0,):
         raise DimensionMismatch(f"direction must have length {spec.m0}, got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise DimensionMismatch("direction contains non-finite entries")
-    if tol is None:
-        tol = DEFAULT_TOLS.boundary_tol
-    feasible = []
-    for k, cone in enumerate(spec.cones):
-        verdict = cone_contains(cone, g, tol)
-        if verdict is Verdict.BOUNDARY:
-            logger.debug("direction on the boundary of cone %d treated as inside", k)
-        if verdict is not Verdict.OUTSIDE:
-            feasible.append(k)
-    if not feasible:
-        raise NoFeasibleCone("direction lies outside every stability cone")
-    emb = _embed(spec, g)
-    if spec.tie_break is TieBreak.MIN_INDEX:
-        return _basic_fluctuation(spec, feasible[0], emb)
-    if rng is None:
+    if spec.tie_break is not TieBreak.MIN_INDEX and rng is None:
         raise LpLimitsError("the randomized tie-break needs an explicit rng")
-    spacings = rng.exponential(size=len(feasible))
-    alpha = spacings / spacings.sum()
-    out = np.zeros(spec.ledger.lp.n_cols)
-    for weight, k in zip(alpha, feasible):
-        out += weight * _basic_fluctuation(spec, k, emb)
-    return out
+    samples, _, boundary = _limit_rows(spec, g[None], tol, lambda i: rng)
+    if boundary.any():
+        logger.debug("direction on cone boundaries %s taken as inside", np.flatnonzero(boundary))
+    return samples[0]
 
 
 def psd_sqrt(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -287,6 +260,67 @@ class LimitSampleResult:
         return self.occupancy_counts / total
 
 
+def uniform_mixture(rng: np.random.Generator, parts, columns, n_cols: int) -> np.ndarray:
+    """Uniform-simplex mixture of basic solutions; ``parts[j]`` fills ``columns[j]``.
+
+    Normalised exponential spacings from rng weight the parts, added in order into a zero row.
+    """
+    spacings = rng.exponential(size=len(parts))
+    alpha = spacings / spacings.sum()
+    out = np.zeros(n_cols)
+    for weight, part, cols in zip(alpha, parts, columns):
+        out[cols] += weight * part
+    return out
+
+
+def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], row_rng):
+    """Samples, occupancy counts and boundary counts of a stack of directions.
+
+    Feasible and boundary follow ``cone_contains``.  A basic fluctuation is the
+    zero-padded direction times ``spec.ledger.inverses[k]``; the randomized
+    policy draws the mixture weights of row i from ``row_rng(i)``.
+    """
+    if tol is None:
+        tol = DEFAULT_TOLS.boundary_tol
+    n_samples = g_matrix.shape[0]
+    k_count = len(spec.cones)
+    d = spec.ledger.lp.n_cols
+    occupancy = np.zeros(k_count, dtype=np.int64)
+    boundary = np.zeros(k_count, dtype=np.int64)
+    samples = np.zeros((n_samples, d))
+    if n_samples == 0:
+        return samples, occupancy, boundary
+
+    feasible = np.zeros((n_samples, k_count), dtype=bool)
+    for k, cone in enumerate(spec.cones):
+        smallest = _smallest_products(cone, g_matrix)
+        feasible[:, k] = smallest >= -tol
+        boundary[k] = int(np.sum(np.abs(smallest) <= tol))
+    any_feasible = feasible.any(axis=1)
+    if not np.all(any_feasible):
+        bad = int(np.argmin(any_feasible))
+        raise NoFeasibleCone(f"draw {bad} lies outside every stability cone")
+
+    emb = np.zeros((n_samples, spec.ledger.lp.n_rows))
+    emb[:, : spec.m0] = g_matrix
+    inverses = spec.ledger.inverses
+    columns = [list(spec.ledger.bases[k].indices) for k in range(k_count)]
+    if spec.tie_break is TieBreak.MIN_INDEX:
+        chosen = np.argmax(feasible, axis=1)
+        for k in range(k_count):
+            rows = np.flatnonzero(chosen == k)
+            occupancy[k] = rows.size
+            if rows.size:
+                samples[np.ix_(rows, columns[k])] = emb[rows] @ inverses[k].T
+    else:
+        for i in range(n_samples):
+            ks = np.flatnonzero(feasible[i])
+            occupancy[ks] += 1
+            parts = [inverses[k] @ emb[i] for k in ks]
+            samples[i] = uniform_mixture(row_rng(i), parts, [columns[k] for k in ks], d)
+    return samples, occupancy, boundary
+
+
 def evaluate_limit(
     spec: LimitLawSpec,
     directions: np.ndarray,
@@ -301,57 +335,12 @@ def evaluate_limit(
     policy derives a per-row substream from (seed, index) so results do
     not depend on any internal chunking.
     """
-    if tol is None:
-        tol = DEFAULT_TOLS.boundary_tol
     g_matrix = np.asarray(directions, dtype=float)
     if g_matrix.ndim != 2 or g_matrix.shape[1] != spec.m0:
         raise DimensionMismatch(f"directions must be an (n, {spec.m0}) array")
-    n_samples = g_matrix.shape[0]
-    k_count = len(spec.cones)
-    d = spec.ledger.lp.n_cols
-    occupancy = np.zeros(k_count, dtype=np.int64)
-    boundary = np.zeros(k_count, dtype=np.int64)
-    samples = np.zeros((n_samples, d))
-    if n_samples == 0:
-        return LimitSampleResult(samples, g_matrix, occupancy, boundary, seed)
-
-    feasible = np.zeros((n_samples, k_count), dtype=bool)
-    for k, cone in enumerate(spec.cones):
-        if cone.halfspace_normals.shape[0] == 0:
-            feasible[:, k] = True
-            continue
-        products = cone.products(g_matrix)
-        smallest = products.min(axis=1)
-        feasible[:, k] = smallest >= -tol
-        boundary[k] = int(np.sum(np.abs(smallest) <= tol))
-    any_feasible = feasible.any(axis=1)
-    if not np.all(any_feasible):
-        bad = int(np.argmin(any_feasible))
-        raise NoFeasibleCone(f"draw {bad} lies outside every stability cone")
-
-    emb = np.zeros((n_samples, spec.ledger.lp.n_rows))
-    emb[:, : spec.m0] = g_matrix
-    if spec.tie_break is TieBreak.MIN_INDEX:
-        chosen = np.argmax(feasible, axis=1)
-        for k in range(k_count):
-            rows = np.flatnonzero(chosen == k)
-            occupancy[k] = rows.size
-            if rows.size == 0:
-                continue
-            inverse = np.linalg.inv(spec.cones[k].generator_matrix)
-            coords = emb[rows] @ inverse.T
-            samples[np.ix_(rows, list(spec.ledger.bases[k].indices))] = coords
-    else:
-        inverses = [np.linalg.inv(c.generator_matrix) for c in spec.cones]
-        columns = [list(spec.ledger.bases[k].indices) for k in range(k_count)]
-        for i in range(n_samples):
-            ks = np.flatnonzero(feasible[i])
-            occupancy[ks] += 1
-            sub = np.random.default_rng((seed, i))
-            spacings = sub.exponential(size=ks.size)
-            alpha = spacings / spacings.sum()
-            for weight, k in zip(alpha, ks):
-                samples[i, columns[k]] += weight * (inverses[k] @ emb[i])
+    samples, occupancy, boundary = _limit_rows(
+        spec, g_matrix, tol, lambda i: np.random.default_rng((seed, i))
+    )
     return LimitSampleResult(samples, g_matrix, occupancy, boundary, seed)
 
 
@@ -387,8 +376,7 @@ def pushforward_covariance(ledger: BasisLedger, k: int, covariance: np.ndarray, 
     through the basis inverse, then scattered to the full variable space.
     """
     idx = list(ledger.bases[k].indices)
-    sub = ledger.lp.constraint_matrix[:, idx]
-    inverse = np.linalg.inv(sub)
+    inverse = ledger.inverses[k]
     m = ledger.lp.n_rows
     emb = np.zeros((m, m))
     emb[:m0, :m0] = covariance

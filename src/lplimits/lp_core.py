@@ -9,10 +9,11 @@ not just one).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import (
     Infeasible,
     LpLimitsError,
     NoDualFeasibleBasis,
-    NonConvergence,
     RankDeficient,
     SingularBasis,
     Unbounded,
@@ -102,12 +102,7 @@ class BasicSolutionPair:
     dual_feasible: bool
     primal_degenerate: bool
     dual_degenerate: bool
-    # Cost vector of the owning problem so the pair can report its own value.
-    _cost_cache: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def objective(self) -> float:
-        return float(np.dot(self.primal, self._cost_cache))
+    objective: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +128,18 @@ class BasisLedger:
 
     def optimal_duals(self) -> np.ndarray:
         return np.array([p.dual for p in self.optimal_pairs()])
+
+    @functools.cached_property
+    def inverses(self) -> np.ndarray:
+        """Read-only ``(n_bases, m, m)`` basis inverses, ledger order, made on first use.
+
+        Cones, limit law, pushed-forward covariance and resampling solver all read them here.
+        """
+        columns = np.array([b.indices for b in self.bases], dtype=np.intp)
+        stack = self.lp.constraint_matrix[:, columns.reshape(-1, self.lp.n_rows)]
+        inverses = np.linalg.inv(np.moveaxis(stack, 0, 1))
+        inverses.flags.writeable = False
+        return inverses
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +240,7 @@ def _pair_from_factor(lp, indices, lu_piv, tols: Tolerances) -> BasicSolutionPai
         dual_feasible=bool(reduced.min() >= -tols.feas_tol),
         primal_degenerate=bool(np.sum(primal > tols.feas_tol) < m),
         dual_degenerate=bool(np.sum(np.abs(reduced) <= tols.feas_tol) > m),
-        _cost_cache=lp.cost,
+        objective=float(np.dot(primal, lp.cost)),
     )
 
 
@@ -322,6 +329,21 @@ def _scan(lp: StandardLp, tols: Tolerances, enumeration_cap: int, primal: bool):
             yield _pair_from_factor(lp, block[k], lu_piv, tols)
 
 
+def dedup_vertices(points, tol: float) -> tuple[list[np.ndarray], list[int]]:
+    """First-wins deduplication in max-norm: the distinct points and each point's vertex id."""
+    vertices: list[np.ndarray] = []
+    vertex_ids: list[int] = []
+    for point in points:
+        for vid, v in enumerate(vertices):
+            if np.max(np.abs(v - point), initial=0.0) <= tol:
+                vertex_ids.append(vid)
+                break
+        else:
+            vertices.append(point)
+            vertex_ids.append(len(vertices) - 1)
+    return vertices, vertex_ids
+
+
 def enumerate_ledger(
     lp: StandardLp,
     tols: Tolerances = DEFAULT_TOLS,
@@ -343,17 +365,7 @@ def enumerate_ledger(
     if not optimal and not rest:
         raise NoDualFeasibleBasis("no dual feasible basis exists")
 
-    vertices: list[np.ndarray] = []
-    vertex_ids: list[int] = []
-    for pair in optimal:
-        for vid, v in enumerate(vertices):
-            if np.max(np.abs(v - pair.primal), initial=0.0) <= tols.dedup_tol:
-                vertex_ids.append(vid)
-                break
-        else:
-            vertices.append(pair.primal)
-            vertex_ids.append(len(vertices) - 1)
-
+    vertices, vertex_ids = dedup_vertices([p.primal for p in optimal], tols.dedup_tol)
     value = float(lp.cost @ optimal[0].primal) if optimal else math.nan
     pairs = tuple(optimal + rest)
     return BasisLedger(
@@ -474,88 +486,6 @@ def check_assumptions(
         slater=_slater_holds(lp, tols),
         bounded=bounded,
     )
-
-
-def solve_simplex_bland(
-    lp: StandardLp,
-    tols: Tolerances = DEFAULT_TOLS,
-    max_pivots: int = 100_000,
-) -> BasicSolutionPair:
-    """Two-phase primal simplex with Bland's anti-cycling rule.
-
-    Fast path whose objective value must agree with the enumeration
-    reference; under degeneracy the terminal basis may differ from the
-    min-index one.
-    """
-    A = np.array(lp.constraint_matrix)
-    b = np.array(lp.rhs)
-    m, d = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    ext = np.hstack([A, np.eye(m)])
-    phase1_cost = np.concatenate([np.zeros(d), np.ones(m)])
-    basis = list(range(d, d + m))
-    basis, x_basic = _simplex_iterate(ext, b, phase1_cost, basis, tols, max_pivots)
-    if phase1_cost[basis] @ x_basic > 1e-7 * (1.0 + abs(b).sum()):
-        raise Infeasible("phase-1 simplex terminated with positive artificial mass")
-    basis = _drive_out_artificials(ext, basis, d)
-    phase2_cost = np.concatenate([lp.cost, np.zeros(m)])
-    basis, _ = _simplex_iterate(
-        ext, b, phase2_cost, basis, tols, max_pivots, blocked=set(range(d, d + m))
-    )
-    return basic_pair(lp, tuple(sorted(basis)), tols)
-
-
-def _simplex_iterate(A, b, c, basis, tols, max_pivots, blocked=frozenset()):
-    m = A.shape[0]
-    for _ in range(max_pivots):
-        B = A[:, basis]
-        x_basic = np.linalg.solve(B, b)
-        lam = np.linalg.solve(B.T, c[basis])
-        reduced = c - A.T @ lam
-        entering = -1
-        for j in range(A.shape[1]):
-            if j in blocked or j in basis:
-                continue
-            if reduced[j] < -tols.feas_tol:
-                entering = j
-                break
-        if entering < 0:
-            return basis, x_basic
-        direction = np.linalg.solve(B, A[:, entering])
-        ratios = [
-            (x_basic[i] / direction[i], basis[i], i)
-            for i in range(m)
-            if direction[i] > tols.feas_tol
-        ]
-        if not ratios:
-            raise Unbounded("simplex found an improving ray")
-        theta = min(r[0] for r in ratios)
-        # Bland: among minimal ratios leave the smallest variable index.
-        leave_row = min((r[1], r[2]) for r in ratios if r[0] <= theta + tols.feas_tol)[1]
-        basis[leave_row] = entering
-    raise NonConvergence(f"simplex exceeded {max_pivots} pivots")
-
-
-def _drive_out_artificials(ext, basis, d):
-    m = ext.shape[0]
-    basis = list(basis)
-    for row in range(m):
-        if basis[row] < d:
-            continue
-        B = ext[:, basis]
-        for j in range(d):
-            if j in basis:
-                continue
-            col = np.linalg.solve(B, ext[:, j])
-            if abs(col[row]) > 1e-8:
-                basis[row] = j
-                break
-        else:
-            raise SingularBasis("could not eliminate an artificial variable from the basis")
-    return basis
 
 
 def lp_from_dict(payload: dict, tols: Tolerances = DEFAULT_TOLS) -> StandardLp:

@@ -25,7 +25,7 @@ from .errors import (
     NotAProbabilityVector,
     TooManyInfeasible,
 )
-from .lp_core import BasisLedger, StandardLp, enumerate_ledger
+from .lp_core import BasisLedger, StandardLp, dedup_vertices, enumerate_ledger
 from .ot import OneSample, OtProblem, TwoSample
 from .tolerances import DEFAULT_TOLS, Tolerances
 
@@ -121,8 +121,8 @@ class RepeatedSolver:
     """Min-index solves of one LP family over many right-hand sides.
 
     Dual feasibility of a basis does not depend on the right-hand side, so
-    the dual feasible bases, their inverses, and their dual vectors are
-    precomputed once; each solve is then a batched feasibility scan in
+    the dual feasible bases and their inverses (``BasisLedger.inverses``)
+    are fixed once; each solve is then a batched feasibility scan in
     lexicographic basis order.
     """
 
@@ -134,11 +134,8 @@ class RepeatedSolver:
         self.tols = tols
         self.ledger = ledger
         order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
-        self.bases = [ledger.bases[k].indices for k in order]
-        mats = [np.linalg.inv(lp.constraint_matrix[:, list(idx)]) for idx in self.bases]
-        self.inverses = np.array(mats)
-        self.duals = np.array([ledger.pairs[k].dual for k in order])
-        self.columns = [list(idx) for idx in self.bases]
+        self.inverses = ledger.inverses[order]
+        self.columns = [list(ledger.bases[k].indices) for k in order]
 
     def basic_coordinates(self, rhs_batch: np.ndarray) -> np.ndarray:
         """(R, n_bases, m) basic coordinate array for a batch of right-hand sides."""
@@ -171,27 +168,19 @@ class RepeatedSolver:
         feasible = np.flatnonzero((coords >= -self.tols.feas_tol).all(axis=1))
         if feasible.size == 0:
             return None
-        spacings = rng.exponential(size=feasible.size)
-        alpha = spacings / spacings.sum()
-        out = np.zeros(self.lp.n_cols)
-        for weight, k in zip(alpha, feasible):
-            out[self.columns[k]] += weight * coords[k]
-        return out
+        columns = [self.columns[k] for k in feasible]
+        return cones_limit.uniform_mixture(rng, coords[feasible], columns, self.lp.n_cols)
 
     def vertices_at(self, rhs: np.ndarray) -> list[np.ndarray]:
         """Deduplicated optimal vertices of the problem with right-hand side rhs."""
         coords = self.inverses @ rhs
         feasible = np.flatnonzero((coords >= -self.tols.feas_tol).all(axis=1))
-        vertices: list[np.ndarray] = []
+        points = []
         for k in feasible:
             full = np.zeros(self.lp.n_cols)
             full[self.columns[k]] = coords[k]
-            for v in vertices:
-                if np.max(np.abs(v - full), initial=0.0) <= self.tols.dedup_tol:
-                    break
-            else:
-                vertices.append(full)
-        return vertices
+            points.append(full)
+        return dedup_vertices(points, self.tols.dedup_tol)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,228 @@
+"""The shared basis inverses and the one limit kernel, against per-site oracles.
+
+Each oracle below is the expression a consumer used before it read
+``BasisLedger.inverses``: its own ``np.linalg.inv`` of the basis submatrix
+followed by the same arithmetic.  Every comparison is exact.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lplimits as lpl
+from conftest import line_problem
+
+TOL = lpl.DEFAULT_TOLS.boundary_tol
+
+
+def planted_unique_ledger(seed):
+    """Ledger of a Gaussian LP with a unique, degenerate optimum and several optimal bases.
+
+    b = A x* with x* positive on s < m columns; c = A'y + slack with the
+    slack zero on those columns and on m + 1 - s further ones, so every
+    invertible basis in between is optimal.  Gaussian submatrices have no
+    integer inverses.  Draws repeat until the optimum is unique.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        m = int(rng.integers(2, 6))
+        d = int(rng.integers(m + 2, m + 5))
+        A = rng.standard_normal((m, d))
+        columns = rng.permutation(d)
+        s = int(rng.integers(1, m))
+        x = np.zeros(d)
+        x[columns[:s]] = rng.uniform(0.5, 2.0, s)
+        slack = rng.uniform(0.5, 1.0, d)
+        slack[columns[: m + 1]] = 0.0
+        lp = lpl.make_lp(A, A @ x, A.T @ rng.standard_normal(m) + slack)
+        ledger = lpl.enumerate_ledger(lp)
+        if len(ledger.primal_optimal_vertices) == 1:
+            return ledger
+
+
+def oracle_inverse(ledger, k):
+    return np.linalg.inv(ledger.lp.constraint_matrix[:, list(ledger.bases[k].indices)])
+
+
+def oracle_normals(ledger, partition, m0):
+    out = []
+    for k in range(ledger.optimal_count):
+        idx = ledger.bases[k].indices
+        j_rows = [j for j, col in enumerate(idx) if col not in set(partition.pos)]
+        out.append(oracle_inverse(ledger, k)[j_rows][:, :m0].copy())
+    return out
+
+
+def oracle_feasible(normals, g_matrix):
+    """(feasible matrix, boundary counts) from per-cone smallest products."""
+    feasible = np.zeros((g_matrix.shape[0], len(normals)), dtype=bool)
+    boundary = np.zeros(len(normals), dtype=np.int64)
+    for k, n in enumerate(normals):
+        if n.shape[0] == 0:
+            feasible[:, k] = True
+            continue
+        smallest = (g_matrix @ n.T).min(axis=1)
+        feasible[:, k] = smallest >= -TOL
+        boundary[k] = np.sum(np.abs(smallest) <= TOL)
+    return feasible, boundary
+
+
+def oracle_samples(ledger, feasible, g_matrix, m0, randomized, seed):
+    n, k_count = feasible.shape
+    emb = np.zeros((n, ledger.lp.n_rows))
+    emb[:, :m0] = g_matrix
+    samples = np.zeros((n, ledger.lp.n_cols))
+    columns = [list(ledger.bases[k].indices) for k in range(k_count)]
+    inverses = [oracle_inverse(ledger, k) for k in range(k_count)]
+    if not randomized:
+        chosen = np.argmax(feasible, axis=1)
+        for k in range(k_count):
+            rows = np.flatnonzero(chosen == k)
+            if rows.size:
+                samples[np.ix_(rows, columns[k])] = emb[rows] @ inverses[k].T
+        return samples
+    for i in range(n):
+        ks = np.flatnonzero(feasible[i])
+        spacings = np.random.default_rng((seed, i)).exponential(size=ks.size)
+        alpha = spacings / spacings.sum()
+        for weight, k in zip(alpha, ks):
+            samples[i, columns[k]] += weight * (inverses[k] @ emb[i])
+    return samples
+
+
+def directions(ledger, normals, m0, seed):
+    """Gaussian rows inside some cone, plus the origin and rows on a facet."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((60, m0))
+    facets = [n[0] for n in normals if n.shape[0]]
+    if facets:
+        on = rng.standard_normal((10, m0))
+        w = facets[int(rng.integers(len(facets)))]
+        g = np.vstack([g, on - np.outer(on @ w / (w @ w), w)])
+    g = np.vstack([g, np.zeros((1, m0))])
+    return g[oracle_feasible(normals, g)[0].any(axis=1)]
+
+
+def check_against_oracles(ledger, m0, seed):
+    partition = lpl.support_partition(ledger)
+    cones = lpl.build_cones(ledger, partition, m0)
+    normals = oracle_normals(ledger, partition, m0)
+    for cone, expected in zip(cones, normals, strict=True):
+        np.testing.assert_array_equal(cone.halfspace_normals, expected)
+
+    g = directions(ledger, normals, m0, seed)
+    feasible, boundary = oracle_feasible(normals, g)
+    verdicts = [[lpl.cone_contains(c, row) for c in cones] for row in g]
+    inside = np.array([[v is not lpl.Verdict.OUTSIDE for v in row] for row in verdicts])
+    on_boundary = np.array([[v is lpl.Verdict.BOUNDARY for v in row] for row in verdicts])
+    np.testing.assert_array_equal(inside, feasible)
+    for policy in lpl.TieBreak:
+        randomized = policy is not lpl.TieBreak.MIN_INDEX
+        spec = lpl.LimitLawSpec(
+            ledger=ledger, cones=cones, tie_break=policy,
+            covariance=np.eye(m0), m0=m0, rate_name="sqrt(n)",
+        )
+        result = lpl.evaluate_limit(spec, g, seed=seed)
+        np.testing.assert_array_equal(
+            result.samples, oracle_samples(ledger, feasible, g, m0, randomized, seed)
+        )
+        np.testing.assert_array_equal(result.boundary_hits, boundary)
+        np.testing.assert_array_equal(on_boundary.sum(axis=0), result.boundary_hits)
+        if randomized:
+            np.testing.assert_array_equal(inside.sum(axis=0), result.occupancy_counts)
+        else:
+            first = np.bincount(np.argmax(inside, axis=1), minlength=len(cones))
+            np.testing.assert_array_equal(first, result.occupancy_counts)
+
+        one = lpl.evaluate_limit(spec, g[:1], seed=seed).samples[0]
+        rng = np.random.default_rng((seed, 0)) if randomized else None
+        np.testing.assert_array_equal(lpl.limit_functional(spec, g[0], rng=rng), one)
+
+    cov = np.cov(np.random.default_rng(seed).standard_normal((m0, 2 * m0 + 2)))
+    for k in range(ledger.optimal_count):
+        inverse = oracle_inverse(ledger, k)
+        emb = np.zeros((ledger.lp.n_rows,) * 2)
+        emb[:m0, :m0] = cov
+        idx = list(ledger.bases[k].indices)
+        expected = np.zeros((ledger.lp.n_cols,) * 2)
+        expected[np.ix_(idx, idx)] = inverse @ emb @ inverse.T
+        np.testing.assert_array_equal(lpl.pushforward_covariance(ledger, k, cov, m0), expected)
+
+
+def check_solver_against_oracle(ledger, seed):
+    lp = ledger.lp
+    solver = lpl.RepeatedSolver(lp, ledger=ledger)
+    order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
+    inverses = np.array([oracle_inverse(ledger, k) for k in order])
+    columns = [list(ledger.bases[k].indices) for k in order]
+    tols = solver.tols
+    rng = np.random.default_rng(seed)
+    rhs_batch = lp.rhs + 0.3 * np.abs(lp.rhs).max() * rng.standard_normal((40, lp.n_rows))
+    rhs_batch[0] = lp.rhs
+
+    coords = np.einsum("nij,rj->rni", inverses, rhs_batch)
+    feasible = (coords >= -tols.feas_tol).all(axis=2)
+    any_feasible = feasible.any(axis=1)
+    chosen = np.where(any_feasible, np.argmax(feasible, axis=1), -1)
+    solutions = np.full((len(rhs_batch), lp.n_cols), np.nan)
+    for k in np.unique(chosen[any_feasible]):
+        rows = np.flatnonzero(chosen == k)
+        solutions[rows] = 0.0
+        solutions[np.ix_(rows, columns[k])] = coords[rows, k, :]
+    got = solver.solve_batch(rhs_batch)
+    for value, expected in zip(got, (solutions, solutions @ lp.cost, chosen, any_feasible)):
+        np.testing.assert_array_equal(value, expected)
+
+    for i, rhs in enumerate(rhs_batch):
+        coords = inverses @ rhs
+        ks = np.flatnonzero((coords >= -tols.feas_tol).all(axis=1))
+        mixed = solver.mixed_solution(rhs, np.random.default_rng((seed, i)))
+        vertices = solver.vertices_at(rhs)
+        if ks.size == 0:
+            assert mixed is None and vertices == []
+            continue
+        spacings = np.random.default_rng((seed, i)).exponential(size=ks.size)
+        alpha = spacings / spacings.sum()
+        expected = np.zeros(lp.n_cols)
+        unique = []
+        for weight, k in zip(alpha, ks):
+            expected[columns[k]] += weight * coords[k]
+            full = np.zeros(lp.n_cols)
+            full[columns[k]] = coords[k]
+            if all(np.max(np.abs(v - full)) > tols.dedup_tol for v in unique):
+                unique.append(full)
+        np.testing.assert_array_equal(mixed, expected)
+        assert len(vertices) == len(unique)
+        for v, w in zip(vertices, unique):
+            np.testing.assert_array_equal(v, w)
+
+
+class TestLedgerInverses:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_per_basis_inverse(self, seed):
+        ledger = planted_unique_ledger(seed)
+        inverses = ledger.inverses
+        assert inverses.shape == (len(ledger.bases),) + (ledger.lp.n_rows,) * 2
+        assert ledger.inverses is inverses
+        assert not inverses.flags.writeable
+        for k in range(len(ledger.bases)):
+            np.testing.assert_array_equal(inverses[k], oracle_inverse(ledger, k))
+
+
+class TestConsumersMatchOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_gaussian_planted_optimum(self, seed, data):
+        ledger = planted_unique_ledger(seed)
+        assert ledger.optimal_count >= 2
+        m0 = data.draw(st.integers(1, ledger.lp.n_rows))
+        check_against_oracles(ledger, m0, seed)
+        check_solver_against_oracle(ledger, seed)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("m0", [2, 5])
+    def test_golden_instances(self, p, m0):
+        ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(p)))
+        check_against_oracles(ledger, m0, seed=int(10 * p) + m0)
+        check_solver_against_oracle(ledger, seed=m0)

@@ -415,20 +415,24 @@ class TestScanMatchesOracle:
         assert peak < 16 * 2**20
 
 
-class TestSimplexFastPath:
-    def test_matches_reference_value(self):
+class TestHighsOracle:
+    def test_matches_highs_value(self):
+        import scipy.optimize
+
         rng = np.random.default_rng(4)
         for trial in range(60):
             lp = random_solvable_lp(rng, degenerate=(trial % 3 == 0), max_m=5, max_d=10)
             ref = lpl.solve_min_index(lp)
-            fast = lpl.solve_simplex_bland(lp)
-            assert abs(ref.objective - fast.objective) < 1e-8 * (1 + abs(ref.objective))
-            assert fast.primal_feasible and fast.dual_feasible
+            res = scipy.optimize.linprog(
+                lp.cost, A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
+            )
+            assert res.status == 0
+            assert abs(ref.objective - res.fun) < 1e-8 * (1 + abs(res.fun))
 
     def test_infeasible_detection(self):
         lp = lpl.make_lp([[1.0, 1.0]], [-1.0], [1.0, 1.0])
         with pytest.raises(lpl.Infeasible):
-            lpl.solve_simplex_bland(lp)
+            lpl.solve_min_index(lp)
 
 
 class TestCheckAssumptions:
