@@ -16,6 +16,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ EXIT_CAP = 3
 EXIT_ASSUMPTION = 4
 EXIT_DEGENERATE = 5
 EXIT_INTERNAL = 6
+
+logger = logging.getLogger(__name__)
 
 _CSV_BLOCK = 1024  # rows formatted per write; bounds the temporary Python lists and strings
 
@@ -111,10 +114,9 @@ def _load_problem(path: str):
         return lp_core.lp_from_dict(payload), None, payload
     problem = ot.ot_from_dict(payload)
     if min(problem.r.min(), problem.s.min()) <= 0.0:
-        print(
-            "warning: a marginal has a zero coordinate; the limit theory assumes "
-            "strictly interior probability vectors",
-            file=sys.stderr,
+        logger.warning(
+            "a marginal has a zero coordinate; the limit theory assumes "
+            "strictly interior probability vectors"
         )
     return ot.reduce_to_lp(problem), problem, payload
 
@@ -444,6 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The package's warnings reach stderr even where the caller set up no logging.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    package_logger = logging.getLogger(__package__)
+    package_logger.addHandler(handler)
     try:
         return args.func(args)
     except (EnumerationCapExceeded, CapExceeded) as exc:
@@ -465,6 +473,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # the bare base class marks a failure of the numerics, not of the input
         return EXIT_INTERNAL if type(exc) is LpLimitsError else EXIT_INPUT
+    finally:
+        package_logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

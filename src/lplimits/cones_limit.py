@@ -28,6 +28,8 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 
 logger = logging.getLogger(__name__)
 
+_SPACING_BLOCK = 1024  # rows per keyed spacing block of the randomized tie-break
+
 
 @dataclass(frozen=True)
 class SupportPartition:
@@ -199,7 +201,10 @@ def cone_contains(cone: ConeH, v, tol: Optional[float] = None) -> Verdict:
     """
     if tol is None:
         tol = DEFAULT_TOLS.boundary_tol
-    smallest = _smallest_products(cone, np.asarray(v, dtype=float).reshape(1, -1))[0]
+    v = np.asarray(v, dtype=float)
+    if v.shape != (cone.m0,):
+        raise DimensionMismatch(f"direction must have length {cone.m0}, got {v.shape}")
+    smallest = _smallest_products(cone, v[None])[0]
     if abs(smallest) <= tol:
         return Verdict.BOUNDARY
     if smallest >= -tol:
@@ -218,17 +223,18 @@ def limit_functional(
     Feasible cones are those whose membership verdict is not Outside
     (Boundary resolves to Inside and is logged).  Min-index returns the
     basic fluctuation of the smallest feasible index; the randomized policy
-    mixes all feasible ones with uniform simplex weights drawn from rng.
-    The value is row 0 of ``evaluate_limit`` on the one-row stack.
+    mixes all feasible ones with uniform simplex weights from a (1, K)
+    block of exponential spacings drawn from rng.  The value is row 0 of
+    ``evaluate_limit``'s kernel on the one-row stack.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (spec.m0,):
         raise DimensionMismatch(f"direction must have length {spec.m0}, got {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise DimensionMismatch("direction contains non-finite entries")
     if spec.tie_break is not TieBreak.MIN_INDEX and rng is None:
         raise LpLimitsError("the randomized tie-break needs an explicit rng")
-    samples, _, boundary = _limit_rows(spec, g[None], tol, lambda i: rng)
+    samples, _, boundary = _limit_rows(
+        spec, g[None], tol, lambda n, k: rng.exponential(size=(n, k))
+    )
     if boundary.any():
         logger.debug("direction on cone boundaries %s taken as inside", np.flatnonzero(boundary))
     return samples[0]
@@ -260,36 +266,64 @@ class LimitSampleResult:
         return self.occupancy_counts / total
 
 
-def uniform_mixture(rng: np.random.Generator, parts, columns, n_cols: int) -> np.ndarray:
-    """Uniform-simplex mixture of basic solutions; ``parts[j]`` fills ``columns[j]``.
+def keyed_spacings(key: tuple[int, ...], n_rows: int, n_cols: int) -> np.ndarray:
+    """(n_rows, n_cols) exponential spacings of the keyed stream ``key``.
 
-    Normalised exponential spacings from rng weight the parts, added in order into a zero row.
+    Rows [jB, (j+1)B), with B = ``_SPACING_BLOCK``, come from the generator
+    of child j of ``SeedSequence(key)``, so row i depends only on (key, i).
+    Children, unlike ``default_rng((*key, j))``, never share a stream with
+    ``default_rng(key)``: ``default_rng((seed, 0))`` is ``default_rng(seed)``.
     """
-    spacings = rng.exponential(size=len(parts))
-    alpha = spacings / spacings.sum()
-    out = np.zeros(n_cols)
-    for weight, part, cols in zip(alpha, parts, columns):
-        out[cols] += weight * part
+    out = np.empty((n_rows, n_cols))
+    for j, start in enumerate(range(0, n_rows, _SPACING_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(key, spawn_key=(j,)))
+        out[start : start + _SPACING_BLOCK] = rng.exponential(
+            size=(min(_SPACING_BLOCK, n_rows - start), n_cols)
+        )
     return out
 
 
-def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], row_rng):
+def uniform_mixture(feasible, spacings, inverses, vectors, columns, n_cols: int) -> np.ndarray:
+    """Uniform-simplex mixtures of basic solutions, one row per vector.
+
+    Row i weights basis k by ``spacings[i, k]`` over its feasible k,
+    normalised to sum to one, and adds ``inverses[k] @ vectors[i]`` into
+    ``columns[k]`` in ascending k.  Rows with no feasible basis stay zero.
+    The stacked matmul reproduces the per-row matvec bit for bit; blocks of
+    ``_SPACING_BLOCK`` rows bound the temporaries.
+    """
+    out = np.zeros((feasible.shape[0], n_cols))
+    for start in range(0, feasible.shape[0], _SPACING_BLOCK):
+        stop = start + _SPACING_BLOCK
+        masked = np.where(feasible[start:stop], spacings[start:stop], 0.0)
+        totals = masked.sum(axis=1, keepdims=True)
+        alpha = np.divide(masked, totals, out=np.zeros_like(masked), where=totals > 0)
+        for k, cols in enumerate(columns):
+            rows = np.flatnonzero(feasible[start:stop, k])
+            if rows.size:
+                parts = np.matmul(inverses[k][None], vectors[start + rows][:, :, None])[:, :, 0]
+                out[np.ix_(start + rows, cols)] += alpha[rows, k][:, None] * parts
+    return out
+
+
+def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], draw_spacings):
     """Samples, occupancy counts and boundary counts of a stack of directions.
 
     Feasible and boundary follow ``cone_contains``.  A basic fluctuation is the
     zero-padded direction times ``spec.ledger.inverses[k]``; the randomized
-    policy draws the mixture weights of row i from ``row_rng(i)``.
+    policy mixes them with ``uniform_mixture`` on ``draw_spacings(n, K)``.
     """
     if tol is None:
         tol = DEFAULT_TOLS.boundary_tol
+    if not np.all(np.isfinite(g_matrix)):
+        raise DimensionMismatch("directions contain non-finite entries")
     n_samples = g_matrix.shape[0]
     k_count = len(spec.cones)
     d = spec.ledger.lp.n_cols
     occupancy = np.zeros(k_count, dtype=np.int64)
     boundary = np.zeros(k_count, dtype=np.int64)
-    samples = np.zeros((n_samples, d))
     if n_samples == 0:
-        return samples, occupancy, boundary
+        return np.zeros((0, d)), occupancy, boundary
 
     feasible = np.zeros((n_samples, k_count), dtype=bool)
     for k, cone in enumerate(spec.cones):
@@ -306,6 +340,7 @@ def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], 
     inverses = spec.ledger.inverses
     columns = [list(spec.ledger.bases[k].indices) for k in range(k_count)]
     if spec.tie_break is TieBreak.MIN_INDEX:
+        samples = np.zeros((n_samples, d))
         chosen = np.argmax(feasible, axis=1)
         for k in range(k_count):
             rows = np.flatnonzero(chosen == k)
@@ -313,11 +348,9 @@ def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], 
             if rows.size:
                 samples[np.ix_(rows, columns[k])] = emb[rows] @ inverses[k].T
     else:
-        for i in range(n_samples):
-            ks = np.flatnonzero(feasible[i])
-            occupancy[ks] += 1
-            parts = [inverses[k] @ emb[i] for k in ks]
-            samples[i] = uniform_mixture(row_rng(i), parts, [columns[k] for k in ks], d)
+        occupancy[:] = feasible.sum(axis=0)
+        spacings = draw_spacings(n_samples, k_count)
+        samples = uniform_mixture(feasible, spacings, inverses, emb, columns, d)
     return samples, occupancy, boundary
 
 
@@ -329,17 +362,17 @@ def evaluate_limit(
 ) -> LimitSampleResult:
     """Map a stack of externally supplied directions through the limit law.
 
-    Accepts any (n, m0) array, so non-Gaussian direction streams plug in
-    directly.  Boundary verdicts are counted per cone and resolved to
-    Inside.  The min-index policy is fully vectorized; the randomized
-    policy derives a per-row substream from (seed, index) so results do
-    not depend on any internal chunking.
+    Accepts any finite (n, m0) array, so non-Gaussian direction streams
+    plug in directly.  Boundary verdicts are counted per cone and resolved
+    to Inside.  The randomized policy takes row i's spacings from row i of
+    ``keyed_spacings((seed,), n, K)``, so results do not depend on n or on
+    any chunking of the rows.
     """
     g_matrix = np.asarray(directions, dtype=float)
     if g_matrix.ndim != 2 or g_matrix.shape[1] != spec.m0:
         raise DimensionMismatch(f"directions must be an (n, {spec.m0}) array")
     samples, occupancy, boundary = _limit_rows(
-        spec, g_matrix, tol, lambda i: np.random.default_rng((seed, i))
+        spec, g_matrix, tol, lambda n, k: keyed_spacings((seed,), n, k)
     )
     return LimitSampleResult(samples, g_matrix, occupancy, boundary, seed)
 

@@ -162,14 +162,24 @@ class RepeatedSolver:
         values = solutions @ self.lp.cost
         return solutions, values, chosen, any_feasible
 
-    def mixed_solution(self, rhs: np.ndarray, rng: np.random.Generator) -> Optional[np.ndarray]:
-        """Uniform simplex mixture of all optimal vertices at one right-hand side."""
-        coords = self.inverses @ rhs
-        feasible = np.flatnonzero((coords >= -self.tols.feas_tol).all(axis=1))
-        if feasible.size == 0:
-            return None
-        columns = [self.columns[k] for k in feasible]
-        return cones_limit.uniform_mixture(rng, coords[feasible], columns, self.lp.n_cols)
+    def mixed_solution(
+        self, rhs_batch: np.ndarray, key: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform simplex mixture of all optimal vertices, per right-hand side.
+
+        Row i's weights come from row i of ``cones_limit.keyed_spacings(key,
+        R, n_bases)``.  Returns (solutions, feasible_any); rows with no
+        feasible basis have NaN solutions.
+        """
+        rhs_batch = np.asarray(rhs_batch, dtype=float)
+        feasible = (self.basic_coordinates(rhs_batch) >= -self.tols.feas_tol).all(axis=2)
+        spacings = cones_limit.keyed_spacings(key, rhs_batch.shape[0], len(self.columns))
+        solutions = cones_limit.uniform_mixture(
+            feasible, spacings, self.inverses, rhs_batch, self.columns, self.lp.n_cols
+        )
+        any_feasible = feasible.any(axis=1)
+        solutions[~any_feasible] = np.nan
+        return solutions, any_feasible
 
     def vertices_at(self, rhs: np.ndarray) -> list[np.ndarray]:
         """Deduplicated optimal vertices of the problem with right-hand side rhs."""
@@ -233,14 +243,7 @@ def fluctuation_run(
         if config.solver_policy is TieBreak.MIN_INDEX:
             solutions, values, _, ok = solver.solve_batch(rows)
         else:
-            solutions = np.full((config.replicates, lp.n_cols), np.nan)
-            ok = np.zeros(config.replicates, dtype=bool)
-            for rep in range(config.replicates):
-                rng = np.random.default_rng((config.seed, *n_key, rep, 1))
-                mixed = solver.mixed_solution(rows[rep], rng)
-                if mixed is not None:
-                    solutions[rep] = mixed
-                    ok[rep] = True
+            solutions, ok = solver.mixed_solution(rows, (config.seed, *n_key, 1))
             values = solutions @ lp.cost
         infeasible = int(np.sum(~ok))
         if infeasible > 0.5 * config.replicates:

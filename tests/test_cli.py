@@ -1,6 +1,7 @@
 """Command-line interface: file outputs, exit codes, determinism."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestAnalyze:
         )
         run(["analyze", str(path), "--out-dir", str(tmp_path)])
         assert "zero coordinate" in capsys.readouterr().err
+
+    def test_zero_marginal_warning_is_logged(self, tmp_path, caplog):
+        path = tmp_path / "zero.json"
+        problem = {"cost": [[0.0, 1.0], [1.0, 0.0]], "r": [1.0, 0.0], "s": [0.5, 0.5]}
+        path.write_text(json.dumps(problem))
+        with caplog.at_level(logging.WARNING, logger="lplimits.cli"):
+            assert run(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
+        records = [r for r in caplog.records if r.name == "lplimits.cli"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert "zero coordinate" in records[0].getMessage()
 
 
 class TestLimitSample:

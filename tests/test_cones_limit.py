@@ -111,6 +111,12 @@ class TestConeContains:
                 assert lpl.cone_contains(cone_full, padded) == lpl.cone_contains(cone_rest, v2)
 
 
+    def test_rejects_direction_of_wrong_length(self, ledger_p1):
+        _, cones = cones_by_scheme(ledger_p1)
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.cone_contains(cones[0], np.ones(3))
+
+
 class TestLimitFunctional:
     def test_zero_direction_maps_to_zero(self, spec_p2_two_sample):
         out = lpl.limit_functional(spec_p2_two_sample, np.zeros(5))
@@ -292,6 +298,16 @@ class TestSampleLimit:
         for i in (0, 17, 299):
             expected = lpl.limit_functional(spec_p2_two_sample, directions[i])
             np.testing.assert_allclose(result.samples[i], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["spec_p2_two_sample", "spec_nondegenerate"])
+    def test_evaluate_limit_rejects_non_finite_rows(self, name, bad, request):
+        # One spec has half-spaces, the other a single cone that is the whole space.
+        spec = request.getfixturevalue(name)
+        directions = np.zeros((3, spec.m0))
+        directions[1, 0] = bad
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.evaluate_limit(spec, directions)
 
     def test_rejects_non_psd_covariance(self, spec_p2_two_sample):
         with pytest.raises(lpl.CovarianceNotPSD):

@@ -2,7 +2,9 @@
 
 Each oracle below is the expression a consumer used before it read
 ``BasisLedger.inverses``: its own ``np.linalg.inv`` of the basis submatrix
-followed by the same arithmetic.  Every comparison is exact.
+followed by the same arithmetic.  The randomized oracles mix row by row,
+with spacings drawn from a full keyed block per row.  Every comparison is
+exact.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import lplimits as lpl
 from conftest import line_problem
 
 TOL = lpl.DEFAULT_TOLS.boundary_tol
+BLOCK = lpl.cones_limit._SPACING_BLOCK
+RANDOMIZED = lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE
 
 
 def planted_unique_ledger(seed):
@@ -67,6 +71,25 @@ def oracle_feasible(normals, g_matrix):
     return feasible, boundary
 
 
+def oracle_spacings(key, n, k_count):
+    """Row i is row i mod B of a full B-row block from child i // B of SeedSequence(key)."""
+    out = np.empty((n, k_count))
+    for i in range(n):
+        j, r = divmod(i, BLOCK)
+        rng = np.random.default_rng(np.random.SeedSequence(key, spawn_key=(j,)))
+        out[i] = rng.exponential(size=(BLOCK, k_count))[r]
+    return out
+
+
+def oracle_mixture(feasible_row, spacing_row, inverses, columns, vector, n_cols):
+    masked = np.where(feasible_row, spacing_row, 0.0)
+    alpha = masked / masked.sum()
+    out = np.zeros(n_cols)
+    for k in np.flatnonzero(feasible_row):
+        out[columns[k]] += alpha[k] * (inverses[k] @ vector)
+    return out
+
+
 def oracle_samples(ledger, feasible, g_matrix, m0, randomized, seed):
     n, k_count = feasible.shape
     emb = np.zeros((n, ledger.lp.n_rows))
@@ -81,12 +104,11 @@ def oracle_samples(ledger, feasible, g_matrix, m0, randomized, seed):
             if rows.size:
                 samples[np.ix_(rows, columns[k])] = emb[rows] @ inverses[k].T
         return samples
+    spacings = oracle_spacings((seed,), n, k_count)
     for i in range(n):
-        ks = np.flatnonzero(feasible[i])
-        spacings = np.random.default_rng((seed, i)).exponential(size=ks.size)
-        alpha = spacings / spacings.sum()
-        for weight, k in zip(alpha, ks):
-            samples[i, columns[k]] += weight * (inverses[k] @ emb[i])
+        samples[i] = oracle_mixture(
+            feasible[i], spacings[i], inverses, columns, emb[i], ledger.lp.n_cols
+        )
     return samples
 
 
@@ -135,7 +157,8 @@ def check_against_oracles(ledger, m0, seed):
             np.testing.assert_array_equal(first, result.occupancy_counts)
 
         one = lpl.evaluate_limit(spec, g[:1], seed=seed).samples[0]
-        rng = np.random.default_rng((seed, 0)) if randomized else None
+        child = np.random.SeedSequence(seed, spawn_key=(0,))
+        rng = np.random.default_rng(child) if randomized else None
         np.testing.assert_array_equal(lpl.limit_functional(spec, g[0], rng=rng), one)
 
     cov = np.cov(np.random.default_rng(seed).standard_normal((m0, 2 * m0 + 2)))
@@ -173,25 +196,30 @@ def check_solver_against_oracle(ledger, seed):
     for value, expected in zip(got, (solutions, solutions @ lp.cost, chosen, any_feasible)):
         np.testing.assert_array_equal(value, expected)
 
+    mixed, mixed_ok = solver.mixed_solution(rhs_batch, (seed, 1))
+    np.testing.assert_array_equal(mixed_ok, any_feasible)
+    spacings = oracle_spacings((seed, 1), len(rhs_batch), len(order))
     for i, rhs in enumerate(rhs_batch):
+        if any_feasible[i]:
+            expected = oracle_mixture(
+                feasible[i], spacings[i], inverses, columns, rhs, lp.n_cols
+            )
+            np.testing.assert_array_equal(mixed[i], expected)
+        else:
+            assert np.isnan(mixed[i]).all()
+
         coords = inverses @ rhs
         ks = np.flatnonzero((coords >= -tols.feas_tol).all(axis=1))
-        mixed = solver.mixed_solution(rhs, np.random.default_rng((seed, i)))
         vertices = solver.vertices_at(rhs)
         if ks.size == 0:
-            assert mixed is None and vertices == []
+            assert vertices == []
             continue
-        spacings = np.random.default_rng((seed, i)).exponential(size=ks.size)
-        alpha = spacings / spacings.sum()
-        expected = np.zeros(lp.n_cols)
         unique = []
-        for weight, k in zip(alpha, ks):
-            expected[columns[k]] += weight * coords[k]
+        for k in ks:
             full = np.zeros(lp.n_cols)
             full[columns[k]] = coords[k]
             if all(np.max(np.abs(v - full)) > tols.dedup_tol for v in unique):
                 unique.append(full)
-        np.testing.assert_array_equal(mixed, expected)
         assert len(vertices) == len(unique)
         for v, w in zip(vertices, unique):
             np.testing.assert_array_equal(v, w)
@@ -226,3 +254,103 @@ class TestConsumersMatchOracles:
         ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(p)))
         check_against_oracles(ledger, m0, seed=int(10 * p) + m0)
         check_solver_against_oracle(ledger, seed=m0)
+
+
+def mixture_weights(feasible, spacings):
+    """The kernel's weights: unit parts, one column per basis."""
+    k_count = feasible.shape[1]
+    return lpl.cones_limit.uniform_mixture(
+        feasible, spacings, np.ones((k_count, 1, 1)), np.ones((feasible.shape[0], 1)),
+        [[k] for k in range(k_count)], k_count,
+    )
+
+
+def assert_on_simplex(weights, feasible):
+    ok = feasible.any(axis=1)
+    np.testing.assert_allclose(weights[ok].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(weights[feasible] > 0)
+    assert np.all(weights[~feasible] == 0)
+
+
+class TestKeyedMixture:
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rows_do_not_depend_on_the_row_count(self, seed):
+        lp = lpl.reduce_to_lp(line_problem(1.0))
+        ledger = lpl.enumerate_ledger(lp)
+        spec = lpl.ot_limit_spec(
+            line_problem(1.0), lpl.TwoSample(0.5), tie_break=RANDOMIZED, ledger=ledger
+        )
+        n_max = 5 * BLOCK // 2
+        g = lpl.sample_limit(spec, n_max, seed).gaussian_directions
+        full = lpl.evaluate_limit(spec, g, seed=seed).samples
+        solver = lpl.RepeatedSolver(lp, ledger=ledger)
+        rng = np.random.default_rng(seed)
+        rhs_batch = lp.rhs + 0.25 * rng.standard_normal((n_max, lp.n_rows))
+        mixed, ok = solver.mixed_solution(rhs_batch, (seed, 1))
+        assert ok.any() and not ok.all()
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, n_max):
+            np.testing.assert_array_equal(
+                lpl.evaluate_limit(spec, g[:n], seed=seed).samples, full[:n]
+            )
+            head, head_ok = solver.mixed_solution(rhs_batch[:n], (seed, 1))
+            np.testing.assert_array_equal(head, mixed[:n])
+            np.testing.assert_array_equal(head_ok, ok[:n])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_mixtures_on_planted_optimum(self, seed, data):
+        ledger = planted_unique_ledger(seed)
+        lp = ledger.lp
+        A = lp.constraint_matrix
+        m0 = data.draw(st.integers(1, lp.n_rows))
+        partition = lpl.support_partition(ledger)
+        spec = lpl.LimitLawSpec(
+            ledger=ledger, cones=lpl.build_cones(ledger, partition, m0),
+            tie_break=RANDOMIZED, covariance=np.eye(m0), m0=m0, rate_name="sqrt(n)",
+        )
+        normals = oracle_normals(ledger, partition, m0)
+        g = directions(ledger, normals, m0, seed)
+        out = lpl.evaluate_limit(spec, g, seed=seed).samples
+        emb = np.zeros((len(g), lp.n_rows))
+        emb[:, :m0] = g
+        scale = np.abs(A).max() * np.abs(ledger.inverses).max()
+        atol = 1e-10 * scale * (1 + np.abs(g).max())
+        np.testing.assert_allclose(out @ A.T, emb, rtol=0, atol=atol)
+        feasible = oracle_feasible(normals, g)[0]
+        spacings = lpl.cones_limit.keyed_spacings((seed,), len(g), ledger.optimal_count)
+        assert_on_simplex(mixture_weights(feasible, spacings), feasible)
+
+        solver = lpl.RepeatedSolver(lp, ledger=ledger)
+        rng = np.random.default_rng(seed)
+        rhs_batch = lp.rhs + 0.3 * np.abs(lp.rhs).max() * rng.standard_normal((40, lp.n_rows))
+        rhs_batch[0] = lp.rhs
+        mixed, ok = solver.mixed_solution(rhs_batch, (seed, 1))
+        _, values, _, ok_min_index = solver.solve_batch(rhs_batch)
+        np.testing.assert_array_equal(ok, ok_min_index)
+        atol = 1e-10 * scale * (1 + np.abs(rhs_batch).max())
+        np.testing.assert_allclose(mixed[ok] @ A.T, rhs_batch[ok], rtol=0, atol=atol)
+        assert mixed[ok].min() >= -atol
+        np.testing.assert_allclose(
+            mixed[ok] @ lp.cost, values[ok], rtol=0, atol=atol * np.abs(lp.cost).max()
+        )
+        assert np.isnan(mixed[~ok]).all()
+        feasible = (solver.basic_coordinates(rhs_batch) >= -solver.tols.feas_tol).all(axis=2)
+        spacings = lpl.cones_limit.keyed_spacings((seed, 1), len(rhs_batch), feasible.shape[1])
+        assert_on_simplex(mixture_weights(feasible, spacings), feasible)
+
+    def test_spacings_match_full_keyed_blocks(self):
+        key = (5, 1000, 1)
+        n = 5 * BLOCK // 2
+        np.testing.assert_array_equal(
+            lpl.cones_limit.keyed_spacings(key, n, 3), oracle_spacings(key, n, 3)
+        )
+
+    @pytest.mark.parametrize("key", [(0,), (7,), (11, 500, 1), (11, 30, 40, 1)])
+    def test_spacings_never_reuse_a_plain_keyed_stream(self, key):
+        # default_rng((*key, 0)) is default_rng(key): with plain tuple keys,
+        # block 0 of evaluate_limit(seed) would replay sample_limit's direction
+        # stream, and block 0 of a fluctuation key would replay the resample
+        # stream of replicate 1.
+        spacings = lpl.cones_limit.keyed_spacings(key, 3, 4)
+        assert not np.array_equal(spacings, np.random.default_rng(key).exponential(size=(3, 4)))
