@@ -1,16 +1,18 @@
 """Standard-form linear programs and exact small-scale basis machinery.
 
 A problem is the triple (A, b, c) with full-row-rank A: minimize c'x
-subject to Ax = b, x >= 0.  Everything here works at desk scale by
-exhaustively enumerating column bases, which is what the downstream
-limit-law constructions need anyway (they consume *all* optimal bases,
-not just one).
+subject to Ax = b, x >= 0.  The downstream limit-law constructions consume
+*all* dual feasible bases, not just one optimal basis, so the ledger holds
+every one of them.  Dual feasibility does not depend on b: the ledger is
+the set of feasible bases of the pointed polyhedron {y : A'y <= c}, found
+by a walk over single column exchanges from one HiGHS dual simplex start,
+in time proportional to the ledger rather than to C(d, m).  Every basis
+the walk keeps is checked by the exact per-basis LU.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ from .errors import (
     Infeasible,
     LpLimitsError,
     NoDualFeasibleBasis,
+    NonConvergence,
     RankDeficient,
     SingularBasis,
     Unbounded,
@@ -34,18 +37,10 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
-# Column subsets screened per vectorized step; bounds the (K, m, m) stacks.
-_SCAN_BLOCK = 4096
-# The screen calls a subset singular only at or below this fraction of the
-# exact pivot-ratio threshold rank_tol.  Exactly singular subsets screen at
-# ratios near machine epsilon (at most 3e-16 on small integer matrices), so
-# the wide margin costs nothing and absorbs pivot choices that differ from
-# LAPACK's on near ties.
-_PIVOT_MARGIN = 1e-3
-# It calls a value infeasible only below -_SIGN_MARGIN * feas_tol, scaled by
-# one plus the magnitude of the terms that form it, against the exact
-# threshold -feas_tol.
-_SIGN_MARGIN = 1e3
+# The walk proposes an exchange when its predicted reduced costs stay above
+# -_WALK_SLACK * feas_tol; the wider band than the exact check's -feas_tol
+# absorbs the rounding of the prediction, and the exact check decides.
+_WALK_SLACK = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,80 +248,79 @@ def basic_pair(lp: StandardLp, basis, tols: Tolerances = DEFAULT_TOLS) -> BasicS
     return _pair_from_factor(lp, indices, lu_piv, tols)
 
 
-def _screen(lp: StandardLp, block: np.ndarray, tols: Tolerances, primal: bool) -> np.ndarray:
-    """Mask of the column subsets in ``block`` (one per row) that need the exact check.
+def _start_basis(lp: StandardLp) -> tuple[int, ...]:
+    """A dual feasible basis from one HiGHS dual simplex solve.
 
-    One vectorized LU with partial pivoting factors the whole ``(K, m, m)``
-    stack of submatrices, and triangular solves give each dual and, when
-    ``primal``, each x_B.  A subset is ruled out only when it is clearly
-    singular, or clearly dual infeasible and (when ``primal``) clearly
-    primal infeasible too; the margins are documented at ``_PIVOT_MARGIN``
-    and ``_SIGN_MARGIN``.  A NaN never rules a subset out.
+    Dual feasibility does not depend on the rhs, so the solve uses the
+    strictly feasible rhs ``A @ w`` with a generic w > 0: its optimum is
+    primal nondegenerate, so the returned dual is a vertex of
+    {y : A'y <= c}.  The basis is the first independent m columns in order
+    of increasing |reduced cost| under that dual.
     """
     A = lp.constraint_matrix
-    k_count, m = block.shape
-    rows = np.arange(k_count)
-    lu = np.moveaxis(A[:, block], 0, 1)
-    perm = np.tile(np.arange(m), (k_count, 1))
-    with np.errstate(all="ignore"):
-        for j in range(m):
-            p = j + np.argmax(np.abs(lu[:, j:, j]), axis=1)
-            lu[rows, j], lu[rows, p] = lu[rows, p], lu[rows, j]
-            perm[rows, j], perm[rows, p] = perm[rows, p], perm[rows, j]
-            pivot = lu[:, j, j]
-            lu[:, j + 1 :, j] /= np.where(pivot == 0.0, 1.0, pivot)[:, None]
-            lu[:, j + 1 :, j + 1 :] -= lu[:, j + 1 :, j, None] * lu[:, j, None, j + 1 :]
-        diag = np.diagonal(lu, axis1=1, axis2=2)
-        size = np.abs(diag)
-        singular = size.min(axis=1) <= _PIVOT_MARGIN * tols.rank_tol * size.max(axis=1)
-
-        # dual: B'y = c_B with B = P'LU, so U'w = c_B, L'v = w, y[perm] = v
-        v = lp.cost[block]
-        for i in range(m):
-            v[:, i] = (v[:, i] - np.einsum("kl,kl->k", lu[:, :i, i], v[:, :i])) / diag[:, i]
-        for i in reversed(range(m)):
-            v[:, i] -= np.einsum("kl,kl->k", lu[:, i + 1 :, i], v[:, i + 1 :])
-        y = np.empty_like(v)
-        y[rows[:, None], perm] = v
-        reduced = lp.cost - y @ A
-        scale = 1.0 + np.abs(lp.cost) + np.abs(y) @ np.abs(A)
-        keep = ~np.any(reduced < -_SIGN_MARGIN * tols.feas_tol * scale, axis=1)
-
-        if primal:
-            # primal: LUx = Pb
-            x = lp.rhs[perm]
-            for i in range(m):
-                x[:, i] -= np.einsum("kl,kl->k", lu[:, i, :i], x[:, :i])
-            for i in reversed(range(m)):
-                x[:, i] -= np.einsum("kl,kl->k", lu[:, i, i + 1 :], x[:, i + 1 :])
-                x[:, i] /= diag[:, i]
-            bound = -_SIGN_MARGIN * tols.feas_tol * (1.0 + np.abs(x).max(axis=1))
-            keep |= ~np.any(x < bound[:, None], axis=1)
-    return keep & ~singular
+    w = np.random.default_rng(0).uniform(1.0, 2.0, lp.n_cols)  # fixed, so the walk is deterministic
+    res = scipy.optimize.linprog(
+        lp.cost, A_eq=A, b_eq=A @ w, bounds=(0, None),
+        method="highs-ds", options={"presolve": False},
+    )
+    if res.status == 3:
+        raise NoDualFeasibleBasis("no dual feasible basis exists")
+    if res.status != 0:
+        raise NonConvergence(f"HiGHS dual simplex stopped: {res.message}")
+    reduced = lp.cost - A.T @ res.eqlin.marginals
+    chosen: list[int] = []
+    for j in np.argsort(np.abs(reduced), kind="stable"):
+        if np.linalg.matrix_rank(A[:, chosen + [j]]) > len(chosen):
+            chosen.append(int(j))
+    return tuple(sorted(chosen))
 
 
-def _scan(lp: StandardLp, tols: Tolerances, enumeration_cap: int, primal: bool):
-    """Exact pairs of the nonsingular m-column subsets the screen keeps, in lexicographic order.
+def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
+    """Exact pairs of every dual feasible basis: (primal feasible, the rest), each sorted.
 
-    ``_screen`` checks ``_SCAN_BLOCK`` subsets at a time; its survivors go
-    one by one through ``_lu_basis`` and ``_pair_from_factor``,
-    so every pair and every singularity and feasibility verdict comes from
-    the exact per-subset path.  Subsets the screen drops are dual infeasible
-    (and, with ``primal``, primal infeasible as well) in the exact path too.
+    The dual feasible bases are the feasible bases of the pointed polyhedron
+    {y : A'y <= c}, and single column exchanges connect them.  From a basis
+    with reduced costs r and pivot rows alpha = B^-1 A, exchanging basic
+    position i for column j gives reduced costs r + t alpha[i] with
+    t = -r_j / alpha_ij.  The walk proposes the exchange when every entry
+    stays above ``-_WALK_SLACK * feas_tol``: the dual ratio test with ties,
+    plus the degenerate exchanges of tight columns.  Every proposed basis
+    goes once through ``_lu_basis`` and ``_pair_from_factor``, so each pair
+    and verdict comes from the exact per-basis path; ``enumeration_cap``
+    bounds the number of proposed bases.
     """
-    m, d = lp.n_rows, lp.n_cols
-    if math.comb(d, m) > enumeration_cap:
-        raise EnumerationCapExceeded(
-            f"C({d},{m}) = {math.comb(d, m)} exceeds enumeration cap {enumeration_cap}"
-        )
-    combos = itertools.combinations(range(d), m)
-    while block := list(itertools.islice(combos, _SCAN_BLOCK)):
-        for k in np.flatnonzero(_screen(lp, np.array(block), tols, primal)):
-            try:
-                lu_piv = _lu_basis(lp, block[k], tols)
-            except SingularBasis:
-                continue
-            yield _pair_from_factor(lp, block[k], lu_piv, tols)
+    A = lp.constraint_matrix
+    frontier = [_start_basis(lp)]
+    seen = set(frontier)
+    found: list[BasicSolutionPair] = []
+    while frontier:
+        if len(seen) > enumeration_cap:
+            raise EnumerationCapExceeded(f"the basis walk proposed over {enumeration_cap} bases")
+        indices = frontier.pop()
+        try:
+            pair = _pair_from_factor(lp, indices, _lu_basis(lp, indices, tols), tols)
+        except SingularBasis:
+            continue
+        if not pair.dual_feasible:
+            continue
+        found.append(pair)
+        alpha = np.linalg.inv(A[:, list(indices)]) @ A
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -pair.reduced_costs / alpha
+            bound = t - _WALK_SLACK * tols.feas_tol / alpha
+        upper = np.where(alpha < 0.0, bound, np.inf).min(axis=1, keepdims=True)
+        lower = np.where(alpha > 0.0, bound, -np.inf).max(axis=1, keepdims=True)
+        proposed = (alpha != 0.0) & (lower <= t) & (t <= upper)
+        proposed[:, list(indices)] = False
+        for i, j in zip(*np.nonzero(proposed)):
+            nxt = tuple(sorted(indices[:i] + indices[i + 1 :] + (int(j),)))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    if not found:
+        raise NoDualFeasibleBasis("no dual feasible basis exists")
+    found.sort(key=lambda p: p.basis.indices)
+    return [p for p in found if p.primal_feasible], [p for p in found if not p.primal_feasible]
 
 
 def dedup_vertices(points, tol: float) -> tuple[list[np.ndarray], list[int]]:
@@ -349,22 +343,15 @@ def enumerate_ledger(
     tols: Tolerances = DEFAULT_TOLS,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BasisLedger:
-    """Exhaustively enumerate all dual feasible bases.
+    """Enumerate all dual feasible bases by walking the dual feasible basis graph.
 
-    Scans every m-subset of columns in lexicographic order, retains those
-    whose submatrix is invertible and whose dual basic solution is feasible,
-    and partitions them into the primal-feasible (optimal) prefix and the
-    rest.  Optimal vertices are deduplicated in max-norm; the representative
-    of each vertex is the lexicographically smallest basis generating it.
+    Retains every basis whose submatrix is invertible and whose dual basic
+    solution is feasible, and partitions them into the primal-feasible
+    (optimal) prefix and the rest, each ordered lexicographically.  Optimal
+    vertices are deduplicated in max-norm; the representative of each
+    vertex is the lexicographically smallest basis generating it.
     """
-    optimal: list[BasicSolutionPair] = []
-    rest: list[BasicSolutionPair] = []
-    for pair in _scan(lp, tols, enumeration_cap, primal=False):
-        if pair.dual_feasible:
-            (optimal if pair.primal_feasible else rest).append(pair)
-    if not optimal and not rest:
-        raise NoDualFeasibleBasis("no dual feasible basis exists")
-
+    optimal, rest = _walk(lp, tols, enumeration_cap)
     vertices, vertex_ids = dedup_vertices([p.primal for p in optimal], tols.dedup_tol)
     value = float(lp.cost @ optimal[0].primal) if optimal else math.nan
     pairs = tuple(optimal + rest)
@@ -393,20 +380,23 @@ def solve_min_index(
 ) -> BasicSolutionPair:
     """Deterministic reference solve: lexicographically smallest optimal basis.
 
-    Scans bases in lexicographic order and returns the first one that is
-    both primal and dual feasible.  Raises Infeasible when no basis is
-    primal feasible and Unbounded when the dual is infeasible everywhere.
+    Returns the first pair of the ledger's optimal prefix.  When that prefix
+    is empty, one HiGHS feasibility solve decides the error: Infeasible
+    without a feasible point, Unbounded when no basis is dual feasible, and
+    otherwise LpLimitsError (the problem sits on a tolerance boundary).
     """
-    saw_primal = False
-    saw_dual = False
-    for pair in _scan(lp, tols, enumeration_cap, primal=True):
-        saw_primal = saw_primal or pair.primal_feasible
-        saw_dual = saw_dual or pair.dual_feasible
-        if pair.primal_feasible and pair.dual_feasible:
-            return pair
-    if not saw_primal:
+    try:
+        optimal, _ = _walk(lp, tols, enumeration_cap)
+    except NoDualFeasibleBasis:
+        optimal = None
+    if optimal:
+        return optimal[0]
+    feasibility = scipy.optimize.linprog(
+        np.zeros(lp.n_cols), A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
+    )
+    if feasibility.status != 0:
         raise Infeasible("no primal feasible basis exists")
-    if not saw_dual:
+    if optimal is None:
         raise Unbounded("primal feasible but no dual feasible basis exists")
     raise LpLimitsError(
         "primal and dual feasible bases both exist but never coincide; "

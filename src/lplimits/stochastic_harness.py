@@ -13,7 +13,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.spatial.distance
-import scipy.stats
 
 from . import cones_limit, ot as ot_module
 from .cones_limit import LimitSampleResult, SupportPartition, TieBreak, sample_limit
@@ -359,8 +358,18 @@ def support_frequencies(
 
 
 def two_sample_ks(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    return float(scipy.stats.ks_2samp(x, y, method="asymp").statistic)
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the two ECDFs.
+
+    Evaluates both right-continuous ECDFs at every observation, as
+    ``scipy.stats.ks_2samp`` does; a NaN in either sample gives NaN.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    both = np.concatenate([x, y])
+    gap = np.searchsorted(x, both, side="right") / x.size - np.searchsorted(y, both, side="right") / y.size
+    return float(np.abs(gap).max())
 
 
 def _mean_distance(A: np.ndarray, B: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: file outputs, exit codes, determinism."""
 
+import functools
 import json
 import logging
 
@@ -62,8 +63,8 @@ class TestAnalyze:
         path.write_text(json.dumps({"A": [[1.0, 2.0], [2.0, 4.0]], "b": [1, 2], "c": [0, 0]}))
         assert run(["analyze", str(path), "--out-dir", str(tmp_path)]) == 2
 
-    def test_enumeration_cap_exit_three(self, tmp_path):
-        # Five support points give C(25, 9) candidate bases, just over the cap.
+    @staticmethod
+    def _line5(tmp_path):
         path = tmp_path / "p.json"
         path.write_text(
             json.dumps(
@@ -76,7 +77,24 @@ class TestAnalyze:
                 }
             )
         )
+        return path
+
+    def test_enumeration_cap_exit_three(self, tmp_path, monkeypatch):
+        # The basis walk proposes 70 bases on five support points, over a cap of 50.
+        original = cli.lp_core.enumerate_ledger
+        monkeypatch.setattr(
+            cli.lp_core, "enumerate_ledger", functools.partial(original, enumeration_cap=50)
+        )
+        path = self._line5(tmp_path)
         assert run(["analyze", str(path), "--out-dir", str(tmp_path)]) == 3
+
+    def test_five_points_solve_under_the_default_cap(self, tmp_path):
+        # C(25, 9) = 2,042,975 column subsets exceed the default cap; the walk proposes 70 bases.
+        path = self._line5(tmp_path)
+        assert run(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "analysis.json").read_text())
+        assert payload["dual_feasible_count"] == 70
+        assert payload["optimal_count"] == 16
 
     @pytest.mark.parametrize("error", ["NonConvergence", "NoFeasibleCone", "LpLimitsError"])
     def test_internal_failure_exits_six(self, problem_paths, monkeypatch, capsys, error):

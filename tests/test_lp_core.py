@@ -282,7 +282,7 @@ class TestEnumerateLedger:
     def test_cap_exceeded(self):
         lp = lpl.reduce_to_lp(line_problem(2.0))
         with pytest.raises(lpl.EnumerationCapExceeded):
-            lpl.enumerate_ledger(lp, enumeration_cap=10)
+            lpl.enumerate_ledger(lp, enumeration_cap=5)
 
     def test_unbounded_problem_has_no_dual_feasible_basis(self):
         lp = lpl.make_lp([[1.0, -1.0]], [0.0], [-1.0, 0.0])
@@ -392,7 +392,6 @@ class TestScanMatchesOracle:
             s=rng.dirichlet(np.ones(4)), p=2.0, q=2.0,
         )
         lp = lpl.reduce_to_lp(problem)
-        assert math.comb(lp.n_cols, lp.n_rows) == 11_440 > 2 * lp_core._SCAN_BLOCK
         assert_matches_oracle(lp)
 
     def test_scan_memory_is_bounded_by_the_block(self):
@@ -413,6 +412,71 @@ class TestScanMatchesOracle:
         assert ledger.optimal_count == 1
         # One (subset, row, column) stack of all subsets alone would take 28 MB.
         assert peak < 16 * 2**20
+
+
+def generic_transport_lp(n_points, seed):
+    """Planar standard-normal points, Dirichlet(1) marginals, squared Euclidean cost."""
+    rng = np.random.default_rng([n_points, seed])
+    problem = lpl.make_ot_problem(
+        points_x=rng.standard_normal((n_points, 2)), r=rng.dirichlet(np.ones(n_points)),
+        s=rng.dirichlet(np.ones(n_points)), p=2.0, q=2.0,
+    )
+    return lpl.reduce_to_lp(problem)
+
+
+def ratio_test_neighbours(lp, indices):
+    """Bases one dual ratio-test exchange away: every leaving row, every tied entering column."""
+    A = lp.constraint_matrix
+    pair = lpl.basic_pair(lp, indices)
+    alpha = np.linalg.solve(A[:, list(indices)], A)
+    neighbours = set()
+    for i in range(lp.n_rows):
+        candidates = [k for k in range(lp.n_cols) if k not in indices and alpha[i, k] < -1e-12]
+        if not candidates:
+            continue
+        ratios = {k: pair.reduced_costs[k] / -alpha[i, k] for k in candidates}
+        best = min(ratios.values())
+        for k, ratio in ratios.items():
+            if ratio <= best + 1e-9 * (1 + abs(best)):
+                neighbours.add(tuple(sorted(indices[:i] + indices[i + 1 :] + (k,))))
+    return neighbours
+
+
+class TestBasisWalk:
+    @pytest.mark.parametrize("n_points", [5, 6, 7])
+    def test_generic_transport_ledger_is_the_triangulation(self, n_points):
+        import scipy.optimize
+
+        lp = generic_transport_lp(n_points, 1)
+        ledger = lpl.enumerate_ledger(lp)
+        # Maximal simplices of a regular triangulation of the product of two simplices.
+        assert len(ledger.bases) == math.comb(2 * n_points - 2, n_points - 1)
+        assert len(set(ledger.bases)) == len(ledger.bases)
+        kept = {b.indices for b in ledger.bases}
+        for basis in ledger.bases:
+            assert lpl.basic_pair(lp, basis).dual_feasible
+            assert ratio_test_neighbours(lp, basis.indices) <= kept
+        res = scipy.optimize.linprog(
+            lp.cost, A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
+        )
+        assert abs(ledger.optimal_value - res.fun) <= 1e-8 * abs(res.fun)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [line_problem(0.5), line_problem(1.0), line_problem(2.0),
+         line_problem(1.0, r=SKEWED_R, s=SKEWED_S)],
+        ids=["p0.5", "p1", "p2", "skewed"],
+    )
+    def test_every_start_gives_the_same_ledger(self, problem, monkeypatch):
+        lp = lpl.reduce_to_lp(problem)
+        ledger = lpl.enumerate_ledger(lp)
+        for basis in ledger.bases:
+            monkeypatch.setattr(lp_core, "_start_basis", lambda lp, b=basis: b.indices)
+            again = lpl.enumerate_ledger(lp)
+            assert again.bases == ledger.bases
+            assert again.optimal_count == ledger.optimal_count
+            for pair, expected in zip(again.pairs, ledger.pairs, strict=True):
+                assert_same_pair(pair, expected)
 
 
 class TestHighsOracle:

@@ -129,6 +129,30 @@ class TestRepeatedSolver:
             np.testing.assert_allclose(solution, pair.primal, atol=1e-9)
             assert value == pytest.approx(pair.objective, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1.0, None, None), (2.0, None, None), (1.0, SKEWED_R, SKEWED_S)]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-3, 1e-2, 1e-1]),
+    )
+    def test_solve_batch_equals_solve_min_index(self, instance, seed, scale):
+        p, r, s = instance
+        lp = lpl.reduce_to_lp(line_problem(p, r=r, s=s))
+        solver = lpl.RepeatedSolver(lp)
+        rng = np.random.default_rng(seed)
+        rows = lp.rhs + scale * rng.standard_normal((4, lp.n_rows))
+        solutions, values, chosen, ok = solver.solve_batch(rows)
+        for row, solution, value, k, feasible in zip(rows, solutions, values, chosen, ok):
+            shifted = lpl.make_lp(lp.constraint_matrix, row, lp.cost)
+            if not feasible:
+                with pytest.raises(lpl.Infeasible):
+                    lpl.solve_min_index(shifted)
+                continue
+            pair = lpl.solve_min_index(shifted)
+            assert tuple(solver.columns[k]) == pair.basis.indices
+            np.testing.assert_allclose(solution, pair.primal, rtol=0, atol=1e-12)
+            assert value == pytest.approx(pair.objective, rel=0, abs=1e-12)
+
     def test_vertices_at_recovers_optimality_set(self):
         lp = lpl.reduce_to_lp(line_problem(1.0, r=SKEWED_R, s=SKEWED_S))
         solver = lpl.RepeatedSolver(lp)
@@ -284,6 +308,27 @@ class TestCompareDistributions:
         X = rng.standard_normal((2000, 2))
         Y = rng.standard_normal((2000, 2)) + 2.0
         assert lpl.energy_distance(X, Y) > 1.0
+
+
+class TestTwoSampleKs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 60), st.integers(1, 60), st.booleans(), st.integers(0, 2**32 - 1)
+    )
+    def test_equals_scipy_statistic(self, n1, n2, ties, seed):
+        import scipy.stats
+
+        rng = np.random.default_rng(seed)
+        if ties:
+            x, y = rng.integers(0, 4, n1).astype(float), rng.integers(0, 5, n2).astype(float)
+        else:
+            x, y = rng.standard_normal(n1), 1.3 * rng.standard_normal(n2) + 0.2
+        with np.errstate(divide="ignore"):  # scipy's p-value for a one-point sample
+            expected = scipy.stats.ks_2samp(x, y, method="asymp").statistic
+        assert np.float64(lpl.two_sample_ks(x, y)).tobytes() == np.float64(expected).tobytes()
+
+    def test_nan_propagates(self):
+        assert np.isnan(lpl.two_sample_ks(np.array([0.0, np.nan]), np.array([1.0])))
 
 
 def _oracle_mean_distance(A, B):
