@@ -318,7 +318,7 @@ def cmd_monte_carlo(args) -> int:
         )
     config_payload = _load_json(args.config)
     config = _experiment_config(config_payload)
-    result = stochastic_harness.run_experiment(problem, config, tols=tols)
+    result = stochastic_harness.run_experiment(problem, config, tols=tols, threads=args.threads)
     out_dir = _out_dir(args)
     names = list(lp.names())
     main_batch = result.batches[-1]
@@ -398,8 +398,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("LP_LIMITLAW_THREADS", os.cpu_count() or 1)),
-        help="worker hint; results are deterministic regardless of its value",
+        default=os.environ.get("LP_LIMITLAW_THREADS", str(stochastic_harness.available_cpus())),
+        help="energy-distance worker threads; results do not depend on its value",
     )
     for name in _TOL_NAMES:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
@@ -446,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:  # from the flag or LP_LIMITLAW_THREADS
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     # The package's warnings reach stderr even where the caller set up no logging.
     handler = logging.StreamHandler(sys.stderr)
     handler.setLevel(logging.WARNING)

@@ -1,18 +1,20 @@
 """Monte-Carlo verification harness.
 
-Resamples right-hand sides, solves every replicate with the same
-deterministic tie-break as the limit functional, and quantifies how the
-scaled fluctuations, optimal values, optimality sets, and support patterns
-line up with their theoretical limits.
+Resamples right-hand sides (one check of b per batch, one keyed generator per
+replicate), solves every replicate with the limit functional's tie-break, and
+compares the scaled fluctuations, optimal values, optimality sets and support
+patterns with their limits; the energy distance runs on ``threads`` workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.spatial.distance
+from scipy.spatial.distance import cdist
 
 from . import cones_limit, ot as ot_module
 from .cones_limit import LimitSampleResult, SupportPartition, TieBreak, sample_limit
@@ -30,7 +32,7 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 
 SampleSize = Union[int, tuple[int, int]]
 
-_CDIST_BLOCK = 500  # rows per cdist call: 500 x 5000 distances are 20 MB
+_CDIST_BLOCK = 125  # rows per cdist task: 125 x 5000 distances are 5 MB per worker
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,18 @@ class UserSamples:
 
 def resample_rhs(model, b, n: SampleSize, rng: np.random.Generator) -> np.ndarray:
     """One resampled right-hand side; deterministic given the generator state."""
+    return _resample_rows(model, b, n, [rng])[0]
+
+
+def _resample_rows(model, b, n: SampleSize, keys) -> np.ndarray:
+    """Row i is ``resample_rhs(model, b, n, np.random.default_rng(keys[i]))``; b is checked once."""
     b = np.asarray(b, dtype=float)
+    rngs = map(np.random.default_rng, keys)  # lazy: one generator alive; a Generator passes as is
     if isinstance(model, UserSamples):
         rows = np.asarray(model.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != b.size:
             raise DimensionMismatch("user sample rows must match the rhs length")
-        return rows[int(rng.integers(rows.shape[0]))].copy()
+        return rows[[int(rng.integers(rows.shape[0])) for rng in rngs]]
     if not isinstance(model, MultinomialMarginal):
         raise DimensionMismatch(f"unknown resampling model {model!r}")
     N = model.n_points
@@ -108,12 +116,13 @@ def resample_rhs(model, b, n: SampleSize, rng: np.random.Generator) -> np.ndarra
         if v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
             raise NotAProbabilityVector(f"rhs does not encode a probability vector {name}")
     n_r, n_s = (n, n) if isinstance(n, int) else n
-    r_hat = rng.multinomial(int(n_r), np.clip(r, 0.0, None) / r.sum()) / float(n_r)
-    if model.two_sample:
-        s_hat = rng.multinomial(int(n_s), np.clip(s, 0.0, None) / s.sum()) / float(n_s)
-    else:
-        s_hat = s
-    return np.concatenate([r_hat[: N - 1], s_hat])
+    p_r, p_s = (np.clip(v, 0.0, None) / v.sum() for v in (r, s))
+    out = np.tile(b, (len(keys), 1))  # one-sample rows keep the s block of b
+    for row, rng in zip(out, rngs):
+        row[: N - 1] = (rng.multinomial(int(n_r), p_r) / float(n_r))[: N - 1]
+        if model.two_sample:
+            row[N - 1 :] = rng.multinomial(int(n_s), p_s) / float(n_s)
+    return out
 
 
 class RepeatedSolver:
@@ -235,10 +244,8 @@ def fluctuation_run(
     for n in config.sample_sizes:
         rate = rate_value(config.mode, n)
         n_key = n if isinstance(n, tuple) else (n,)
-        rows = np.empty((config.replicates, lp.n_rows))
-        for rep in range(config.replicates):
-            rng = np.random.default_rng((config.seed, *n_key, rep))
-            rows[rep] = resample_rhs(model, lp.rhs, n, rng)
+        keys = [(config.seed, *n_key, rep) for rep in range(config.replicates)]
+        rows = _resample_rows(model, lp.rhs, n, keys)
         if config.solver_policy is TieBreak.MIN_INDEX:
             solutions, values, _, ok = solver.solve_batch(rows)
         else:
@@ -372,28 +379,62 @@ def two_sample_ks(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(gap).max())
 
 
-def _mean_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Mean Euclidean distance over all row pairs, summed over fixed blocks of A's rows."""
-    total = 0.0
-    for start in range(0, A.shape[0], _CDIST_BLOCK):
-        total += scipy.spatial.distance.cdist(A[start : start + _CDIST_BLOCK], B).sum()
-    return total / (A.shape[0] * B.shape[0])
+def available_cpus() -> int:
+    """CPUs this process may run on: the default worker count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def energy_distance(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
+def _mean_distances(pairs, threads: Optional[int]) -> list[float]:
+    """Mean Euclidean distance over all row pairs of each (A, B), on min(threads, tasks) threads.
+
+    Tasks: each _CDIST_BLOCK-row block of A against B or, when B is A, against A from the block
+    on (pairs past it count twice).  Sums add in task order, so threads never changes a result.
+    """
+    threads = available_cpus() if threads is None else threads
+    if threads < 1:
+        raise DimensionMismatch(f"threads must be at least 1, got {threads}")
+    tasks = [(t, i) for t, (A, _) in enumerate(pairs) for i in range(0, A.shape[0], _CDIST_BLOCK)]
+    workers = min(threads, len(tasks))
+    # one output buffer per running task, allocated here, not in a worker thread's malloc arena
+    free = [np.empty(_CDIST_BLOCK * max(B.shape[0] for _, B in pairs)) for _ in range(workers)]
+
+    def block_sum(task):
+        (A, B), i = pairs[task[0]], task[1]
+        rows, cols, buf = A[i : i + _CDIST_BLOCK], A[i:] if A is B else B, free.pop()
+        D = cdist(rows, cols, out=buf[: len(rows) * len(cols)].reshape(len(rows), len(cols)))
+        total = D[:, : len(rows)].sum() + 2.0 * D[:, len(rows) :].sum() if A is B else D.sum()
+        free.append(buf)
+        return total
+
+    if workers <= 1:
+        sums = map(block_sum, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(block_sum, tasks))
+    totals = [0.0] * len(pairs)
+    for (t, _), value in zip(tasks, sums):
+        totals[t] += value
+    return [total / (A.shape[0] * B.shape[0]) for total, (A, B) in zip(totals, pairs)]
+
+
+def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -> float:
     """Energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'|| with all-pairs means.
 
-    Inputs are truncated to their first max_rows rows to keep the
-    quadratic-cost computation at desk scale.
+    Inputs are truncated to their first max_rows rows to keep the quadratic-cost
+    computation at desk scale.  threads: worker threads (None: every available CPU).
     """
     X = np.asarray(x, dtype=float)[:max_rows]
     Y = np.asarray(y, dtype=float)[:max_rows]
-    return float(2.0 * _mean_distance(X, Y) - _mean_distance(X, X) - _mean_distance(Y, Y))
+    if np.array_equal(X, Y):
+        return 0.0  # the exact value; the triangle sums need not cancel the full cross sum
+    cross, within_x, within_y = _mean_distances([(X, Y), (X, X), (Y, Y)], threads)
+    return float(2.0 * cross - within_x - within_y)
 
 
-def mean_pairwise_norm(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
+def mean_pairwise_norm(x, y, max_rows: int = 5000, threads: Optional[int] = None) -> float:
     """Mean cross-pair distance; the natural scale for energy-distance thresholds."""
-    return float(_mean_distance(np.asarray(x, float)[:max_rows], np.asarray(y, float)[:max_rows]))
+    X, Y = (np.asarray(v, float)[:max_rows] for v in (x, y))
+    return float(_mean_distances([(X, Y)], threads)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,6 +456,7 @@ def compare_distributions(
     empirical_values: Optional[np.ndarray] = None,
     limit_values: Optional[np.ndarray] = None,
     energy_max_rows: int = 5000,
+    threads: Optional[int] = None,
 ) -> ComparisonReport:
     """Per-coordinate KS statistics, energy distance, and covariance error.
 
@@ -442,7 +484,7 @@ def compare_distributions(
         )
     return ComparisonReport(
         per_coordinate_ks=ks,
-        energy_distance=energy_distance(X, Y, energy_max_rows),
+        energy_distance=energy_distance(X, Y, energy_max_rows, threads),
         covariance_frobenius_error=cov_err,
         value_ks=value_ks,
     )
@@ -482,9 +524,8 @@ def hausdorff_run(
     skipped = 0
     for n in sample_sizes:
         dists: list[float] = []
-        for rep in range(replicates):
-            rng = np.random.default_rng((seed, n, rep))
-            rhs = resample_rhs(model, lp.rhs, int(n), rng)
+        keys = [(seed, n, rep) for rep in range(replicates)]
+        for rep, rhs in enumerate(_resample_rows(model, lp.rhs, int(n), keys)):
             vertices = solver.vertices_at(rhs)
             if not vertices:
                 skipped += 1
@@ -530,6 +571,7 @@ def run_experiment(
     ot: OtProblem,
     config: ExperimentConfig,
     tols: Tolerances = DEFAULT_TOLS,
+    threads: Optional[int] = None,
 ) -> ExperimentResult:
     """Full pipeline for a transport instance with a unique optimum.
 
@@ -551,6 +593,7 @@ def run_experiment(
         limit_result.samples,
         empirical_values=main.value_fluctuations,
         limit_values=limit_values,
+        threads=threads,
     )
     partition = cones_limit.support_partition(spec.ledger, tols=tols)
     freqs = support_frequencies(main.solutions, partition, tols.feas_tol)
@@ -567,13 +610,8 @@ def run_experiment(
             tols=tols,
         )
         summary = hausdorff.summary
-    report = ComparisonReport(
-        per_coordinate_ks=report.per_coordinate_ks,
-        energy_distance=report.energy_distance,
-        covariance_frobenius_error=report.covariance_frobenius_error,
-        value_ks=report.value_ks,
-        support_frequencies=freqs,
-        infeasible_rate=main.infeasible_rate,
+    report = replace(
+        report, support_frequencies=freqs, infeasible_rate=main.infeasible_rate,
         hausdorff_by_n=tuple(summary),
     )
     return ExperimentResult(

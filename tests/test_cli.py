@@ -212,6 +212,76 @@ class TestThreads:
                 manifest = json.loads((out / command / "manifest.json").read_text())
                 assert manifest["threads"] == threads
 
+    @staticmethod
+    def _monte_carlo(problem_paths, name, *flags):
+        config = problem_paths["dir"] / "config_threads.json"
+        config.write_text(json.dumps({"sample_sizes": [400], "replicates": 300, "seed": 9,
+                                      "comparison_samples": 600,
+                                      "hausdorff_sizes": [50], "hausdorff_replicates": 5}))
+        out = problem_paths["dir"] / name
+        assert run(["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out),
+                    *flags]) == 0
+        return out
+
+    def test_monte_carlo_outputs_do_not_depend_on_threads(self, problem_paths):
+        outs = {t: self._monte_carlo(problem_paths, f"mc_threads{t}", "--threads", str(t))
+                for t in (1, 2, 3)}
+        for name in ("fluctuations.csv", "limit_samples.csv", "hausdorff.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+            assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
+        reports = {}
+        for t, out in outs.items():
+            reports[t] = json.loads((out / "report.json").read_text())
+            assert reports[t].pop("manifest")["threads"] == t
+        assert reports[1] == reports[2] == reports[3]
+
+    def test_pool_never_exceeds_the_task_count(self, problem_paths, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                requested.append((self.max_workers, len(tasks)))
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(cli.stochastic_harness, "ThreadPoolExecutor", SerialPool)
+        out = self._monte_carlo(problem_paths, "mc_many", "--threads", "100000")
+        # 300 fluctuation rows and 600 limit draws in 125-row blocks: 3 + 3 + 5 tasks
+        assert requested == [(11, 11)]
+        serial = self._monte_carlo(problem_paths, "mc_one", "--threads", "1")
+        assert requested == [(11, 11)]
+        report, serial_report = (json.loads((d / "report.json").read_text()) for d in (out, serial))
+        assert report["energy_distance"] == serial_report["energy_distance"]
+        assert report["manifest"]["threads"] == 100000
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, problem_paths, monkeypatch, value):
+        out = problem_paths["dir"] / f"threads_bad{value}"
+        with pytest.raises(SystemExit) as flag:
+            run(["analyze", problem_paths["p2"], "--threads", value, "--out-dir", str(out)])
+        assert flag.value.code == cli.EXIT_INPUT
+        monkeypatch.setenv("LP_LIMITLAW_THREADS", value)
+        with pytest.raises(SystemExit) as env:
+            run(["analyze", problem_paths["p2"], "--out-dir", str(out)])
+        assert env.value.code == cli.EXIT_INPUT
+        assert not out.exists()
+
+    def test_default_threads_are_the_available_cpus(self, problem_paths, monkeypatch):
+        monkeypatch.delenv("LP_LIMITLAW_THREADS", raising=False)
+        args = cli.build_parser().parse_args(["analyze", problem_paths["p2"]])
+        assert args.threads == cli.stochastic_harness.available_cpus() >= 1
+        monkeypatch.setenv("LP_LIMITLAW_THREADS", "3")
+        assert cli.build_parser().parse_args(["analyze", problem_paths["p2"]]).threads == 3
+
 
 class TestMonteCarlo:
     def test_minimal_run_produces_all_files(self, problem_paths):

@@ -1,5 +1,7 @@
 """Resampling, projections, Hausdorff distances, and distribution comparison."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,33 @@ from hypothesis.extra import numpy as hnp
 
 import lplimits as lpl
 from lplimits import cones_limit
+from lplimits.stochastic_harness import _CDIST_BLOCK, _resample_rows
 from conftest import SKEWED_R, SKEWED_S, line_problem
+
+
+def _oracle_resample_rhs(model, b, n, rng):
+    """The per-replicate resampler that validated b on every call."""
+    b = np.asarray(b, dtype=float)
+    if isinstance(model, lpl.UserSamples):
+        rows = np.asarray(model.rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != b.size:
+            raise lpl.DimensionMismatch("user sample rows must match the rhs length")
+        return rows[int(rng.integers(rows.shape[0]))].copy()
+    N = model.n_points
+    if b.size != 2 * N - 1:
+        raise lpl.DimensionMismatch("rhs length")
+    r = np.concatenate([b[: N - 1], [1.0 - b[: N - 1].sum()]])
+    s = b[N - 1 :]
+    for v in (r, s):
+        if v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
+            raise lpl.NotAProbabilityVector("rhs")
+    n_r, n_s = (n, n) if isinstance(n, int) else n
+    r_hat = rng.multinomial(int(n_r), np.clip(r, 0.0, None) / r.sum()) / float(n_r)
+    if model.two_sample:
+        s_hat = rng.multinomial(int(n_s), np.clip(s, 0.0, None) / s.sum()) / float(n_s)
+    else:
+        s_hat = s
+    return np.concatenate([r_hat[: N - 1], s_hat])
 
 
 class TestResampleRhs:
@@ -54,6 +82,37 @@ class TestResampleRhs:
         model = lpl.UserSamples(rows)
         out = lpl.resample_rhs(model, np.zeros(5), 1, np.random.default_rng(5))
         assert any(np.array_equal(out, row) for row in rows)
+
+    @pytest.mark.parametrize("model, b, n", [
+        (lpl.MultinomialMarginal(3), [0.2, 0.3, 0.25, 0.35, 0.4], 37),
+        (lpl.MultinomialMarginal(4, two_sample=True), [0.1, 0.0, 0.5, 0.2, 0.3, 0.4, 0.1], (50, 9)),
+        (lpl.MultinomialMarginal(3, two_sample=True), [1.0, 0.0, 0.3, 0.3, 0.4], 1_000_003),
+        (lpl.UserSamples(np.arange(15, dtype=float).reshape(3, 5)), np.zeros(5), 1),
+    ])
+    def test_batch_equals_per_replicate_draws(self, model, b, n):
+        keys = [(8, *np.atleast_1d(n), rep) for rep in range(25)]
+        expected = np.array([_oracle_resample_rhs(model, b, n, np.random.default_rng(k))
+                             for k in keys])
+        np.testing.assert_array_equal(_resample_rows(model, b, n, keys), expected)
+        stacked = [lpl.resample_rhs(model, b, n, np.random.default_rng(k)) for k in keys]
+        np.testing.assert_array_equal(np.array(stacked), expected)
+
+    @pytest.mark.parametrize("model, b", [
+        (lpl.MultinomialMarginal(3), [0.9, 0.9, 0.3, 0.3, 0.4]),
+        (lpl.MultinomialMarginal(3), [0.2, 0.3, 0.25, 0.35, 0.5]),
+        (lpl.MultinomialMarginal(3, two_sample=True), [0.2, 0.3, 0.25, -0.1, 0.4]),
+        (lpl.MultinomialMarginal(3), [0.2, 0.3, 0.5]),
+        (lpl.UserSamples(np.zeros((3, 4))), np.zeros(5)),
+        (object(), np.zeros(5)),
+    ])
+    def test_batch_rejects_bad_rhs_like_per_replicate(self, model, b):
+        with pytest.raises(lpl.LpLimitsError) as per_replicate:
+            lpl.resample_rhs(model, b, 10, np.random.default_rng(0))
+        with pytest.raises(type(per_replicate.value)):
+            _resample_rows(model, b, 10, [(0, rep) for rep in range(3)])
+        if isinstance(model, (lpl.MultinomialMarginal, lpl.UserSamples)):
+            with pytest.raises(type(per_replicate.value)):
+                _oracle_resample_rhs(model, b, 10, np.random.default_rng(0))
 
 
 class TestFluctuationRun:
@@ -344,6 +403,11 @@ def _sample_pair(draw):
     return x, y, draw(st.integers(1, 14))
 
 
+_BLOCK_EDGE_ROWS = st.sampled_from(
+    [_CDIST_BLOCK - 1, _CDIST_BLOCK, _CDIST_BLOCK + 1, int(2.5 * _CDIST_BLOCK)]
+)
+
+
 class TestEnergyKernel:
     @settings(max_examples=200, deadline=None)
     @given(_sample_pair())
@@ -380,6 +444,50 @@ class TestEnergyKernel:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    @settings(max_examples=8, deadline=None)
+    @given(_BLOCK_EDGE_ROWS, _BLOCK_EDGE_ROWS, st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_block_edges_are_thread_independent(self, rows_x, rows_y, rank, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows_x, rank))
+        y = rng.standard_normal((rows_y, rank)) + 0.5
+        energies = {t: lpl.energy_distance(x, y, threads=t) for t in (1, 2, 3)}
+        cross = {t: lpl.mean_pairwise_norm(x, y, threads=t) for t in (1, 2, 3)}
+        assert energies[1] == energies[2] == energies[3]
+        assert cross[1] == cross[2] == cross[3]
+        oracle_cross = _oracle_mean_distance(x, y)
+        within_x = _oracle_mean_distance(x, x)
+        within_y = _oracle_mean_distance(y, y)
+        scale = oracle_cross + within_x + within_y
+        assert abs(energies[1] - (2.0 * oracle_cross - within_x - within_y)) <= 1e-12 * scale
+        assert cross[1] == pytest.approx(oracle_cross, rel=1e-12, abs=0.0)
+
+    def test_shared_buffers_survive_thread_switching(self):
+        # more workers than cores and a short switch interval: a buffer handed to two
+        # running tasks at once would change the sums
+        rng = np.random.default_rng(25)
+        x, y = rng.standard_normal((1000, 3)), rng.standard_normal((900, 3))
+        serial = lpl.energy_distance(x, y, threads=1)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: results.extend(lpl.energy_distance(x, y, threads=8) for _ in range(5)),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert results == [serial] * 5
+
+    def test_rejects_fewer_than_one_thread(self):
+        X = np.zeros((3, 2))
+        for threads in (0, -3):
+            with pytest.raises(lpl.DimensionMismatch):
+                lpl.energy_distance(X, X + 1.0, threads=threads)
 
 
 class TestSupportFrequencies:
