@@ -33,6 +33,7 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 SampleSize = Union[int, tuple[int, int]]
 
 _CDIST_BLOCK = 125  # rows per cdist task: 125 x 5000 distances are 5 MB per worker
+_MAX_WORKERS = 4  # caps the output buffers at 20 MB whatever the host's CPU count
 
 
 @dataclass(frozen=True)
@@ -385,16 +386,16 @@ def available_cpus() -> int:
 
 
 def _mean_distances(pairs, threads: Optional[int]) -> list[float]:
-    """Mean Euclidean distance over all row pairs of each (A, B), on min(threads, tasks) threads.
+    """Mean Euclidean distance over all row pairs of each (A, B), on min(threads, tasks, _MAX_WORKERS) threads.
 
     Tasks: each _CDIST_BLOCK-row block of A against B or, when B is A, against A from the block
     on (pairs past it count twice).  Sums add in task order, so threads never changes a result.
     """
     threads = available_cpus() if threads is None else threads
     if threads < 1:
-        raise DimensionMismatch(f"threads must be at least 1, got {threads}")
+        raise ValueError(f"threads must be at least 1, got {threads}")
     tasks = [(t, i) for t, (A, _) in enumerate(pairs) for i in range(0, A.shape[0], _CDIST_BLOCK)]
-    workers = min(threads, len(tasks))
+    workers = min(threads, len(tasks), _MAX_WORKERS)
     # one output buffer per running task, allocated here, not in a worker thread's malloc arena
     free = [np.empty(_CDIST_BLOCK * max(B.shape[0] for _, B in pairs)) for _ in range(workers)]
 
@@ -421,7 +422,7 @@ def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -
     """Energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'|| with all-pairs means.
 
     Inputs are truncated to their first max_rows rows to keep the quadratic-cost
-    computation at desk scale.  threads: worker threads (None: every available CPU).
+    computation at desk scale.  threads: worker threads, at most 4 (None: every available CPU).
     """
     X = np.asarray(x, dtype=float)[:max_rows]
     Y = np.asarray(y, dtype=float)[:max_rows]
@@ -431,10 +432,10 @@ def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -
     return float(2.0 * cross - within_x - within_y)
 
 
-def mean_pairwise_norm(x, y, max_rows: int = 5000, threads: Optional[int] = None) -> float:
+def mean_pairwise_norm(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
     """Mean cross-pair distance; the natural scale for energy-distance thresholds."""
     X, Y = (np.asarray(v, float)[:max_rows] for v in (x, y))
-    return float(_mean_distances([(X, Y)], threads)[0])
+    return float(_mean_distances([(X, Y)], None)[0])
 
 
 @dataclass(frozen=True, eq=False)

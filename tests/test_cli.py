@@ -254,11 +254,15 @@ class TestThreads:
                 return [fn(task) for task in tasks]
 
         monkeypatch.setattr(cli.stochastic_harness, "ThreadPoolExecutor", SerialPool)
+        cap = cli.stochastic_harness._MAX_WORKERS
         out = self._monte_carlo(problem_paths, "mc_many", "--threads", "100000")
         # 300 fluctuation rows and 600 limit draws in 125-row blocks: 3 + 3 + 5 tasks
-        assert requested == [(11, 11)]
+        assert requested == [(cap, 11)]
         serial = self._monte_carlo(problem_paths, "mc_one", "--threads", "1")
-        assert requested == [(11, 11)]
+        assert requested == [(cap, 11)]
+        # fewer tasks than the cap: one block per term
+        cli.stochastic_harness.energy_distance(np.zeros((5, 2)), np.ones((7, 2)), threads=100000)
+        assert requested[1:] == [(3, 3)] and cap > 3
         report, serial_report = (json.loads((d / "report.json").read_text()) for d in (out, serial))
         assert report["energy_distance"] == serial_report["energy_distance"]
         assert report["manifest"]["threads"] == 100000
