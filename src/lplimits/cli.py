@@ -19,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -76,18 +76,6 @@ class RunManifest:
     config_digest: str
     started: str
     finished: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_paths": list(self.input_paths),
-            "seed": self.seed,
-            "threads": self.threads,
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "started": self.started,
-            "finished": self.finished,
-        }
 
 
 def config_digest(payload) -> str:
@@ -233,7 +221,7 @@ def cmd_analyze(args) -> int:
     out_dir = _out_dir(args)
     _write_json(out_dir / "analysis.json", out)
     manifest = _manifest("analyze", [args.problem], None, args.threads, payload, started)
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+    _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
 
@@ -287,7 +275,7 @@ def cmd_limit_sample(args) -> int:
     manifest = _manifest(
         "limit-sample", [args.problem], args.seed, args.threads, digest, started
     )
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+    _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
 
@@ -337,7 +325,7 @@ def cmd_monte_carlo(args) -> int:
         started,
     )
     report_payload = {
-        "manifest": manifest.to_dict(),
+        "manifest": asdict(manifest),
         "rate": config.rate_name,
         "sample_sizes": [list(n) if isinstance(n, tuple) else n for n in config.sample_sizes],
         "replicates": config.replicates,
@@ -361,7 +349,7 @@ def cmd_monte_carlo(args) -> int:
         "limit_boundary_hits": result.limit_result.boundary_hits.tolist(),
     }
     _write_json(out_dir / "report.json", report_payload)
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+    _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
 
@@ -389,7 +377,7 @@ def cmd_certify(args) -> int:
     _write_json(out_dir / "certificates.json", out)
     digest = {"problem": payload, "max_cycle_len": args.max_cycle_len}
     manifest = _manifest("certify", [args.problem], None, args.threads, digest, started)
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+    _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
 

@@ -58,7 +58,7 @@ class TooManyInfeasible(LpLimitsError):
 
 
 class EmptySet(LpLimitsError):
-    """A vertex list that must be nonempty is empty."""
+    """A vertex list or sample that must be nonempty is empty."""
 
 
 class NonConvergence(LpLimitsError):

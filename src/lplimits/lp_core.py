@@ -6,15 +6,14 @@ subject to Ax = b, x >= 0.  The downstream limit-law constructions consume
 every one of them.  Dual feasibility does not depend on b: the ledger is
 the set of feasible bases of the pointed polyhedron {y : A'y <= c}, found
 by a walk over single column exchanges from one HiGHS dual simplex start,
-in time proportional to the ledger rather than to C(d, m).  Every basis
-the walk keeps is checked by the exact per-basis LU.
+in time proportional to the ledger rather than to C(d, m).  Each basis
+the walk proposes is inverted once; that inverse gives its basic pair, its
+exchange rows and its entry of ``BasisLedger.inverses``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,8 +37,8 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
 # The walk proposes an exchange when its predicted reduced costs stay above
-# -_WALK_SLACK * feas_tol; the wider band than the exact check's -feas_tol
-# absorbs the rounding of the prediction, and the exact check decides.
+# -_WALK_SLACK * feas_tol; the wider band than the pair's -feas_tol absorbs
+# the rounding of the prediction, and the proposed basis's own pair decides.
 _WALK_SLACK = 10.0
 
 
@@ -107,7 +106,10 @@ class BasisLedger:
     ``bases[:optimal_count]`` are primal and dual feasible (hence optimal);
     the remainder are dual feasible only.  Each block is ordered
     lexicographically by index tuple.  ``vertex_ids[k]`` maps an optimal
-    basis to the deduplicated vertex it induces.
+    basis to the deduplicated vertex it induces.  ``inverses`` is the
+    read-only ``(n_bases, m, m)`` stack of basis inverses in ledger order,
+    the ones the walk made; cones, limit law, pushed-forward covariance and
+    resampling solver all read them here.
     """
 
     lp: StandardLp
@@ -117,24 +119,13 @@ class BasisLedger:
     optimal_value: float
     primal_optimal_vertices: tuple[np.ndarray, ...]
     vertex_ids: tuple[int, ...]
+    inverses: np.ndarray
 
     def optimal_pairs(self) -> tuple[BasicSolutionPair, ...]:
         return self.pairs[: self.optimal_count]
 
     def optimal_duals(self) -> np.ndarray:
         return np.array([p.dual for p in self.optimal_pairs()])
-
-    @functools.cached_property
-    def inverses(self) -> np.ndarray:
-        """Read-only ``(n_bases, m, m)`` basis inverses, ledger order, made on first use.
-
-        Cones, limit law, pushed-forward covariance and resampling solver all read them here.
-        """
-        columns = np.array([b.indices for b in self.bases], dtype=np.intp)
-        stack = self.lp.constraint_matrix[:, columns.reshape(-1, self.lp.n_rows)]
-        inverses = np.linalg.inv(np.moveaxis(stack, 0, 1))
-        inverses.flags.writeable = False
-        return inverses
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,23 +196,24 @@ def make_lp(A, b, c, names=None, tols: Tolerances = DEFAULT_TOLS) -> StandardLp:
     return StandardLp(A, b, c, names)
 
 
-def _lu_basis(lp: StandardLp, indices: Sequence[int], tols: Tolerances):
-    """LU-factor the basis submatrix; raise SingularBasis below the pivot tolerance."""
-    sub = lp.constraint_matrix[:, list(indices)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    top = diag.max(initial=0.0)
-    if top == 0.0 or diag.min() <= tols.rank_tol * top:
-        raise SingularBasis(f"submatrix for columns {tuple(indices)} is singular")
-    return lu, piv
+def _invert_basis(lp: StandardLp, indices: Sequence[int], tols: Tolerances):
+    """(pair, inverse) of one basis, both from the basis's one inverse.
 
-
-def _pair_from_factor(lp, indices, lu_piv, tols: Tolerances) -> BasicSolutionPair:
+    The basis is singular, and SingularBasis is raised, when the inverse
+    fails or when ||B||_1 ||B^-1||_1 rank_tol is not below 1 (a NaN too).
+    """
     idx = list(indices)
-    x_basic = scipy.linalg.lu_solve(lu_piv, lp.rhs, check_finite=False)
-    dual = scipy.linalg.lu_solve(lu_piv, lp.cost[idx], trans=1, check_finite=False)
+    sub = lp.constraint_matrix[:, idx]
+    try:
+        inverse = np.linalg.inv(sub)
+    except np.linalg.LinAlgError:
+        inverse = None
+    if inverse is None or not (
+        np.linalg.norm(sub, 1) * np.linalg.norm(inverse, 1) * tols.rank_tol < 1.0
+    ):
+        raise SingularBasis(f"submatrix for columns {tuple(indices)} is singular")
+    x_basic = inverse @ lp.rhs
+    dual = lp.cost[idx] @ inverse
     reduced = lp.cost - lp.constraint_matrix.T @ dual
     primal = np.zeros(lp.n_cols)
     primal[idx] = x_basic
@@ -236,7 +228,7 @@ def _pair_from_factor(lp, indices, lu_piv, tols: Tolerances) -> BasicSolutionPai
         primal_degenerate=bool(np.sum(primal > tols.feas_tol) < m),
         dual_degenerate=bool(np.sum(np.abs(reduced) <= tols.feas_tol) > m),
         objective=float(np.dot(primal, lp.cost)),
-    )
+    ), inverse
 
 
 def basic_pair(lp: StandardLp, basis, tols: Tolerances = DEFAULT_TOLS) -> BasicSolutionPair:
@@ -244,8 +236,7 @@ def basic_pair(lp: StandardLp, basis, tols: Tolerances = DEFAULT_TOLS) -> BasicS
     indices = tuple(basis.indices if isinstance(basis, Basis) else basis)
     if len(indices) != lp.n_rows:
         raise DimensionMismatch(f"basis must have {lp.n_rows} indices, got {len(indices)}")
-    lu_piv = _lu_basis(lp, indices, tols)
-    return _pair_from_factor(lp, indices, lu_piv, tols)
+    return _invert_basis(lp, indices, tols)[0]
 
 
 def _start_basis(lp: StandardLp) -> tuple[int, ...]:
@@ -276,7 +267,7 @@ def _start_basis(lp: StandardLp) -> tuple[int, ...]:
 
 
 def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
-    """Exact pairs of every dual feasible basis: (primal feasible, the rest), each sorted.
+    """(pair, inverse) of every dual feasible basis: (primal feasible, the rest), each sorted.
 
     The dual feasible bases are the feasible bases of the pointed polyhedron
     {y : A'y <= c}, and single column exchanges connect them.  From a basis
@@ -285,26 +276,26 @@ def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
     t = -r_j / alpha_ij.  The walk proposes the exchange when every entry
     stays above ``-_WALK_SLACK * feas_tol``: the dual ratio test with ties,
     plus the degenerate exchanges of tight columns.  Every proposed basis
-    goes once through ``_lu_basis`` and ``_pair_from_factor``, so each pair
-    and verdict comes from the exact per-basis path; ``enumeration_cap``
-    bounds the number of proposed bases.
+    goes once through ``_invert_basis``, so its pair, its verdict and its
+    alpha come from one inverse; ``enumeration_cap`` bounds the number of
+    proposed bases.
     """
     A = lp.constraint_matrix
     frontier = [_start_basis(lp)]
     seen = set(frontier)
-    found: list[BasicSolutionPair] = []
+    found: list[tuple[BasicSolutionPair, np.ndarray]] = []
     while frontier:
         if len(seen) > enumeration_cap:
             raise EnumerationCapExceeded(f"the basis walk proposed over {enumeration_cap} bases")
         indices = frontier.pop()
         try:
-            pair = _pair_from_factor(lp, indices, _lu_basis(lp, indices, tols), tols)
+            pair, inverse = _invert_basis(lp, indices, tols)
         except SingularBasis:
             continue
         if not pair.dual_feasible:
             continue
-        found.append(pair)
-        alpha = np.linalg.inv(A[:, list(indices)]) @ A
+        found.append((pair, inverse))
+        alpha = inverse @ A
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -pair.reduced_costs / alpha
             bound = t - _WALK_SLACK * tols.feas_tol / alpha
@@ -319,8 +310,8 @@ def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
                 frontier.append(nxt)
     if not found:
         raise NoDualFeasibleBasis("no dual feasible basis exists")
-    found.sort(key=lambda p: p.basis.indices)
-    return [p for p in found if p.primal_feasible], [p for p in found if not p.primal_feasible]
+    found.sort(key=lambda f: f[0].basis.indices)
+    return [f for f in found if f[0].primal_feasible], [f for f in found if not f[0].primal_feasible]
 
 
 def dedup_vertices(points, tol: float) -> tuple[list[np.ndarray], list[int]]:
@@ -352,9 +343,11 @@ def enumerate_ledger(
     vertex is the lexicographically smallest basis generating it.
     """
     optimal, rest = _walk(lp, tols, enumeration_cap)
-    vertices, vertex_ids = dedup_vertices([p.primal for p in optimal], tols.dedup_tol)
-    value = float(lp.cost @ optimal[0].primal) if optimal else math.nan
-    pairs = tuple(optimal + rest)
+    pairs, inverses = zip(*optimal, *rest)
+    vertices, vertex_ids = dedup_vertices([p.primal for p, _ in optimal], tols.dedup_tol)
+    value = float(lp.cost @ pairs[0].primal) if optimal else math.nan
+    stack = np.stack(inverses)
+    stack.flags.writeable = False
     return BasisLedger(
         lp=lp,
         bases=tuple(p.basis for p in pairs),
@@ -363,6 +356,7 @@ def enumerate_ledger(
         optimal_value=value,
         primal_optimal_vertices=tuple(vertices),
         vertex_ids=tuple(vertex_ids),
+        inverses=stack,
     )
 
 
@@ -390,7 +384,7 @@ def solve_min_index(
     except NoDualFeasibleBasis:
         optimal = None
     if optimal:
-        return optimal[0]
+        return optimal[0][0]
     feasibility = scipy.optimize.linprog(
         np.zeros(lp.n_cols), A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
     )

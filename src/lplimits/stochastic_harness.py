@@ -113,8 +113,9 @@ def _resample_rows(model, b, n: SampleSize, keys) -> np.ndarray:
         raise DimensionMismatch(f"rhs must have length {2 * N - 1}, got {b.size}")
     r = np.concatenate([b[: N - 1], [1.0 - b[: N - 1].sum()]])
     s = b[N - 1 :]
+    tol = ot_module.PROBABILITY_TOL  # the tolerance make_ot_problem accepts r and s at
     for name, v in (("r", r), ("s", s)):
-        if v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
+        if v.min() < -tol or abs(v.sum() - 1.0) > tol:
             raise NotAProbabilityVector(f"rhs does not encode a probability vector {name}")
     n_r, n_s = (n, n) if isinstance(n, int) else n
     p_r, p_s = (np.clip(v, 0.0, None) / v.sum() for v in (r, s))
@@ -418,14 +419,21 @@ def _mean_distances(pairs, threads: Optional[int]) -> list[float]:
     return [total / (A.shape[0] * B.shape[0]) for total, (A, B) in zip(totals, pairs)]
 
 
+def _first_rows(samples, max_rows: int) -> list[np.ndarray]:
+    """The first max_rows rows of each sample; EmptySet when one has none."""
+    out = [np.asarray(v, dtype=float)[:max_rows] for v in samples]
+    if any(len(v) == 0 for v in out):
+        raise EmptySet("every sample needs at least one row")
+    return out
+
+
 def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -> float:
     """Energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'|| with all-pairs means.
 
     Inputs are truncated to their first max_rows rows to keep the quadratic-cost
     computation at desk scale.  threads: worker threads, at most 4 (None: every available CPU).
     """
-    X = np.asarray(x, dtype=float)[:max_rows]
-    Y = np.asarray(y, dtype=float)[:max_rows]
+    X, Y = _first_rows((x, y), max_rows)
     if np.array_equal(X, Y):
         return 0.0  # the exact value; the triangle sums need not cancel the full cross sum
     cross, within_x, within_y = _mean_distances([(X, Y), (X, X), (Y, Y)], threads)
@@ -434,7 +442,7 @@ def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -
 
 def mean_pairwise_norm(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
     """Mean cross-pair distance; the natural scale for energy-distance thresholds."""
-    X, Y = (np.asarray(v, float)[:max_rows] for v in (x, y))
+    X, Y = _first_rows((x, y), max_rows)
     return float(_mean_distances([(X, Y)], None)[0])
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 class Tolerances:
     """Tolerance bundle for double-precision dense linear algebra.
 
-    rank_tol      relative pivot threshold for singularity checks
+    rank_tol      singularity threshold: a basis B is singular when
+                  ||B||_1 ||B^-1||_1 rank_tol is not below 1; also the
+                  relative QR pivot threshold of make_lp's rank check
     feas_tol      absolute slack allowed on nonnegativity constraints
     dedup_tol     max-norm threshold for identifying two basic solutions
     boundary_tol  half-width of the band classified as a cone boundary

@@ -83,10 +83,9 @@ def exhaustive_ledger(lp, tols=lpl.DEFAULT_TOLS):
     optimal, rest = [], []
     for combo in itertools.combinations(range(lp.n_cols), lp.n_rows):
         try:
-            lu_piv = lp_core._lu_basis(lp, combo, tols)
+            pair = lpl.basic_pair(lp, combo, tols)
         except lpl.SingularBasis:
             continue
-        pair = lp_core._pair_from_factor(lp, combo, lu_piv, tols)
         if not pair.dual_feasible:
             continue
         (optimal if pair.primal_feasible else rest).append(pair)
@@ -111,6 +110,7 @@ def exhaustive_ledger(lp, tols=lpl.DEFAULT_TOLS):
         optimal_value=value,
         primal_optimal_vertices=tuple(vertices),
         vertex_ids=tuple(vertex_ids),
+        inverses=np.array([np.linalg.inv(lp.constraint_matrix[:, list(p.basis.indices)]) for p in pairs]),
     )
 
 
@@ -119,10 +119,9 @@ def exhaustive_min_index(lp, tols=lpl.DEFAULT_TOLS):
     saw_primal = saw_dual = False
     for combo in itertools.combinations(range(lp.n_cols), lp.n_rows):
         try:
-            lu_piv = lp_core._lu_basis(lp, combo, tols)
+            pair = lpl.basic_pair(lp, combo, tols)
         except lpl.SingularBasis:
             continue
-        pair = lp_core._pair_from_factor(lp, combo, lu_piv, tols)
         saw_primal = saw_primal or pair.primal_feasible
         saw_dual = saw_dual or pair.dual_feasible
         if pair.primal_feasible and pair.dual_feasible:
@@ -163,6 +162,7 @@ def assert_matches_oracle(lp):
         assert np.float64(ledger.optimal_value).tobytes() == np.float64(oracle.optimal_value).tobytes()
         for v, w in zip(ledger.primal_optimal_vertices, oracle.primal_optimal_vertices, strict=True):
             assert v.tobytes() == w.tobytes()
+        np.testing.assert_array_equal(ledger.inverses, oracle.inverses)
     error, pair = _outcome(lpl.solve_min_index, lp)
     oracle_error, expected = _outcome(exhaustive_min_index, lp)
     assert error is oracle_error
@@ -251,6 +251,20 @@ class TestBasicPair:
         lp = lpl.reduce_to_lp(line_problem(2.0))
         with pytest.raises(lpl.SingularBasis):
             lpl.basic_pair(lp, (0, 1, 2, 3, 5))
+
+    def test_one_norm_condition_rule(self):
+        # basis [[1, 1], [0, eps]]: ||B||_1 ||B^-1||_1 is about 2 / eps, against 1 / rank_tol
+        def lp(eps):
+            return lpl.make_lp([[1.0, 1.0, 0.0], [0.0, eps, 1.0]], [2.0, eps], np.ones(3))
+
+        np.testing.assert_allclose(lpl.basic_pair(lp(3e-10), (0, 1)).primal, [1.0, 1.0, 0.0])
+        with pytest.raises(lpl.SingularBasis):
+            lpl.basic_pair(lp(1e-11), (0, 1))
+
+    def test_exactly_singular_basis_is_singular_basis(self):
+        lp = lpl.make_lp([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0], np.ones(3))
+        with pytest.raises(lpl.SingularBasis):
+            lpl.basic_pair(lp, (0, 1))
 
 
 class TestEnumerateLedger:
@@ -477,6 +491,42 @@ class TestBasisWalk:
             assert again.optimal_count == ledger.optimal_count
             for pair, expected in zip(again.pairs, ledger.pairs, strict=True):
                 assert_same_pair(pair, expected)
+
+
+class TestOneInversePerBasis:
+    @pytest.mark.parametrize(
+        "lp",
+        [lpl.reduce_to_lp(line_problem(2.0)), generic_transport_lp(5, 1)],
+        ids=["golden-p2", "generic-n5"],
+    )
+    def test_walk_and_inverses_invert_each_proposed_basis_once(self, lp, monkeypatch):
+        import scipy.linalg
+
+        inverted = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            inverted.append(np.asarray(a).copy())
+            return inv(a)
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("scipy.linalg.lu_factor was called")
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", no_lu)
+        ledger = lpl.enumerate_ledger(lp)
+        inverses = ledger.inverses
+        monkeypatch.undo()
+        assert all(a.shape == (lp.n_rows, lp.n_rows) for a in inverted)
+        proposed = {a.tobytes() for a in inverted}
+        assert len(proposed) == len(inverted)
+        # on these instances every proposed basis is dual feasible and kept
+        assert len(inverted) == len(ledger.bases)
+        for k, basis in enumerate(ledger.bases):
+            sub = lp.constraint_matrix[:, list(basis.indices)]
+            assert sub.tobytes() in proposed
+            np.testing.assert_array_equal(inverses[k], np.linalg.inv(sub))
+        assert not inverses.flags.writeable
 
 
 class TestHighsOracle:

@@ -77,6 +77,21 @@ class TestResampleRhs:
             lpl.resample_rhs(model, np.array([0.9, 0.9, 0.3, 0.3, 0.4]), 10,
                              np.random.default_rng(4))
 
+    @pytest.mark.parametrize("excess, accepted", [(1e-10, False), (1e-13, True)])
+    def test_probability_tolerance_matches_make_ot_problem(self, excess, accepted):
+        r = np.array([0.2, 0.3, 0.5])
+        s = np.array([0.25, 0.35, 0.4 + excess])
+        b = np.concatenate([r[:2], s])
+        model = lpl.MultinomialMarginal(3, two_sample=True)
+        if accepted:
+            lpl.make_ot_problem(points_x=np.arange(3.0), r=r, s=s, p=2.0, q=2.0)
+            assert _resample_rows(model, b, 10, [(0, rep) for rep in range(3)]).shape == (3, 5)
+        else:
+            with pytest.raises(lpl.NotAProbabilityVector):
+                lpl.make_ot_problem(points_x=np.arange(3.0), r=r, s=s, p=2.0, q=2.0)
+            with pytest.raises(lpl.NotAProbabilityVector):
+                _resample_rows(model, b, 10, [(0, rep) for rep in range(3)])
+
     def test_user_samples(self):
         rows = np.arange(15, dtype=float).reshape(3, 5)
         model = lpl.UserSamples(rows)
@@ -479,6 +494,17 @@ class TestEnergyKernel:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert results == [serial] * 5
+
+    @pytest.mark.parametrize("x, y", [
+        (np.zeros((0, 2)), np.ones((3, 2))),
+        (np.ones((3, 2)), np.zeros((0, 2))),
+        (np.zeros((0, 2)), np.zeros((0, 2))),
+    ])
+    def test_empty_sample_raises_empty_set(self, x, y):
+        with pytest.raises(lpl.EmptySet):
+            lpl.energy_distance(x, y)
+        with pytest.raises(lpl.EmptySet):
+            lpl.mean_pairwise_norm(x, y)
 
     def test_rejects_fewer_than_one_thread(self):
         X = np.zeros((3, 2))
