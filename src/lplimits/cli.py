@@ -63,6 +63,15 @@ _INPUT_ERRORS = (
     ValueError,
 )
 
+# First matching row wins; any other LpLimitsError subclass is an input error.
+_EXIT_CODES = (
+    ((EnumerationCapExceeded, CapExceeded), EXIT_CAP),
+    ((NotUnique,), EXIT_ASSUMPTION),
+    ((TooManyInfeasible,), EXIT_DEGENERATE),
+    ((NonConvergence, NoFeasibleCone), EXIT_INTERNAL),
+    (_INPUT_ERRORS, EXIT_INPUT),
+)
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -93,20 +102,20 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _load_problem(path: str):
-    """Returns (lp, ot_problem_or_None); OT problems are auto-reduced."""
+def _load_problem(path: str, tols):
+    """Returns (lp, ot_problem_or_None, payload); OT problems are auto-reduced, both at tols."""
     payload = _load_json(path)
     if not isinstance(payload, dict):
         raise DimensionMismatch("problem JSON must be an object")
     if "A" in payload:
-        return lp_core.lp_from_dict(payload), None, payload
+        return lp_core.lp_from_dict(payload, tols), None, payload
     problem = ot.ot_from_dict(payload)
     if min(problem.r.min(), problem.s.min()) <= 0.0:
         logger.warning(
             "a marginal has a zero coordinate; the limit theory assumes "
             "strictly interior probability vectors"
         )
-    return ot.reduce_to_lp(problem), problem, payload
+    return ot.reduce_to_lp(problem, tols), problem, payload
 
 
 def _write_json(path: Path, payload) -> None:
@@ -172,7 +181,7 @@ def _tols(args):
 def cmd_analyze(args) -> int:
     started = _now()
     tols = _tols(args)
-    lp, _, payload = _load_problem(args.problem)
+    lp, _, payload = _load_problem(args.problem, tols)
     ledger = lp_core.enumerate_ledger(lp, tols)
     report = lp_core.check_assumptions(lp, ledger, tols)
     out: dict = {
@@ -204,7 +213,7 @@ def cmd_analyze(args) -> int:
     }
     if report.a2_unique_optimum:
         partition = cones_limit.support_partition(ledger, tols=tols)
-        cones = cones_limit.build_cones(ledger, partition, tols=tols)
+        cones = cones_limit.build_cones(ledger, partition)
         out["partition"] = {
             "pos": list(partition.pos),
             "tz": list(partition.tz),
@@ -243,7 +252,7 @@ def _policy(name: str) -> cones_limit.TieBreak:
 def cmd_limit_sample(args) -> int:
     started = _now()
     tols = _tols(args)
-    lp, problem, payload = _load_problem(args.problem)
+    lp, problem, payload = _load_problem(args.problem, tols)
     if problem is None:
         raise DimensionMismatch(
             "limit-sample needs an OT problem (cost or ground points plus marginals)"
@@ -299,7 +308,7 @@ def _experiment_config(config: dict) -> stochastic_harness.ExperimentConfig:
 def cmd_monte_carlo(args) -> int:
     started = _now()
     tols = _tols(args)
-    lp, problem, payload = _load_problem(args.problem)
+    lp, problem, payload = _load_problem(args.problem, tols)
     if problem is None:
         raise DimensionMismatch(
             "monte-carlo needs an OT problem (cost or ground points plus marginals)"
@@ -326,7 +335,7 @@ def cmd_monte_carlo(args) -> int:
     )
     report_payload = {
         "manifest": asdict(manifest),
-        "rate": config.rate_name,
+        "rate": config.mode.rate_name,
         "sample_sizes": [list(n) if isinstance(n, tuple) else n for n in config.sample_sizes],
         "replicates": config.replicates,
         "per_coordinate_ks": report.per_coordinate_ks.tolist(),
@@ -355,10 +364,11 @@ def cmd_monte_carlo(args) -> int:
 
 def cmd_certify(args) -> int:
     started = _now()
-    lp, problem, payload = _load_problem(args.problem)
+    tols = _tols(args)
+    lp, problem, payload = _load_problem(args.problem, tols)
     if problem is None:
         raise DimensionMismatch("certify needs an OT problem form")
-    report = ot.certify(problem, max_len=args.max_cycle_len, tols=_tols(args))
+    report = ot.certify(problem, max_len=args.max_cycle_len, tols=tols)
 
     def check_dict(check: ot.CertificateCheck) -> dict:
         witness = check.witness
@@ -444,25 +454,11 @@ def main(argv=None) -> int:
     package_logger.addHandler(handler)
     try:
         return args.func(args)
-    except (EnumerationCapExceeded, CapExceeded) as exc:
+    except (LpLimitsError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NotUnique as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except TooManyInfeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (NonConvergence, NoFeasibleCone) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LpLimitsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        # the bare base class marks a failure of the numerics, not of the input
-        return EXIT_INTERNAL if type(exc) is LpLimitsError else EXIT_INPUT
+        if type(exc) is LpLimitsError:  # the bare base class marks a failure of the numerics
+            return EXIT_INTERNAL
+        return next((code for classes, code in _EXIT_CODES if isinstance(exc, classes)), EXIT_INPUT)
     finally:
         package_logger.removeHandler(handler)
 

@@ -113,11 +113,7 @@ class LimitLawSpec:
                 raise LpLimitsError("cone list is not aligned with the ledger")
 
 
-def support_partition(
-    ledger: BasisLedger,
-    x_star: Optional[np.ndarray] = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> SupportPartition:
+def support_partition(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> SupportPartition:
     """Classify coordinates of the unique optimum into pos / tz / dz.
 
     The union of all optimal bases carries the positives and the degenerate
@@ -129,8 +125,7 @@ def support_partition(
         raise NotUnique(
             f"optimum is not unique ({len(ledger.primal_optimal_vertices)} vertices)"
         )
-    if x_star is None:
-        x_star = ledger.primal_optimal_vertices[0]
+    x_star = ledger.primal_optimal_vertices[0]
     d = ledger.lp.n_cols
     pos = {i for i in range(d) if x_star[i] > tols.feas_tol}
     union: set[int] = set()
@@ -145,7 +140,6 @@ def build_cones(
     ledger: BasisLedger,
     partition: SupportPartition,
     m0: Optional[int] = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[ConeH, ...]:
     """One stability cone per optimal basis.
 

@@ -22,13 +22,15 @@ from .errors import (
     DimensionMismatch,
     MissingGroundPoints,
     NotAProbabilityVector,
-    NotUnique,
 )
 from .lp_core import StandardLp, enumerate_ledger, make_lp
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 PROBABILITY_TOL = 1e-12
 COST_MATCH_TOL = 1e-12
+PRIMAL_SUMMABILITY_CAP = 14  # largest N of the 2^N subset scan
+DUAL_SUMMABILITY_CAP = 7  # largest N of the exhaustive cycle scan
+SUPPORT_CYCLE_CAP = 10  # largest N of the cycle scan within a support
 
 
 def _check_probability(v, name: str) -> np.ndarray:
@@ -234,7 +236,7 @@ def check_strict_monge(cost, tol: Optional[float] = None) -> CertificateCheck:
     return CertificateCheck(True)
 
 
-def check_primal_summability(r, s, tol: Optional[float] = None, cap: int = 14) -> CertificateCheck:
+def check_primal_summability(r, s, tol: Optional[float] = None) -> CertificateCheck:
     """No proper subset of r-mass equals a proper subset of s-mass.
 
     When true, every primal basic feasible solution of the transport LP is
@@ -244,8 +246,8 @@ def check_primal_summability(r, s, tol: Optional[float] = None, cap: int = 14) -
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     N = len(r)
-    if N > cap:
-        raise CapExceeded(f"subset scan needs N <= {cap}, got {N}")
+    if N > PRIMAL_SUMMABILITY_CAP:
+        raise CapExceeded(f"subset scan needs N <= {PRIMAL_SUMMABILITY_CAP}, got {N}")
     if tol is None:
         tol = DEFAULT_TOLS.sum_tol_at(float(np.abs(r).sum() + np.abs(s).sum()))
     r_sums = np.zeros(1 << N)
@@ -319,7 +321,6 @@ def check_dual_summability(
     cost,
     max_len: Optional[int] = None,
     tol: Optional[float] = None,
-    cap: int = 7,
 ) -> CertificateCheck:
     """No index cycle has equal forward and shifted cost sums.
 
@@ -333,8 +334,8 @@ def check_dual_summability(
     if max_len is None:
         max_len = N
     max_len = min(max_len, N)
-    if N > cap:
-        raise CapExceeded(f"exhaustive cycle scan needs N <= {cap}, got {N}")
+    if N > DUAL_SUMMABILITY_CAP:
+        raise CapExceeded(f"exhaustive cycle scan needs N <= {DUAL_SUMMABILITY_CAP}, got {N}")
     if tol is None:
         tol = DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum())
     for i_tuple, j_tuple in _cycle_families(N, max_len):
@@ -350,7 +351,6 @@ def check_strict_cyclical_monotonicity(
     support,
     max_len: Optional[int] = None,
     tol: Optional[float] = None,
-    cap: int = 10,
 ) -> CertificateCheck:
     """Strict cycle optimality of a coupling support.
 
@@ -365,8 +365,8 @@ def check_strict_cyclical_monotonicity(
     if max_len is None:
         max_len = N
     max_len = min(max_len, N)
-    if N > cap:
-        raise CapExceeded(f"support cycle scan needs N <= {cap}, got {N}")
+    if N > SUPPORT_CYCLE_CAP:
+        raise CapExceeded(f"support cycle scan needs N <= {SUPPORT_CYCLE_CAP}, got {N}")
     if tol is None:
         tol = DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum())
     adjacency: dict[int, set[int]] = {}
@@ -432,16 +432,28 @@ def multinomial_covariance(v) -> np.ndarray:
 class OneSample:
     """Only the first marginal is estimated; fluctuations live on N-1 coordinates."""
 
+    rate_name = "sqrt(n)"
+
+    def rate(self, n) -> float:
+        """Scaling factor of the raw fluctuations at sample size n (an (n, m) pair reads n)."""
+        return float(np.sqrt(n[0] if isinstance(n, tuple) else n))
+
 
 @dataclass(frozen=True)
 class TwoSample:
     """Both marginals estimated with asymptotic size ratio m/(n+m) -> lam."""
 
     lam: float = 0.5
+    rate_name = "sqrt(nm/(n+m))"
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise DimensionMismatch(f"lambda must lie in (0, 1), got {self.lam}")
+
+    def rate(self, n) -> float:
+        """Scaling factor of the raw fluctuations at sample sizes (n, m); an int n means m = n."""
+        n1, n2 = (n, n) if isinstance(n, int) else n
+        return float(np.sqrt(n1 * n2 / (n1 + n2)))
 
 
 def ot_limit_spec(
@@ -457,20 +469,16 @@ def ot_limit_spec(
     first marginal, with the leading block of its multinomial covariance.
     Two-sample: directions stack both marginal fluctuations, with block
     covariance lam * Sigma(r) (truncated) and (1 - lam) * Sigma(s).
+    ``support_partition`` raises NotUnique when the optimum is not unique.
     """
     lp = reduce_to_lp(ot, tols)
     if ledger is None:
         ledger = enumerate_ledger(lp, tols)
-    if len(ledger.primal_optimal_vertices) != 1:
-        raise NotUnique(
-            f"optimal coupling is not unique ({len(ledger.primal_optimal_vertices)} vertices)"
-        )
     partition = support_partition(ledger, tols=tols)
     N = ot.n_points
     if isinstance(mode, OneSample):
         m0 = N - 1
         covariance = multinomial_covariance(ot.r)[: N - 1, : N - 1]
-        rate = "sqrt(n)"
     elif isinstance(mode, TwoSample):
         m0 = 2 * N - 1
         top = mode.lam * multinomial_covariance(ot.r)[: N - 1, : N - 1]
@@ -479,17 +487,16 @@ def ot_limit_spec(
             [top, np.zeros((N - 1, N))],
             [np.zeros((N, N - 1)), bottom],
         ])
-        rate = "sqrt(nm/(n+m))"
     else:
         raise DimensionMismatch(f"unknown sampling mode {mode!r}")
-    cones = build_cones(ledger, partition, m0, tols)
+    cones = build_cones(ledger, partition, m0)
     return LimitLawSpec(
         ledger=ledger,
         cones=cones,
         tie_break=tie_break,
         covariance=covariance,
         m0=m0,
-        rate_name=rate,
+        rate_name=mode.rate_name,
     )
 
 
@@ -550,7 +557,7 @@ def geodesic_at(coupling: Coupling, points_x, points_y, t: float) -> DiscreteMea
     )
 
 
-def ot_from_dict(payload: dict, tols: Tolerances = DEFAULT_TOLS) -> OtProblem:
+def ot_from_dict(payload: dict) -> OtProblem:
     """Build an OT instance from its JSON form.
 
     Accepts {"cost": [[...]]} or {"points_x": [...], "points_y": [...],

@@ -23,7 +23,6 @@ from .errors import (
     EmptySet,
     Infeasible,
     NonConvergence,
-    NotAProbabilityVector,
     TooManyInfeasible,
 )
 from .lp_core import BasisLedger, StandardLp, dedup_vertices, enumerate_ledger
@@ -34,6 +33,7 @@ SampleSize = Union[int, tuple[int, int]]
 
 _CDIST_BLOCK = 125  # rows per cdist task: 125 x 5000 distances are 5 MB per worker
 _MAX_WORKERS = 4  # caps the output buffers at 20 MB whatever the host's CPU count
+PROJECTION_MAX_ITERS = 100_000  # Frank-Wolfe budget of point_to_polytope
 
 
 @dataclass(frozen=True)
@@ -56,20 +56,6 @@ class ExperimentConfig:
             pair = n if isinstance(n, tuple) else (n,)
             if any(int(v) < 1 for v in pair):
                 raise DimensionMismatch(f"sample sizes must be at least 1, got {n}")
-
-    @property
-    def rate_name(self) -> str:
-        return "sqrt(nm/(n+m))" if isinstance(self.mode, TwoSample) else "sqrt(n)"
-
-
-def rate_value(mode: Union[OneSample, TwoSample], n: SampleSize) -> float:
-    """Scaling factor applied to the raw fluctuations at sample size n."""
-    if isinstance(mode, TwoSample):
-        n1, n2 = (n, n) if isinstance(n, int) else n
-        return float(np.sqrt(n1 * n2 / (n1 + n2)))
-    if isinstance(n, tuple):
-        n = n[0]
-    return float(np.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -111,12 +97,9 @@ def _resample_rows(model, b, n: SampleSize, keys) -> np.ndarray:
     N = model.n_points
     if b.size != 2 * N - 1:
         raise DimensionMismatch(f"rhs must have length {2 * N - 1}, got {b.size}")
-    r = np.concatenate([b[: N - 1], [1.0 - b[: N - 1].sum()]])
-    s = b[N - 1 :]
-    tol = ot_module.PROBABILITY_TOL  # the tolerance make_ot_problem accepts r and s at
-    for name, v in (("r", r), ("s", s)):
-        if v.min() < -tol or abs(v.sum() - 1.0) > tol:
-            raise NotAProbabilityVector(f"rhs does not encode a probability vector {name}")
+    # the check make_ot_problem applies to r and s
+    r = ot_module._check_probability(np.concatenate([b[: N - 1], [1.0 - b[: N - 1].sum()]]), "r")
+    s = ot_module._check_probability(b[N - 1 :], "s")
     n_r, n_s = (n, n) if isinstance(n, int) else n
     p_r, p_s = (np.clip(v, 0.0, None) / v.sum() for v in (r, s))
     out = np.tile(b, (len(keys), 1))  # one-sample rows keep the s block of b
@@ -244,7 +227,7 @@ def fluctuation_run(
     value_star = base_values[0]
     batches: list[FluctuationBatch] = []
     for n in config.sample_sizes:
-        rate = rate_value(config.mode, n)
+        rate = config.mode.rate(n)
         n_key = n if isinstance(n, tuple) else (n,)
         keys = [(config.seed, *n_key, rep) for rep in range(config.replicates)]
         rows = _resample_rows(model, lp.rhs, n, keys)
@@ -272,7 +255,7 @@ def fluctuation_run(
     return batches
 
 
-def point_to_polytope(v, vertices, tol: float = 1e-10, max_iters: int = 100_000) -> float:
+def point_to_polytope(v, vertices, tol: float = 1e-10) -> float:
     """Distance from a point to the convex hull of a vertex list.
 
     Frank-Wolfe over the simplex with away steps and exact line search;
@@ -289,7 +272,7 @@ def point_to_polytope(v, vertices, tol: float = 1e-10, max_iters: int = 100_000)
     alpha = np.zeros(K)
     alpha[0] = 1.0
     x = P[0].copy()
-    for _ in range(max_iters):
+    for _ in range(PROJECTION_MAX_ITERS):
         residual = x - v
         grad = P @ residual
         s = int(np.argmin(grad))
@@ -319,7 +302,7 @@ def point_to_polytope(v, vertices, tol: float = 1e-10, max_iters: int = 100_000)
         np.clip(alpha, 0.0, None, out=alpha)
         alpha /= alpha.sum()
         x = P.T @ alpha
-    raise NonConvergence(f"projection did not reach gap {tol} in {max_iters} iterations")
+    raise NonConvergence(f"projection did not reach gap {tol} in {PROJECTION_MAX_ITERS} iterations")
 
 
 def hausdorff_distance(vertices_1, vertices_2, tol: float = 1e-10) -> float:
@@ -464,7 +447,6 @@ def compare_distributions(
     limit: np.ndarray,
     empirical_values: Optional[np.ndarray] = None,
     limit_values: Optional[np.ndarray] = None,
-    energy_max_rows: int = 5000,
     threads: Optional[int] = None,
 ) -> ComparisonReport:
     """Per-coordinate KS statistics, energy distance, and covariance error.
@@ -493,7 +475,7 @@ def compare_distributions(
         )
     return ComparisonReport(
         per_coordinate_ks=ks,
-        energy_distance=energy_distance(X, Y, energy_max_rows, threads),
+        energy_distance=energy_distance(X, Y, threads=threads),
         covariance_frobenius_error=cov_err,
         value_ks=value_ks,
     )

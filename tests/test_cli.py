@@ -63,6 +63,13 @@ class TestAnalyze:
         path.write_text(json.dumps({"A": [[1.0, 2.0], [2.0, 4.0]], "b": [1, 2], "c": [0, 0]}))
         assert run(["analyze", str(path), "--out-dir", str(tmp_path)]) == 2
 
+    def test_rank_tol_reaches_the_rank_check(self, tmp_path):
+        # The rows differ by 1e-12: rank 1 at the default rank_tol of 1e-10, rank 2 at 1e-14.
+        path = tmp_path / "near_rankdef.json"
+        path.write_text(json.dumps({"A": [[1, 0, 1], [1, 1e-12, 1]], "b": [1, 1], "c": [1, 2, 3]}))
+        assert run(["analyze", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert run(["analyze", str(path), "--out-dir", str(tmp_path), "--rank-tol", "1e-14"]) == 0
+
     @staticmethod
     def _line5(tmp_path):
         path = tmp_path / "p.json"

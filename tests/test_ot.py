@@ -232,20 +232,26 @@ class TestMultinomialCovariance:
 class TestOtLimitSpec:
     def test_two_sample_blocks(self):
         lam = 0.5
-        spec = lpl.ot_limit_spec(line_problem(2.0), lpl.TwoSample(lam))
+        mode = lpl.TwoSample(lam)
+        spec = lpl.ot_limit_spec(line_problem(2.0), mode)
         sigma = lpl.multinomial_covariance(UNIFORM3)
         np.testing.assert_allclose(spec.covariance[:2, :2], lam * sigma[:2, :2])
         np.testing.assert_allclose(spec.covariance[2:, 2:], (1 - lam) * sigma)
         np.testing.assert_allclose(spec.covariance[:2, 2:], 0.0)
         assert spec.m0 == 5 and spec.rate_name == "sqrt(nm/(n+m))"
+        assert mode.rate(1000) == float(np.sqrt(1000 * 1000 / (1000 + 1000)))
+        assert mode.rate((1000, 3000)) == float(np.sqrt(1000 * 3000 / (1000 + 3000)))
 
     def test_unit_exponent_keeps_eight_cones(self):
         spec = lpl.ot_limit_spec(line_problem(1.0), lpl.TwoSample(0.5))
         assert len(spec.cones) == 8
 
     def test_one_sample_covariance_is_full_rank_for_interior_marginals(self):
-        spec = lpl.ot_limit_spec(nondegenerate_problem(), lpl.OneSample())
+        mode = lpl.OneSample()
+        spec = lpl.ot_limit_spec(nondegenerate_problem(), mode)
         assert spec.m0 == 2 and spec.rate_name == "sqrt(n)"
+        assert mode.rate(1000) == float(np.sqrt(1000))
+        assert mode.rate((1000, 3000)) == float(np.sqrt(1000))
         assert np.linalg.eigvalsh(spec.covariance).min() > 1e-6
 
     def test_rejects_non_unique_optimum(self):
