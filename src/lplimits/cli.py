@@ -258,7 +258,8 @@ def cmd_limit_sample(args) -> int:
             "limit-sample needs an OT problem (cost or ground points plus marginals)"
         )
     spec = ot.ot_limit_spec(
-        problem, _mode_from_args(args.mode, args.lam), tie_break=_policy(args.policy), tols=tols
+        problem, _mode_from_args(args.mode, args.lam), tie_break=_policy(args.policy), tols=tols,
+        ledger=lp_core.enumerate_ledger(lp, tols),
     )
     result = cones_limit.sample_limit(spec, args.samples, args.seed, tol=tols.boundary_tol)
     out_dir = _out_dir(args)
@@ -368,7 +369,7 @@ def cmd_certify(args) -> int:
     lp, problem, payload = _load_problem(args.problem, tols)
     if problem is None:
         raise DimensionMismatch("certify needs an OT problem form")
-    report = ot.certify(problem, max_len=args.max_cycle_len, tols=tols)
+    report = ot.certify(problem, max_len=args.max_cycle_len, tols=tols, lp=lp)
 
     def check_dict(check: ot.CertificateCheck) -> dict:
         witness = check.witness

@@ -401,15 +401,20 @@ def certify(
     ot: OtProblem,
     max_len: Optional[int] = None,
     tols: Tolerances = DEFAULT_TOLS,
+    lp: Optional[StandardLp] = None,
 ) -> CertificateReport:
     """Run all four certificates; uniqueness follows from a strictly
-    cyclically monotone optimal support or from dual summability."""
+    cyclically monotone optimal support or from dual summability.
+
+    lp: the instance's ``reduce_to_lp(ot, tols)``, when the caller has built it.
+    """
     cost_tol = tols.sum_tol_at(np.abs(ot.cost).sum())
     mass_tol = tols.sum_tol_at(float(np.abs(ot.r).sum() + np.abs(ot.s).sum()))
     monge = check_strict_monge(ot.cost, tol=cost_tol)
     primal = check_primal_summability(ot.r, ot.s, tol=mass_tol)
     dual = check_dual_summability(ot.cost, max_len=max_len, tol=cost_tol)
-    lp = reduce_to_lp(ot, tols)
+    if lp is None:
+        lp = reduce_to_lp(ot, tols)
     pair = lp_core.solve_min_index(lp, tols)
     coupling = coupling_from_lp_solution(pair.primal, tols)
     monotone = check_strict_cyclical_monotonicity(ot.cost, coupling.support, max_len, tol=cost_tol)
@@ -452,7 +457,7 @@ class TwoSample:
 
     def rate(self, n) -> float:
         """Scaling factor of the raw fluctuations at sample sizes (n, m); an int n means m = n."""
-        n1, n2 = (n, n) if isinstance(n, int) else n
+        n1, n2 = n if isinstance(n, tuple) else (n, n)
         return float(np.sqrt(n1 * n2 / (n1 + n2)))
 
 
@@ -470,10 +475,10 @@ def ot_limit_spec(
     Two-sample: directions stack both marginal fluctuations, with block
     covariance lam * Sigma(r) (truncated) and (1 - lam) * Sigma(s).
     ``support_partition`` raises NotUnique when the optimum is not unique.
+    ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
     """
-    lp = reduce_to_lp(ot, tols)
     if ledger is None:
-        ledger = enumerate_ledger(lp, tols)
+        ledger = enumerate_ledger(reduce_to_lp(ot, tols), tols)
     partition = support_partition(ledger, tols=tols)
     N = ot.n_points
     if isinstance(mode, OneSample):

@@ -1,13 +1,17 @@
 """Monte-Carlo verification harness.
 
-Resamples right-hand sides (one check of b per batch, one keyed generator per
-replicate), solves every replicate with the limit functional's tie-break, and
-compares the scaled fluctuations, optimal values, optimality sets and support
-patterns with their limits; the energy distance runs on ``threads`` workers.
+Resamples right-hand sides (one check of b per batch; the keyed generator
+states of a batch are derived in one vectorized pass and loaded in turn into
+one generator), solves every replicate with the limit functional's
+tie-break, and compares the scaled fluctuations, optimal values, optimality
+sets and support patterns with their limits.  The Hausdorff replicates of a
+sample size are solved as one batch; the energy distance runs on ``threads``
+workers.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -31,8 +35,14 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 
 SampleSize = Union[int, tuple[int, int]]
 
+# SeedSequence's hash constants and PCG64's multiplier (numpy/random/bit_generator.pyx, pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _CDIST_BLOCK = 125  # rows per cdist task: 125 x 5000 distances are 5 MB per worker
 _MAX_WORKERS = 4  # caps the output buffers at 20 MB whatever the host's CPU count
+_VERTEX_BLOCK = 1 << 18  # basic coordinates per block of _vertex_sets rows: 2 MB
 PROJECTION_MAX_ITERS = 100_000  # Frank-Wolfe budget of point_to_polytope
 
 
@@ -52,10 +62,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise DimensionMismatch("replicates must be at least 1")
-        for n in self.sample_sizes:
-            pair = n if isinstance(n, tuple) else (n,)
-            if any(int(v) < 1 for v in pair):
-                raise DimensionMismatch(f"sample sizes must be at least 1, got {n}")
+        # Python ints and (int, int) pairs from here on, whatever integer type came in
+        sizes = tuple(
+            tuple(map(operator.index, n)) if isinstance(n, tuple) else operator.index(n)
+            for n in self.sample_sizes
+        )
+        for n in sizes:
+            pair = n if isinstance(n, tuple) else (n, n)
+            if len(pair) != 2 or min(pair) < 1:
+                raise DimensionMismatch(f"sample sizes must be n or (n, m), all >= 1, got {n}")
+        object.__setattr__(self, "sample_sizes", sizes)
+        hausdorff_sizes = tuple(map(operator.index, self.hausdorff_sizes))
+        object.__setattr__(self, "hausdorff_sizes", hausdorff_sizes)
 
 
 @dataclass(frozen=True)
@@ -80,13 +98,17 @@ class UserSamples:
 
 def resample_rhs(model, b, n: SampleSize, rng: np.random.Generator) -> np.ndarray:
     """One resampled right-hand side; deterministic given the generator state."""
-    return _resample_rows(model, b, n, [rng])[0]
+    return _draw_rows(model, b, n, [rng], 1)[0]
 
 
 def _resample_rows(model, b, n: SampleSize, keys) -> np.ndarray:
     """Row i is ``resample_rhs(model, b, n, np.random.default_rng(keys[i]))``; b is checked once."""
+    return _draw_rows(model, b, n, _keyed_generators(keys), len(keys))
+
+
+def _draw_rows(model, b, n: SampleSize, rngs, count: int) -> np.ndarray:
+    """count resampled right-hand sides, row i drawn from the i-th generator of rngs."""
     b = np.asarray(b, dtype=float)
-    rngs = map(np.random.default_rng, keys)  # lazy: one generator alive; a Generator passes as is
     if isinstance(model, UserSamples):
         rows = np.asarray(model.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != b.size:
@@ -100,14 +122,89 @@ def _resample_rows(model, b, n: SampleSize, keys) -> np.ndarray:
     # the check make_ot_problem applies to r and s
     r = ot_module._check_probability(np.concatenate([b[: N - 1], [1.0 - b[: N - 1].sum()]]), "r")
     s = ot_module._check_probability(b[N - 1 :], "s")
-    n_r, n_s = (n, n) if isinstance(n, int) else n
+    n_r, n_s = n if isinstance(n, tuple) else (n, n)
     p_r, p_s = (np.clip(v, 0.0, None) / v.sum() for v in (r, s))
-    out = np.tile(b, (len(keys), 1))  # one-sample rows keep the s block of b
-    for row, rng in zip(out, rngs):
-        row[: N - 1] = (rng.multinomial(int(n_r), p_r) / float(n_r))[: N - 1]
+    counts = np.zeros((count, 2, N), dtype=np.int64)
+    for row, rng in zip(counts, rngs):
+        row[0] = rng.multinomial(int(n_r), p_r)
         if model.two_sample:
-            row[N - 1 :] = rng.multinomial(int(n_s), p_s) / float(n_s)
+            row[1] = rng.multinomial(int(n_s), p_s)
+    out = np.tile(b, (count, 1))  # one-sample rows keep the s block of b
+    out[:, : N - 1] = counts[:, 0, : N - 1] / float(n_r)
+    if model.two_sample:
+        out[:, N - 1 :] = counts[:, 1] / float(n_s)
     return out
+
+
+def _keyed_generators(keys):
+    """One Generator, put in turn into the state ``np.random.default_rng(key)`` starts in."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in _pcg64_states(keys):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _pcg64_states(keys) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.default_rng(key).bit_generator`` for each tuple key.
+
+    SeedSequence hashes a key's uint32 words into a 4-word pool and
+    ``generate_state(4, np.uint64)`` expands it; both run here as uint32 array
+    arithmetic over all keys with as many words.  PCG64 then seeds from
+    (s, q) = (words 0-1, words 2-3): state 0, inc = 2q + 1, step, add s, step.
+    """
+    words = [_entropy_words(key) for key in keys]
+    states = [(0, 0)] * len(words)
+    for length in set(map(len, words)):
+        members = [i for i, w in enumerate(words) if len(w) == length]
+        entropy = np.array([words[i] for i in members], np.uint32).reshape(len(members), length)
+        for i, (s_hi, s_lo, q_hi, q_lo) in zip(members, _seed_words(entropy).tolist()):
+            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+            states[i] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    return states
+
+
+def _entropy_words(key) -> list[int]:
+    """The uint32 words ``SeedSequence`` reads from a tuple of non-negative integers."""
+    words = []
+    for value in key:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """Row k is ``SeedSequence(entropy[k]).generate_state(4, np.uint64)`` of (K, L) uint32 words."""
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zeros = np.zeros(entropy.shape[0], dtype=np.uint32)
+    columns = list(entropy.T) + [zeros] * (4 - entropy.shape[1])  # short keys hash zeros
+    pool = [hashmix(column) for column in columns[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for column in columns[4:]:
+        pool = [mix(word, hashmix(column)) for word in pool]
+    hash_const = _INIT_B
+    state = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)], axis=1)
 
 
 class RepeatedSolver:
@@ -176,14 +273,27 @@ class RepeatedSolver:
 
     def vertices_at(self, rhs: np.ndarray) -> list[np.ndarray]:
         """Deduplicated optimal vertices of the problem with right-hand side rhs."""
-        coords = self.inverses @ rhs
-        feasible = np.flatnonzero((coords >= -self.tols.feas_tol).all(axis=1))
-        points = []
-        for k in feasible:
-            full = np.zeros(self.lp.n_cols)
-            full[self.columns[k]] = coords[k]
-            points.append(full)
-        return dedup_vertices(points, self.tols.dedup_tol)[0]
+        return next(self._vertex_sets(np.asarray(rhs, dtype=float)[None]))
+
+    def _vertex_sets(self, rhs_batch: np.ndarray):
+        """``vertices_at`` of each row, from one stacked product per block of rows.
+
+        A block forms at most _VERTEX_BLOCK basic coordinates (or one row).
+        The matmul runs the same matrix-vector product per basis and row as
+        ``inverses @ rhs``, so every coordinate is bit-equal to it.
+        """
+        n_bases, m, _ = self.inverses.shape
+        columns = np.array(self.columns, dtype=int).reshape(n_bases, m)
+        step = max(1, _VERTEX_BLOCK // max(1, n_bases * m))
+        for start in range(0, rhs_batch.shape[0], step):
+            block = rhs_batch[start : start + step]
+            coords = np.matmul(self.inverses[None], block[:, None, :, None])[..., 0]
+            feasible = (coords >= -self.tols.feas_tol).all(axis=2)
+            rows, bases = np.nonzero(feasible)  # row by row, bases in ledger order
+            points = np.zeros((rows.size, self.lp.n_cols))
+            points[np.arange(rows.size)[:, None], columns[bases]] = coords[rows, bases]
+            for row_points in np.split(points, np.cumsum(feasible.sum(axis=1))[:-1]):
+                yield dedup_vertices(list(row_points), self.tols.dedup_tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,34 +616,32 @@ def hausdorff_run(
     """
     if solver is None:
         solver = RepeatedSolver(lp, tols)
-    base_vertices = solver.vertices_at(lp.rhs)
-    if not base_vertices:
+    base = solver.vertices_at(lp.rhs)
+    if not base:
         raise Infeasible("the base problem is infeasible")
-    base = np.array(base_vertices)
+    base_array = np.array(base)
     rows: list[tuple[int, int, float]] = []
     summary: list[tuple[float, float, float, float]] = []
     skipped = 0
     for n in sample_sizes:
         dists: list[float] = []
         keys = [(seed, n, rep) for rep in range(replicates)]
-        for rep, rhs in enumerate(_resample_rows(model, lp.rhs, int(n), keys)):
-            vertices = solver.vertices_at(rhs)
+        rhs_batch = _resample_rows(model, lp.rhs, int(n), keys)
+        for rep, vertices in enumerate(solver._vertex_sets(rhs_batch)):
             if not vertices:
                 skipped += 1
                 continue
-            dist = hausdorff_distance(np.array(vertices), base)
+            if len(base) == 1:
+                # d(x*, conv V) never exceeds max_v ||v - x*||, so that maximum is d_H
+                dist = max(float(np.linalg.norm(v - base[0])) for v in vertices)
+            else:
+                dist = hausdorff_distance(np.array(vertices), base_array)
             rows.append((int(n), rep, dist))
             dists.append(dist)
         if dists:
             arr = np.array(dists)
-            summary.append(
-                (
-                    float(n),
-                    float(np.median(arr)),
-                    float(np.quantile(arr, 0.25)),
-                    float(np.quantile(arr, 0.75)),
-                )
-            )
+            summary.append((float(n), float(np.median(arr)), float(np.quantile(arr, 0.25)),
+                            float(np.quantile(arr, 0.75))))
     return HausdorffExperiment(rows=tuple(rows), summary=tuple(summary), skipped=skipped)
 
 

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from lplimits import cli
+from lplimits import cli, ot
 
 
 @pytest.fixture()
@@ -438,3 +438,19 @@ class TestCertify:
             )
         )
         assert run(["certify", str(path), "--out-dir", str(tmp_path)]) == 3
+
+
+class TestOneLpPerCommand:
+    @pytest.mark.parametrize("argv", [["analyze"], ["certify"], ["limit-sample", "--samples", "50"]])
+    def test_each_command_builds_the_lp_once(self, problem_paths, monkeypatch, argv):
+        calls = []
+        original = ot.reduce_to_lp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ot, "reduce_to_lp", counting)
+        out = problem_paths["dir"] / argv[0]
+        assert run([argv[0], problem_paths["p2"], *argv[1:], "--out-dir", str(out)]) == 0
+        assert len(calls) == 1

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lplimits as lpl
-from lplimits import cones_limit, stochastic_harness
-from lplimits.stochastic_harness import _CDIST_BLOCK, _resample_rows
+from lplimits import cones_limit, lp_core, stochastic_harness
+from lplimits.stochastic_harness import _CDIST_BLOCK, _pcg64_states, _resample_rows
 from conftest import SKEWED_R, SKEWED_S, line_problem
 
 
@@ -130,6 +130,32 @@ class TestResampleRhs:
                 _oracle_resample_rhs(model, b, 10, np.random.default_rng(0))
 
 
+class TestKeyedStates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1),
+                st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+                st.integers(0, 2**63 - 1).map(np.int64),
+                st.integers(0, 2**64 - 1).map(np.uint64),
+                st.integers(0, 2**31 - 1).map(np.int32),
+            ),
+            min_size=1, max_size=6,
+        ).map(tuple),
+        min_size=1, max_size=8,
+    ))
+    def test_states_equal_default_rng(self, keys):
+        expected = [np.random.default_rng(key).bit_generator.state["state"] for key in keys]
+        assert _pcg64_states(keys) == [(state["state"], state["inc"]) for state in expected]
+
+    def test_negative_entry_is_rejected_like_default_rng(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng((1, -1))
+        with pytest.raises(ValueError):
+            _pcg64_states([(1, 2), (1, -1)])
+
+
 class TestFluctuationRun:
     def test_zero_perturbation_gives_zero_rows(self):
         lp = lpl.reduce_to_lp(line_problem(2.0))
@@ -233,6 +259,80 @@ class TestRepeatedSolver:
         vertices = solver.vertices_at(lp.rhs)
         ledger = lpl.enumerate_ledger(lp)
         assert len(vertices) == len(ledger.primal_optimal_vertices) == 2
+
+
+def _oracle_vertices_at(solver, rhs):
+    """The per-replicate optimality set: one matrix-vector product per basis."""
+    coords = solver.inverses @ rhs
+    points = []
+    for k in np.flatnonzero((coords >= -solver.tols.feas_tol).all(axis=1)):
+        full = np.zeros(solver.lp.n_cols)
+        full[solver.columns[k]] = coords[k]
+        points.append(full)
+    return lp_core.dedup_vertices(points, solver.tols.dedup_tol)[0]
+
+
+def _oracle_hausdorff_rows(lp, model, sizes, replicates, seed):
+    """Per-replicate resample, optimality set and Frank-Wolfe Hausdorff distance."""
+    solver = lpl.RepeatedSolver(lp)
+    base = np.array(_oracle_vertices_at(solver, lp.rhs))
+    rows, skipped = [], 0
+    for n in sizes:
+        for rep in range(replicates):
+            rhs = _oracle_resample_rhs(model, lp.rhs, n, np.random.default_rng((seed, n, rep)))
+            vertices = _oracle_vertices_at(solver, rhs)
+            if vertices:
+                rows.append((n, rep, lpl.hausdorff_distance(np.array(vertices), base)))
+            else:
+                skipped += 1
+    return tuple(rows), skipped, len(base)
+
+
+def _generic_problem(n_points, seed):
+    rng = np.random.default_rng(seed)
+    return lpl.make_ot_problem(
+        points_x=rng.standard_normal((n_points, 2)), r=rng.dirichlet(np.ones(n_points)),
+        s=rng.dirichlet(np.ones(n_points)), p=2.0, q=2.0,
+    )
+
+
+class TestHausdorffBatch:
+    def _assert_matches_oracle(self, problem, sizes, replicates, seed, base_size):
+        lp = lpl.reduce_to_lp(problem)
+        model = lpl.MultinomialMarginal(problem.n_points, two_sample=True)
+        rows, skipped, n_base = _oracle_hausdorff_rows(lp, model, sizes, replicates, seed)
+        assert n_base == base_size
+        experiment = lpl.hausdorff_run(lp, model, sizes, replicates, seed)
+        assert experiment.rows == rows  # bit-equal distances
+        assert experiment.skipped == skipped
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_golden_rows_equal_per_replicate_loop(self, p):
+        self._assert_matches_oracle(line_problem(p), [100, 1000, 10_000], 200, 9, base_size=1)
+
+    def test_edge_base_set_keeps_frank_wolfe(self):
+        self._assert_matches_oracle(
+            line_problem(1.0, r=SKEWED_R, s=SKEWED_S), [100, 1000], 100, 10, base_size=2
+        )
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(3, 4), st.integers(0, 2**32 - 1))
+    def test_generic_rows_equal_per_replicate_loop(self, n_points, seed):
+        self._assert_matches_oracle(
+            _generic_problem(n_points, seed), [100, 1000], 40, seed, base_size=1
+        )
+
+    def test_blocks_do_not_change_vertex_sets(self, monkeypatch):
+        lp = lpl.reduce_to_lp(line_problem(1.0))
+        solver = lpl.RepeatedSolver(lp)
+        rhs_batch = _resample_rows(lpl.MultinomialMarginal(3, True), lp.rhs, 100,
+                                   [(3, rep) for rep in range(50)])
+        monkeypatch.setattr(stochastic_harness, "_VERTEX_BLOCK", 1)
+        for vertices, rhs in zip(solver._vertex_sets(rhs_batch), rhs_batch, strict=True):
+            expected = _oracle_vertices_at(solver, rhs)
+            assert len(vertices) == len(expected)
+            for v, w in zip(vertices, expected):
+                np.testing.assert_array_equal(v, w)
 
 
 class TestPointToPolytope:
@@ -578,6 +678,30 @@ class TestSeedDeterminism:
         np.testing.assert_array_equal(
             first.batches[-1].fluctuations, second.batches[-1].fluctuations
         )
+
+
+class TestSampleSizeTypes:
+    @pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_sizes_run_like_python_ints(self, numpy_int):
+        common = dict(replicates=30, seed=17, mode=lpl.TwoSample(0.5), comparison_samples=300,
+                      hausdorff_replicates=10)
+        reference = lpl.run_experiment(line_problem(2.0), lpl.ExperimentConfig(
+            sample_sizes=(100, (200, 300)), hausdorff_sizes=(100,), **common))
+        config = lpl.ExperimentConfig(
+            sample_sizes=(numpy_int(100), (numpy_int(200), numpy_int(300))),
+            hausdorff_sizes=(numpy_int(100),), **common)
+        assert config.sample_sizes == (100, (200, 300)) and config.hausdorff_sizes == (100,)
+        assert type(config.sample_sizes[0]) is int and type(config.sample_sizes[1][0]) is int
+        result = lpl.run_experiment(line_problem(2.0), config)
+        for got, want in zip(result.batches, reference.batches, strict=True):
+            assert got.rate == want.rate
+            np.testing.assert_array_equal(got.fluctuations, want.fluctuations)
+        assert result.hausdorff.rows == reference.hausdorff.rows
+
+    @pytest.mark.parametrize("sizes", [(0,), ((100,),), ((100, 200, 300),), ((100, 0),)])
+    def test_bad_sizes_are_rejected(self, sizes):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.ExperimentConfig(sample_sizes=sizes, replicates=5, seed=0)
 
 
 class TestRunExperimentTolerances:
