@@ -130,10 +130,15 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
         if rows.size == 0:
             return
         rows = np.atleast_2d(rows)
-        fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        bits = rows.view(np.uint64)
+        # Equal bits format to equal strings, so a column with one bit pattern
+        # in every row is written from its first row's string.
+        varying = (bits != bits[0]).any(axis=0)
+        cells = ["%.17g" if v else "%.17g" % x for v, x in zip(varying, rows[0].tolist())]
+        fmt = ",".join(cells) + "\n"
         for start in range(0, rows.shape[0], _CSV_BLOCK):
-            block = rows[start : start + _CSV_BLOCK].tolist()
-            handle.write("".join(fmt % tuple(row) for row in block))
+            block = rows[start : start + _CSV_BLOCK, varying]
+            handle.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_otc_csv(path, thresholds, values) -> None:
@@ -316,7 +321,8 @@ def cmd_monte_carlo(args) -> int:
         )
     config_payload = _load_json(args.config)
     config = _experiment_config(config_payload)
-    result = stochastic_harness.run_experiment(problem, config, tols=tols, threads=args.threads)
+    ledger = lp_core.enumerate_ledger(lp, tols)
+    result = stochastic_harness.run_experiment(problem, config, tols, args.threads, ledger)
     out_dir = _out_dir(args)
     names = list(lp.names())
     main_batch = result.batches[-1]

@@ -671,14 +671,16 @@ def run_experiment(
     config: ExperimentConfig,
     tols: Tolerances = DEFAULT_TOLS,
     threads: Optional[int] = None,
+    ledger=None,
 ) -> ExperimentResult:
     """Full pipeline for a transport instance with a unique optimum.
 
     Builds the limit-law specification, runs the fluctuation experiment at
     the largest configured sample size, samples the limit law with the same
     tie-break policy, and assembles the comparison report.
+    ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
     """
-    spec = ot_module.ot_limit_spec(ot, config.mode, tie_break=config.solver_policy, tols=tols)
+    spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols, ledger)
     lp = spec.ledger.lp
     solver = RepeatedSolver(lp, tols, ledger=spec.ledger)
     model = MultinomialMarginal(ot.n_points, two_sample=isinstance(config.mode, TwoSample))

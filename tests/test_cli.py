@@ -3,9 +3,11 @@
 import functools
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lplimits import cli, ot
 
@@ -357,6 +359,38 @@ class TestMonteCarlo:
         assert ra == rb
 
 
+# Each value has one bit pattern, so a column of it is constant by bits.
+BIT_CONSTANTS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1)
+
+
+@st.composite
+def csv_arrays(draw):
+    """Arrays mixing bit-constant columns, +0.0/-0.0 columns and varying columns.
+
+    Row counts sit on both sides of a CSV block; one draw in a few is 1-D or
+    has only constant columns.
+    """
+    n = draw(st.sampled_from([1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1]))
+    shape = draw(st.sampled_from(["mixed", "all-constant", "1-D"]))
+    if shape == "1-D":
+        n = 1
+    kinds = ["constant", "signed-zeros", "varying"] if shape != "all-constant" else ["constant"]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        if kind == "constant":
+            column = np.full(n, draw(st.sampled_from(BIT_CONSTANTS)))
+        elif kind == "signed-zeros":
+            column = rng.choice([0.0, -0.0], n)
+            column[0], column[-1] = 0.0, -0.0  # mixed whenever n > 1
+        else:
+            column = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            column[rng.random(n) < 0.1] = rng.choice(BIT_CONSTANTS)
+        columns.append(column)
+    rows = np.column_stack(columns)
+    return rows[0] if shape == "1-D" else rows
+
+
 class TestCurveWriters:
     def test_otc_csv(self, tmp_path):
         path = tmp_path / "otc.csv"
@@ -387,6 +421,28 @@ class TestCurveWriters:
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(csv_arrays())
+    def test_csv_matches_per_value_oracle(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        header = [f"c{j}" for j in range(np.atleast_2d(rows).shape[1])]
+        cli._write_csv(path, header, rows)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in np.atleast_2d(rows)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_csv_writer_never_holds_the_whole_file(self, tmp_path):
+        rows = np.random.default_rng(5).standard_normal((20_000, 16))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            cli._write_csv(path, [f"c{j}" for j in range(16)], rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 class TestCertify:
@@ -441,8 +497,14 @@ class TestCertify:
 
 
 class TestOneLpPerCommand:
-    @pytest.mark.parametrize("argv", [["analyze"], ["certify"], ["limit-sample", "--samples", "50"]])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["certify"], ["limit-sample", "--samples", "50"], ["monte-carlo", "{config}"],
+    ])
     def test_each_command_builds_the_lp_once(self, problem_paths, monkeypatch, argv):
+        config = problem_paths["dir"] / "config_small.json"
+        config.write_text(json.dumps({"sample_sizes": [200], "replicates": 50, "seed": 3,
+                                      "comparison_samples": 200}))
+        argv = [arg.format(config=config) for arg in argv]
         calls = []
         original = ot.reduce_to_lp
 
