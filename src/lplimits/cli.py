@@ -336,9 +336,9 @@ def cmd_monte_carlo(args) -> int:
     _write_csv(out_dir / "hausdorff.csv", ["n", "replicate", "d_H"], hausdorff_rows)
     report = result.report
     freqs = report.support_frequencies
+    digest = {"problem": payload, "config": config_payload}
     manifest = _manifest(
-        "monte-carlo", [args.problem, args.config], config.seed, args.threads, config_payload,
-        started,
+        "monte-carlo", [args.problem, args.config], config.seed, args.threads, digest, started
     )
     report_payload = {
         "manifest": asdict(manifest),

@@ -277,26 +277,25 @@ def keyed_spacings(key: tuple[int, ...], n_rows: int, n_cols: int) -> np.ndarray
     return out
 
 
-def uniform_mixture(feasible, spacings, inverses, vectors, columns, n_cols: int) -> np.ndarray:
-    """Uniform-simplex mixtures of basic solutions, one row per vector.
+def basis_products(inverses: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Broadcast ``inverses @ vectors``, one matvec per entry: bit-equal to ``inverses[k] @ v``."""
+    return np.matmul(inverses, vectors[..., None])[..., 0]
 
-    Row i weights basis k by ``spacings[i, k]`` over its feasible k,
-    normalised to sum to one, and adds ``inverses[k] @ vectors[i]`` into
-    ``columns[k]`` in ascending k.  Rows with no feasible basis stay zero.
-    The stacked matmul reproduces the per-row matvec bit for bit; blocks of
-    ``_SPACING_BLOCK`` rows bound the temporaries.
+
+def uniform_mixture(feasible, spacings, coords, columns, n_cols: int) -> np.ndarray:
+    """Uniform-simplex mixtures of the basic solutions ``coords`` of the feasible (row, k) pairs.
+
+    Row i weights basis k by ``spacings[i, k]`` over its feasible k, normalised to sum to one, and
+    adds the pair's coords (``np.nonzero(feasible)`` order) into ``columns[k]`` in ascending k.
     """
+    masked = np.where(feasible, spacings, 0.0)
+    totals = masked.sum(axis=1, keepdims=True)
+    alpha = np.divide(masked, totals, out=np.zeros_like(masked), where=totals > 0)
+    rows, bases = np.nonzero(feasible)
+    parts = alpha[rows, bases, None] * coords
     out = np.zeros((feasible.shape[0], n_cols))
-    for start in range(0, feasible.shape[0], _SPACING_BLOCK):
-        stop = start + _SPACING_BLOCK
-        masked = np.where(feasible[start:stop], spacings[start:stop], 0.0)
-        totals = masked.sum(axis=1, keepdims=True)
-        alpha = np.divide(masked, totals, out=np.zeros_like(masked), where=totals > 0)
-        for k, cols in enumerate(columns):
-            rows = np.flatnonzero(feasible[start:stop, k])
-            if rows.size:
-                parts = np.matmul(inverses[k][None], vectors[start + rows][:, :, None])[:, :, 0]
-                out[np.ix_(start + rows, cols)] += alpha[rows, k][:, None] * parts
+    for k in np.unique(bases):  # ascending
+        out[np.ix_(rows[bases == k], columns[k])] += parts[bases == k]
     return out
 
 
@@ -305,7 +304,8 @@ def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], 
 
     Feasible and boundary follow ``cone_contains``.  A basic fluctuation is the
     zero-padded direction times ``spec.ledger.inverses[k]``; the randomized
-    policy mixes them with ``uniform_mixture`` on ``draw_spacings(n, K)``.
+    policy mixes the ``basis_products`` of each ``_SPACING_BLOCK`` of rows and
+    their feasible bases with ``uniform_mixture`` on ``draw_spacings(n, K)``.
     """
     if tol is None:
         tol = DEFAULT_TOLS.boundary_tol
@@ -344,7 +344,12 @@ def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], 
     else:
         occupancy[:] = feasible.sum(axis=0)
         spacings = draw_spacings(n_samples, k_count)
-        samples = uniform_mixture(feasible, spacings, inverses, emb, columns, d)
+        samples = np.empty((n_samples, d))
+        for start in range(0, n_samples, _SPACING_BLOCK):
+            block = slice(start, start + _SPACING_BLOCK)
+            rows, bases = np.nonzero(feasible[block])
+            coords = basis_products(inverses[bases], emb[block][rows])
+            samples[block] = uniform_mixture(feasible[block], spacings[block], coords, columns, d)
     return samples, occupancy, boundary
 
 

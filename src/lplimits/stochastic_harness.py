@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import cones_limit, ot as ot_module
-from .cones_limit import LimitSampleResult, SupportPartition, TieBreak, sample_limit
+from .cones_limit import LimitSampleResult, SupportPartition, TieBreak, basis_products, sample_limit
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -42,7 +42,7 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _CDIST_BLOCK = 125  # rows per cdist task: 125 x 5000 distances are 5 MB per worker
 _MAX_WORKERS = 4  # caps the output buffers at 20 MB whatever the host's CPU count
-_VERTEX_BLOCK = 1 << 18  # basic coordinates per block of _vertex_sets rows: 2 MB
+_VERTEX_BLOCK = 1 << 18  # basic coordinates per block of RepeatedSolver rows: 2 MB
 PROJECTION_MAX_ITERS = 100_000  # Frank-Wolfe budget of point_to_polytope
 
 
@@ -73,6 +73,8 @@ class ExperimentConfig:
                 raise DimensionMismatch(f"sample sizes must be n or (n, m), all >= 1, got {n}")
         object.__setattr__(self, "sample_sizes", sizes)
         hausdorff_sizes = tuple(map(operator.index, self.hausdorff_sizes))
+        if min(hausdorff_sizes, default=1) < 1 or self.hausdorff_replicates < 1:
+            raise DimensionMismatch("hausdorff sizes and replicates must be at least 1")
         object.__setattr__(self, "hausdorff_sizes", hausdorff_sizes)
 
 
@@ -212,7 +214,7 @@ class RepeatedSolver:
 
     Dual feasibility of a basis does not depend on the right-hand side, so
     the dual feasible bases and their inverses (``BasisLedger.inverses``)
-    are fixed once; each solve is then a batched feasibility scan in
+    are fixed once; each solve is then a blocked feasibility scan in
     lexicographic basis order.
     """
 
@@ -222,14 +224,20 @@ class RepeatedSolver:
             ledger = enumerate_ledger(lp, tols)
         self.lp = lp
         self.tols = tols
-        self.ledger = ledger
         order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
         self.inverses = ledger.inverses[order]
-        self.columns = [list(ledger.bases[k].indices) for k in order]
+        self.columns = np.array([ledger.bases[k].indices for k in order]).reshape(-1, lp.n_rows)
 
-    def basic_coordinates(self, rhs_batch: np.ndarray) -> np.ndarray:
-        """(R, n_bases, m) basic coordinate array for a batch of right-hand sides."""
-        return np.einsum("nij,rj->rni", self.inverses, rhs_batch)
+    def _blocks(self, rhs_batch: np.ndarray):
+        """(start, coords, feasible) per block of at most _VERTEX_BLOCK coordinates (or one row).
+
+        coords[i, k] is ``basis_products`` of basis k and row start + i; feasible: all >= -feas_tol.
+        """
+        n_bases, m, _ = self.inverses.shape
+        step = max(1, _VERTEX_BLOCK // max(1, n_bases * m))
+        for start in range(0, rhs_batch.shape[0], step):
+            coords = basis_products(self.inverses, rhs_batch[start : start + step, None])
+            yield start, coords, (coords >= -self.tols.feas_tol).all(axis=2)
 
     def solve_batch(self, rhs_batch: np.ndarray):
         """Lexicographically-first feasible basis per row.
@@ -238,19 +246,15 @@ class RepeatedSolver:
         feasible basis have NaN solutions and chosen = -1.
         """
         rhs_batch = np.asarray(rhs_batch, dtype=float)
-        coords = self.basic_coordinates(rhs_batch)
-        feasible = (coords >= -self.tols.feas_tol).all(axis=2)
-        any_feasible = feasible.any(axis=1)
-        chosen = np.where(any_feasible, np.argmax(feasible, axis=1), -1)
-        R = rhs_batch.shape[0]
-        d = self.lp.n_cols
-        solutions = np.full((R, d), np.nan)
-        for k in np.unique(chosen[any_feasible]):
-            rows = np.flatnonzero(chosen == k)
-            solutions[rows] = 0.0
-            solutions[np.ix_(rows, self.columns[k])] = coords[rows, k, :]
-        values = solutions @ self.lp.cost
-        return solutions, values, chosen, any_feasible
+        solutions = np.full((rhs_batch.shape[0], self.lp.n_cols), np.nan)
+        chosen = np.full(rhs_batch.shape[0], -1)
+        for start, coords, feasible in self._blocks(rhs_batch):
+            rows = np.flatnonzero(feasible.any(axis=1))
+            bases = np.argmax(feasible[rows], axis=1)
+            chosen[start + rows] = bases
+            solutions[start + rows] = 0.0
+            solutions[(start + rows)[:, None], self.columns[bases]] = coords[rows, bases]
+        return solutions, solutions @ self.lp.cost, chosen, chosen >= 0
 
     def mixed_solution(
         self, rhs_batch: np.ndarray, key: tuple[int, ...]
@@ -262,12 +266,15 @@ class RepeatedSolver:
         feasible basis have NaN solutions.
         """
         rhs_batch = np.asarray(rhs_batch, dtype=float)
-        feasible = (self.basic_coordinates(rhs_batch) >= -self.tols.feas_tol).all(axis=2)
         spacings = cones_limit.keyed_spacings(key, rhs_batch.shape[0], len(self.columns))
-        solutions = cones_limit.uniform_mixture(
-            feasible, spacings, self.inverses, rhs_batch, self.columns, self.lp.n_cols
-        )
-        any_feasible = feasible.any(axis=1)
+        solutions = np.empty((rhs_batch.shape[0], self.lp.n_cols))
+        any_feasible = np.empty(rhs_batch.shape[0], dtype=bool)
+        for start, coords, feasible in self._blocks(rhs_batch):
+            block = slice(start, start + feasible.shape[0])
+            solutions[block] = cones_limit.uniform_mixture(
+                feasible, spacings[block], coords[feasible], self.columns, self.lp.n_cols
+            )
+            any_feasible[block] = feasible.any(axis=1)
         solutions[~any_feasible] = np.nan
         return solutions, any_feasible
 
@@ -276,22 +283,11 @@ class RepeatedSolver:
         return next(self._vertex_sets(np.asarray(rhs, dtype=float)[None]))
 
     def _vertex_sets(self, rhs_batch: np.ndarray):
-        """``vertices_at`` of each row, from one stacked product per block of rows.
-
-        A block forms at most _VERTEX_BLOCK basic coordinates (or one row).
-        The matmul runs the same matrix-vector product per basis and row as
-        ``inverses @ rhs``, so every coordinate is bit-equal to it.
-        """
-        n_bases, m, _ = self.inverses.shape
-        columns = np.array(self.columns, dtype=int).reshape(n_bases, m)
-        step = max(1, _VERTEX_BLOCK // max(1, n_bases * m))
-        for start in range(0, rhs_batch.shape[0], step):
-            block = rhs_batch[start : start + step]
-            coords = np.matmul(self.inverses[None], block[:, None, :, None])[..., 0]
-            feasible = (coords >= -self.tols.feas_tol).all(axis=2)
+        """``vertices_at`` of each row, one block of rows at a time."""
+        for _, coords, feasible in self._blocks(rhs_batch):
             rows, bases = np.nonzero(feasible)  # row by row, bases in ledger order
             points = np.zeros((rows.size, self.lp.n_cols))
-            points[np.arange(rows.size)[:, None], columns[bases]] = coords[rows, bases]
+            points[np.arange(rows.size)[:, None], self.columns[bases]] = coords[rows, bases]
             for row_points in np.split(points, np.cumsum(feasible.sum(axis=1))[:-1]):
                 yield dedup_vertices(list(row_points), self.tols.dedup_tol)[0]
 
@@ -328,9 +324,7 @@ def fluctuation_run(
     """
     if solver is None:
         solver = RepeatedSolver(lp, tols)
-    base_solutions, base_values, base_chosen, base_ok = solver.solve_batch(
-        lp.rhs.reshape(1, -1)
-    )
+    base_solutions, base_values, _, base_ok = solver.solve_batch(lp.rhs.reshape(1, -1))
     if not base_ok[0]:
         raise Infeasible("the base problem itself is infeasible")
     x_star = base_solutions[0]
@@ -449,7 +443,6 @@ def support_frequencies(
     solution scale) or scaled fluctuations (tol scaled by the rate).
     """
     X = np.asarray(solutions, dtype=float)
-    total = max(1, X.shape[0])
     tz = list(partition.tz)
     pos = list(partition.pos)
     dz = list(partition.dz)

@@ -332,6 +332,31 @@ class TestMonteCarlo:
              str(problem_paths["dir"] / "mc5")]
         ) == 5
 
+    def test_config_digest_covers_the_problem(self, problem_paths):
+        config = problem_paths["dir"] / "config_digest.json"
+        settings = {"sample_sizes": [10], "replicates": 1, "comparison_samples": 50}
+        config.write_text(json.dumps(settings))
+        digests = []
+        for name in ("p1", "p2"):
+            out = problem_paths["dir"] / f"mc_digest_{name}"
+            path = problem_paths[name]
+            assert run(["monte-carlo", path, str(config), "--out-dir", str(out)]) == 0
+            digest = json.loads((out / "report.json").read_text())["manifest"]["config_digest"]
+            problem = json.loads((problem_paths["dir"] / f"{name}.json").read_text())
+            assert digest == cli.config_digest({"problem": problem, "config": settings})
+            digests.append(digest)
+        assert digests[0] != digests[1]
+
+    @pytest.mark.parametrize("entry", [{"hausdorff_sizes": [100, 0]}, {"hausdorff_replicates": 0}])
+    def test_bad_hausdorff_settings_exit_two(self, problem_paths, entry):
+        config = problem_paths["dir"] / "config_hausdorff.json"
+        config.write_text(json.dumps({"sample_sizes": [10], "replicates": 1, **entry}))
+        out = problem_paths["dir"] / "mc_hausdorff"
+        assert run(
+            ["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out)]
+        ) == cli.EXIT_INPUT
+        assert not out.exists()
+
     def test_report_is_deterministic_up_to_manifest(self, problem_paths):
         config = problem_paths["dir"] / "config2.json"
         config.write_text(
@@ -357,6 +382,32 @@ class TestMonteCarlo:
         ra.pop("manifest")
         rb.pop("manifest")
         assert ra == rb
+
+
+class TestSameSeed:
+    @pytest.mark.parametrize("seed", [0, 3, 2**31 + 5])
+    def test_every_csv_is_byte_identical(self, problem_paths, seed):
+        config = problem_paths["dir"] / "config_seed.json"
+        common = {"sample_sizes": [[100, 200]], "replicates": 40, "seed": seed,
+                  "mode": "two-sample", "comparison_samples": 300,
+                  "hausdorff_sizes": [50], "hausdorff_replicates": 5}
+        commands = []
+        for policy in ("min-index", "uniform-random"):
+            path = problem_paths["dir"] / f"config_{policy}.json"
+            path.write_text(json.dumps(dict(common, policy=policy)))
+            commands += [
+                ["monte-carlo", problem_paths["p1"], str(path)],
+                ["limit-sample", problem_paths["p1"], "--samples", "300", "--seed", str(seed),
+                 "--mode", "two-sample", "--policy", policy],
+            ]
+        for i, argv in enumerate(commands):
+            outs = [problem_paths["dir"] / f"same{i}{run_id}" for run_id in "ab"]
+            for out in outs:
+                assert run(argv + ["--out-dir", str(out)]) == 0
+            names = sorted(path.name for path in outs[0].glob("*.csv"))
+            assert names and names == sorted(path.name for path in outs[1].glob("*.csv"))
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # Each value has one bit pattern, so a column of it is constant by bits.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lplimits as lpl
 from conftest import (
@@ -332,6 +333,23 @@ class TestSampleLimit:
         )
         misses = np.sum(~feasible.any(axis=1))
         assert misses / 10_000 < 1e-3
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(3, 5), st.integers(0, 2**32 - 1))
+    def test_cones_cover_drawn_degenerate_transport(self, n_points, seed):
+        # Uniform marginals make the assignment LP degenerate: several optimal bases.
+        rng = np.random.default_rng(seed)
+        problem = lpl.make_ot_problem(
+            points_x=rng.standard_normal((n_points, 2)), r=np.full(n_points, 1 / n_points),
+            s=np.full(n_points, 1 / n_points), p=2.0, q=2.0,
+        )
+        ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(problem))
+        assert ledger.optimal_count >= 2
+        for mode in (lpl.OneSample(), lpl.TwoSample(0.5)):
+            for policy in lpl.TieBreak:
+                spec = lpl.ot_limit_spec(problem, mode, policy, ledger=ledger)
+                result = lpl.sample_limit(spec, 2000, seed)  # NoFeasibleCone on a miss
+                assert result.samples.shape == (2000, n_points**2)
 
 
 class TestOptimalValueLimit:

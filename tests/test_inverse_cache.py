@@ -183,7 +183,7 @@ def check_solver_against_oracle(ledger, seed):
     rhs_batch = lp.rhs + 0.3 * np.abs(lp.rhs).max() * rng.standard_normal((40, lp.n_rows))
     rhs_batch[0] = lp.rhs
 
-    coords = np.einsum("nij,rj->rni", inverses, rhs_batch)
+    coords = np.array([inverses @ rhs for rhs in rhs_batch])
     feasible = (coords >= -tols.feas_tol).all(axis=2)
     any_feasible = feasible.any(axis=1)
     chosen = np.where(any_feasible, np.argmax(feasible, axis=1), -1)
@@ -260,8 +260,7 @@ def mixture_weights(feasible, spacings):
     """The kernel's weights: unit parts, one column per basis."""
     k_count = feasible.shape[1]
     return lpl.cones_limit.uniform_mixture(
-        feasible, spacings, np.ones((k_count, 1, 1)), np.ones((feasible.shape[0], 1)),
-        [[k] for k in range(k_count)], k_count,
+        feasible, spacings, np.ones((feasible.sum(), 1)), np.arange(k_count)[:, None], k_count
     )
 
 
@@ -335,7 +334,8 @@ class TestKeyedMixture:
             mixed[ok] @ lp.cost, values[ok], rtol=0, atol=atol * np.abs(lp.cost).max()
         )
         assert np.isnan(mixed[~ok]).all()
-        feasible = (solver.basic_coordinates(rhs_batch) >= -solver.tols.feas_tol).all(axis=2)
+        coords = lpl.cones_limit.basis_products(solver.inverses, rhs_batch[:, None])
+        feasible = (coords >= -solver.tols.feas_tol).all(axis=2)
         spacings = lpl.cones_limit.keyed_spacings((seed, 1), len(rhs_batch), feasible.shape[1])
         assert_on_simplex(mixture_weights(feasible, spacings), feasible)
 

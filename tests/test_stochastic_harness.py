@@ -253,12 +253,57 @@ class TestRepeatedSolver:
             np.testing.assert_allclose(solution, pair.primal, rtol=0, atol=1e-12)
             assert value == pytest.approx(pair.objective, rel=0, abs=1e-12)
 
+    def test_consumers_agree_beside_the_feasibility_boundary(self):
+        # Every row has a basic coordinate within ulps of -feas_tol, so a
+        # second rounding of inverses[k] @ row would flip some verdicts.
+        lp = lpl.reduce_to_lp(_generic_problem(4, [4, 0]))
+        solver = lpl.RepeatedSolver(lp)
+        rows = _boundary_rows(solver, seed=8, n_directions=4)
+        solutions, _, _, ok = solver.solve_batch(rows)
+        _, mixed_ok = solver.mixed_solution(rows, (0, 1))
+        assert 0 < ok.sum() < len(rows)
+        np.testing.assert_array_equal(mixed_ok, ok)
+        for row, solution, feasible in zip(rows, solutions, ok, strict=True):
+            vertices = solver.vertices_at(row)
+            assert feasible == bool(vertices)
+            if feasible:
+                np.testing.assert_array_equal(solution, vertices[0])
+
+    def test_peak_memory_is_blocked(self):
+        # All 252 bases of generic N=6 at 2,000 rows are 44 MB of coordinates.
+        lp = lpl.reduce_to_lp(_generic_problem(6, 1))
+        solver = lpl.RepeatedSolver(lp)
+        assert solver.inverses.shape == (252, 11, 11)
+        rows = _resample_rows(lpl.MultinomialMarginal(6, True), lp.rhs, 1000,
+                              [(1, rep) for rep in range(2000)])
+        tracemalloc.start()
+        try:
+            solver.solve_batch(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_vertices_at_recovers_optimality_set(self):
         lp = lpl.reduce_to_lp(line_problem(1.0, r=SKEWED_R, s=SKEWED_S))
         solver = lpl.RepeatedSolver(lp)
         vertices = solver.vertices_at(lp.rhs)
         ledger = lpl.enumerate_ledger(lp)
         assert len(vertices) == len(ledger.primal_optimal_vertices) == 2
+
+
+def _boundary_rows(solver, seed, n_directions, ulps=2):
+    """Rows b + t v with t within ulps of a t where some basic coordinate equals -feas_tol."""
+    rng = np.random.default_rng(seed)
+    b = solver.lp.rhs
+    rows = []
+    for _ in range(n_directions):
+        v = 0.1 * rng.standard_normal(b.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ts = (-solver.tols.feas_tol - solver.inverses @ b) / (solver.inverses @ v)
+        for t in ts[np.abs(ts) < 5]:
+            rows += [b + (t + step * np.spacing(t)) * v for step in range(-ulps, ulps + 1)]
+    return np.array(rows)
 
 
 def _oracle_vertices_at(solver, rhs):
@@ -327,7 +372,12 @@ class TestHausdorffBatch:
         solver = lpl.RepeatedSolver(lp)
         rhs_batch = _resample_rows(lpl.MultinomialMarginal(3, True), lp.rhs, 100,
                                    [(3, rep) for rep in range(50)])
+        solved = solver.solve_batch(rhs_batch)
+        mixed = solver.mixed_solution(rhs_batch, (3, 1))
         monkeypatch.setattr(stochastic_harness, "_VERTEX_BLOCK", 1)
+        blocked = solver.solve_batch(rhs_batch) + solver.mixed_solution(rhs_batch, (3, 1))
+        for got, want in zip(blocked, solved + mixed, strict=True):
+            np.testing.assert_array_equal(got, want)
         for vertices, rhs in zip(solver._vertex_sets(rhs_batch), rhs_batch, strict=True):
             expected = _oracle_vertices_at(solver, rhs)
             assert len(vertices) == len(expected)
@@ -702,6 +752,13 @@ class TestSampleSizeTypes:
     def test_bad_sizes_are_rejected(self, sizes):
         with pytest.raises(lpl.DimensionMismatch):
             lpl.ExperimentConfig(sample_sizes=sizes, replicates=5, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [{"hausdorff_sizes": (0,)},
+                                        {"hausdorff_sizes": (100, -1)},
+                                        {"hausdorff_replicates": 0}])
+    def test_bad_hausdorff_settings_are_rejected(self, kwargs):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.ExperimentConfig(sample_sizes=(100,), replicates=5, seed=0, **kwargs)
 
 
 class TestRunExperimentTolerances:
