@@ -17,7 +17,6 @@ import datetime
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -53,6 +52,10 @@ _CSV_BLOCK = 1024  # rows formatted per write; bounds the temporary Python lists
 
 _TOL_NAMES = ("feas_tol", "rank_tol", "dedup_tol", "boundary_tol", "sum_tol")
 
+# The keys a monte-carlo config file may set; any other key is an input error.
+_CONFIG_KEYS = frozenset({"sample_sizes", "replicates", "seed", "mode", "lambda", "policy",
+                          "comparison_samples", "hausdorff_sizes", "hausdorff_replicates"})
+
 _INPUT_ERRORS = (
     json.JSONDecodeError,
     DimensionMismatch,
@@ -80,7 +83,7 @@ class RunManifest:
     command: str
     input_paths: tuple[str, ...]
     seed: Optional[int]
-    threads: int
+    threads: Optional[int]
     tool_version: str
     config_digest: str
     started: str
@@ -177,7 +180,7 @@ def _out_dir(args) -> Path:
 def _tols(args):
     overrides = {}
     for name in _TOL_NAMES:
-        value = getattr(args, name, None)
+        value = getattr(args, name, None)  # None also for a flag the command does not declare
         if value is not None:
             overrides[name] = value
     return DEFAULT_TOLS.with_(**overrides) if overrides else DEFAULT_TOLS
@@ -234,7 +237,7 @@ def cmd_analyze(args) -> int:
         ]
     out_dir = _out_dir(args)
     _write_json(out_dir / "analysis.json", out)
-    manifest = _manifest("analyze", [args.problem], None, args.threads, payload, started)
+    manifest = _manifest("analyze", [args.problem], None, None, payload, started)
     _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
@@ -286,15 +289,18 @@ def cmd_limit_sample(args) -> int:
     }
     _write_json(out_dir / "limit_samples.json", sidecar)
     digest = {"problem": payload, "samples": args.samples, "seed": args.seed,
-              "mode": args.mode, "lambda": args.lam, "policy": args.policy}
-    manifest = _manifest(
-        "limit-sample", [args.problem], args.seed, args.threads, digest, started
-    )
+              "mode": args.mode, "lambda": sidecar["lambda"], "policy": args.policy}
+    manifest = _manifest("limit-sample", [args.problem], args.seed, None, digest, started)
     _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
 
 def _experiment_config(config: dict) -> stochastic_harness.ExperimentConfig:
+    if not isinstance(config, dict):
+        raise DimensionMismatch("config JSON must be an object")
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise DimensionMismatch(f"unknown monte-carlo config keys: {', '.join(unknown)}")
     mode = _mode_from_args(config.get("mode", "one-sample"), config.get("lambda", 0.5))
     sizes = []
     for entry in config.get("sample_sizes", [10_000]):
@@ -393,20 +399,15 @@ def cmd_certify(args) -> int:
     out_dir = _out_dir(args)
     _write_json(out_dir / "certificates.json", out)
     digest = {"problem": payload, "max_cycle_len": args.max_cycle_len}
-    manifest = _manifest("certify", [args.problem], None, args.threads, digest, started)
+    manifest = _manifest("certify", [args.problem], None, None, digest, started)
     _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *tol_names: str) -> None:
+    """--out-dir and a flag for each tolerance the command reads."""
     parser.add_argument("--out-dir", default=".", help="directory for output files")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.environ.get("LP_LIMITLAW_THREADS", str(stochastic_harness.available_cpus())),
-        help="energy-distance worker threads; results do not depend on its value",
-    )
-    for name in _TOL_NAMES:
+    for name in tol_names:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
 
 
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="bases, assumptions, support partition, cones")
     p.add_argument("problem")
-    _add_common(p)
+    _add_common(p, "rank_tol", "feas_tol", "dedup_tol")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("limit-sample", help="Monte-Carlo draws of the limit law")
@@ -430,19 +431,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["one-sample", "two-sample"], default="one-sample")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--policy", choices=["min-index", "uniform-random"], default="min-index")
-    _add_common(p)
+    _add_common(p, "rank_tol", "feas_tol", "dedup_tol", "boundary_tol")
     p.set_defaults(func=cmd_limit_sample)
 
     p = sub.add_parser("monte-carlo", help="resampling experiment against the limit law")
     p.add_argument("problem")
     p.add_argument("config")
-    _add_common(p)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=stochastic_harness.available_cpus(),
+        help="energy-distance worker threads; results do not depend on its value",
+    )
+    _add_common(p, "rank_tol", "feas_tol", "dedup_tol", "boundary_tol")
     p.set_defaults(func=cmd_monte_carlo)
 
     p = sub.add_parser("certify", help="transport uniqueness/nondegeneracy certificates")
     p.add_argument("problem")
     p.add_argument("--max-cycle-len", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "rank_tol", "feas_tol", "sum_tol")
     p.set_defaults(func=cmd_certify)
 
     return parser
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:  # from the flag or LP_LIMITLAW_THREADS
+    if getattr(args, "threads", 1) < 1:  # only monte-carlo declares --threads
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     # The package's warnings reach stderr even where the caller set up no logging.
     handler = logging.StreamHandler(sys.stderr)

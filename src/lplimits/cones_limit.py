@@ -29,6 +29,7 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 logger = logging.getLogger(__name__)
 
 _SPACING_BLOCK = 1024  # rows per keyed spacing block of the randomized tie-break
+_PSD_TOL = 1e-10  # allowed covariance asymmetry and negative eigenvalue, times max(1, max |entry|)
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ class LimitLawSpec:
                 f"covariance must be {self.m0}x{self.m0}, got {cov.shape}"
             )
         scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
-        if np.abs(cov - cov.T).max(initial=0.0) > 1e-10 * scale:
+        if np.abs(cov - cov.T).max(initial=0.0) > _PSD_TOL * scale:
             raise CovarianceNotPSD("covariance is not symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-10 * scale:
+        if np.linalg.eigvalsh(cov).min() < -_PSD_TOL * scale:
             raise CovarianceNotPSD("covariance has a negative eigenvalue")
         if len(self.cones) != self.ledger.optimal_count:
             raise DimensionMismatch("need exactly one cone per optimal basis")
@@ -206,12 +207,7 @@ def cone_contains(cone: ConeH, v, tol: Optional[float] = None) -> Verdict:
     return Verdict.OUTSIDE
 
 
-def limit_functional(
-    spec: LimitLawSpec,
-    g,
-    rng: Optional[np.random.Generator] = None,
-    tol: Optional[float] = None,
-) -> np.ndarray:
+def limit_functional(spec: LimitLawSpec, g, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Evaluate the limiting solution fluctuation at one direction.
 
     Feasible cones are those whose membership verdict is not Outside
@@ -227,19 +223,19 @@ def limit_functional(
     if spec.tie_break is not TieBreak.MIN_INDEX and rng is None:
         raise LpLimitsError("the randomized tie-break needs an explicit rng")
     samples, _, boundary = _limit_rows(
-        spec, g[None], tol, lambda n, k: rng.exponential(size=(n, k))
+        spec, g[None], DEFAULT_TOLS.boundary_tol, lambda n, k: rng.exponential(size=(n, k))
     )
     if boundary.any():
         logger.debug("direction on cone boundaries %s taken as inside", np.flatnonzero(boundary))
     return samples[0]
 
 
-def psd_sqrt(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition (rank-deficiency safe)."""
     cov = np.asarray(cov, dtype=float)
     scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
     vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    if vals.min() < -tol * scale:
+    if vals.min() < -_PSD_TOL * scale:
         raise CovarianceNotPSD(f"covariance has eigenvalue {vals.min()}")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
@@ -269,12 +265,16 @@ def keyed_spacings(key: tuple[int, ...], n_rows: int, n_cols: int) -> np.ndarray
     ``default_rng(key)``: ``default_rng((seed, 0))`` is ``default_rng(seed)``.
     """
     out = np.empty((n_rows, n_cols))
+    for start, block in spacing_blocks(key, n_rows, n_cols):
+        out[start : start + len(block)] = block
+    return out
+
+
+def spacing_blocks(key: tuple[int, ...], n_rows: int, n_cols: int):
+    """(start, rows [start, start + B) of ``keyed_spacings(key, n_rows, n_cols)``), block by block."""
     for j, start in enumerate(range(0, n_rows, _SPACING_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(key, spawn_key=(j,)))
-        out[start : start + _SPACING_BLOCK] = rng.exponential(
-            size=(min(_SPACING_BLOCK, n_rows - start), n_cols)
-        )
-    return out
+        yield start, rng.exponential(size=(min(_SPACING_BLOCK, n_rows - start), n_cols))
 
 
 def basis_products(inverses: np.ndarray, vectors: np.ndarray) -> np.ndarray:

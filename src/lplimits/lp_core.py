@@ -148,12 +148,12 @@ class AssumptionReport:
     bounded: bool
 
 
-def _as_matrix(A, name="A") -> np.ndarray:
+def _as_matrix(A) -> np.ndarray:
     arr = np.array(A, dtype=float)
     if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
+        raise DimensionMismatch(f"A must be a 2-d matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
-        raise DimensionMismatch(f"{name} contains non-finite entries")
+        raise DimensionMismatch("A contains non-finite entries")
     return arr
 
 
@@ -367,11 +367,7 @@ def optimality_set(ledger: BasisLedger) -> OptimalitySet:
     return OptimalitySet(vertices=ledger.primal_optimal_vertices, value=ledger.optimal_value)
 
 
-def solve_min_index(
-    lp: StandardLp,
-    tols: Tolerances = DEFAULT_TOLS,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> BasicSolutionPair:
+def solve_min_index(lp: StandardLp, tols: Tolerances = DEFAULT_TOLS) -> BasicSolutionPair:
     """Deterministic reference solve: lexicographically smallest optimal basis.
 
     Returns the first pair of the ledger's optimal prefix.  When that prefix
@@ -380,7 +376,7 @@ def solve_min_index(
     otherwise LpLimitsError (the problem sits on a tolerance boundary).
     """
     try:
-        optimal, _ = _walk(lp, tols, enumeration_cap)
+        optimal, _ = _walk(lp, tols, DEFAULT_ENUMERATION_CAP)
     except NoDualFeasibleBasis:
         optimal = None
     if optimal:

@@ -44,6 +44,7 @@ _CDIST_BLOCK = 125  # rows per cdist task: 125 x 5000 distances are 5 MB per wor
 _MAX_WORKERS = 4  # caps the output buffers at 20 MB whatever the host's CPU count
 _VERTEX_BLOCK = 1 << 18  # basic coordinates per block of RepeatedSolver rows: 2 MB
 PROJECTION_MAX_ITERS = 100_000  # Frank-Wolfe budget of point_to_polytope
+PROJECTION_TOL = 1e-10  # duality gap at which point_to_polytope stops
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise DimensionMismatch("replicates must be at least 1")
+        if self.comparison_samples < 1:
+            raise DimensionMismatch("comparison_samples must be at least 1")
         # Python ints and (int, int) pairs from here on, whatever integer type came in
         sizes = tuple(
             tuple(map(operator.index, n)) if isinstance(n, tuple) else operator.index(n)
@@ -262,19 +265,20 @@ class RepeatedSolver:
         """Uniform simplex mixture of all optimal vertices, per right-hand side.
 
         Row i's weights come from row i of ``cones_limit.keyed_spacings(key,
-        R, n_bases)``.  Returns (solutions, feasible_any); rows with no
-        feasible basis have NaN solutions.
+        R, n_bases)``, drawn one spacing block of rows at a time.  Returns
+        (solutions, feasible_any); rows with no feasible basis have NaN solutions.
         """
         rhs_batch = np.asarray(rhs_batch, dtype=float)
-        spacings = cones_limit.keyed_spacings(key, rhs_batch.shape[0], len(self.columns))
         solutions = np.empty((rhs_batch.shape[0], self.lp.n_cols))
         any_feasible = np.empty(rhs_batch.shape[0], dtype=bool)
-        for start, coords, feasible in self._blocks(rhs_batch):
-            block = slice(start, start + feasible.shape[0])
-            solutions[block] = cones_limit.uniform_mixture(
-                feasible, spacings[block], coords[feasible], self.columns, self.lp.n_cols
-            )
-            any_feasible[block] = feasible.any(axis=1)
+        for first, spacings in cones_limit.spacing_blocks(key, rhs_batch.shape[0], len(self.columns)):
+            for start, coords, feasible in self._blocks(rhs_batch[first : first + len(spacings)]):
+                block = slice(first + start, first + start + len(feasible))
+                solutions[block] = cones_limit.uniform_mixture(
+                    feasible, spacings[start : start + len(feasible)], coords[feasible],
+                    self.columns, self.lp.n_cols,
+                )
+                any_feasible[block] = feasible.any(axis=1)
         solutions[~any_feasible] = np.nan
         return solutions, any_feasible
 
@@ -359,12 +363,12 @@ def fluctuation_run(
     return batches
 
 
-def point_to_polytope(v, vertices, tol: float = 1e-10) -> float:
+def point_to_polytope(v, vertices) -> float:
     """Distance from a point to the convex hull of a vertex list.
 
     Frank-Wolfe over the simplex with away steps and exact line search;
     terminates when the duality gap certifies the squared distance to
-    within tol.
+    within PROJECTION_TOL.
     """
     P = np.asarray(vertices, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
@@ -381,7 +385,7 @@ def point_to_polytope(v, vertices, tol: float = 1e-10) -> float:
         grad = P @ residual
         s = int(np.argmin(grad))
         gap = float(alpha @ grad - grad[s])
-        if gap < tol:
+        if gap < PROJECTION_TOL:
             return float(np.linalg.norm(residual))
         support = np.flatnonzero(alpha > 0)
         a = support[int(np.argmax(grad[support]))]
@@ -406,17 +410,19 @@ def point_to_polytope(v, vertices, tol: float = 1e-10) -> float:
         np.clip(alpha, 0.0, None, out=alpha)
         alpha /= alpha.sum()
         x = P.T @ alpha
-    raise NonConvergence(f"projection did not reach gap {tol} in {PROJECTION_MAX_ITERS} iterations")
+    raise NonConvergence(
+        f"projection did not reach gap {PROJECTION_TOL} in {PROJECTION_MAX_ITERS} iterations"
+    )
 
 
-def hausdorff_distance(vertices_1, vertices_2, tol: float = 1e-10) -> float:
+def hausdorff_distance(vertices_1, vertices_2) -> float:
     """Hausdorff distance between the convex hulls of two vertex lists."""
     V1 = np.asarray(vertices_1, dtype=float)
     V2 = np.asarray(vertices_2, dtype=float)
     if V1.ndim != 2 or V2.ndim != 2 or V1.shape[0] == 0 or V2.shape[0] == 0:
         raise EmptySet("both vertex lists must be nonempty")
-    forward = max(point_to_polytope(v, V2, tol) for v in V1)
-    backward = max(point_to_polytope(w, V1, tol) for w in V2)
+    forward = max(point_to_polytope(v, V2) for v in V1)
+    backward = max(point_to_polytope(w, V1) for w in V2)
     return max(forward, backward)
 
 
@@ -669,8 +675,8 @@ def run_experiment(
     """Full pipeline for a transport instance with a unique optimum.
 
     Builds the limit-law specification, runs the fluctuation experiment at
-    the largest configured sample size, samples the limit law with the same
-    tie-break policy, and assembles the comparison report.
+    every configured sample size, samples the limit law with the same
+    tie-break policy, and compares the last sample size's batch with it.
     ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
     """
     spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols, ledger)

@@ -1,5 +1,7 @@
 """Command-line interface: file outputs, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lplimits import cli, ot
+from lplimits.tolerances import Tolerances
 
 
 @pytest.fixture()
@@ -118,9 +121,18 @@ class TestAnalyze:
         assert "forced" in capsys.readouterr().err
 
     def test_removed_tolerance_flags_are_rejected(self, problem_paths):
-        for flag in ("--value-tol", "--slack-tol"):
-            with pytest.raises(SystemExit):
-                cli.build_parser().parse_args(["analyze", problem_paths["p2"], flag, "1e-3"])
+        # Each command declares only the tolerances it reads (TestEveryFlagIsRead).
+        removed = {
+            ("analyze",): ("--value-tol", "--slack-tol", "--boundary-tol", "--sum-tol"),
+            ("limit-sample", "--samples", "10"): ("--sum-tol",),
+            ("monte-carlo", "config.json"): ("--sum-tol",),
+            ("certify",): ("--dedup-tol", "--boundary-tol"),
+        }
+        for (command, *rest), flags in removed.items():
+            for flag in flags:
+                with pytest.raises(SystemExit) as exc:
+                    cli.build_parser().parse_args([command, problem_paths["p2"], *rest, flag, "1e-3"])
+                assert exc.value.code == cli.EXIT_INPUT
 
     def test_zero_marginal_warns(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
@@ -196,6 +208,18 @@ class TestLimitSample:
             ["limit-sample", str(path), "--samples", "10", "--out-dir", str(tmp_path)]
         ) == 4
 
+    @pytest.mark.parametrize("mode", ["one-sample", "two-sample"])
+    def test_config_digest_changes_with_lambda_only_where_it_is_read(self, problem_paths, mode):
+        outs = []
+        for lam in ("0.3", "0.5"):
+            out = problem_paths["dir"] / f"ls_{mode}_{lam}"
+            assert run(["limit-sample", problem_paths["p2"], "--samples", "50", "--seed", "2",
+                        "--mode", mode, "--lambda", lam, "--out-dir", str(out)]) == 0
+            outs.append(out)
+        a, b = ((out / "limit_samples.csv").read_bytes() for out in outs)
+        digests = {json.loads((out / "manifest.json").read_text())["config_digest"] for out in outs}
+        assert (a != b) == (len(digests) == 2) == (mode == "two-sample")
+
     def test_lp_form_rejected(self, tmp_path):
         path = tmp_path / "lp.json"
         path.write_text(json.dumps({"A": [[1.0]], "b": [1.0], "c": [1.0]}))
@@ -205,31 +229,27 @@ class TestLimitSample:
 
 
 class TestThreads:
-    def test_outputs_do_not_depend_on_threads(self, problem_paths):
-        outs = {}
-        for threads in (1, 2):
-            out = problem_paths["dir"] / f"threads{threads}"
-            assert run(["analyze", problem_paths["p2"], "--threads", str(threads),
-                        "--out-dir", str(out / "analyze")]) == 0
-            assert run(["limit-sample", problem_paths["p2"], "--samples", "500", "--seed", "4",
-                        "--threads", str(threads), "--out-dir", str(out / "limit")]) == 0
-            outs[threads] = out
-        for name in ("analyze/analysis.json", "limit/limit_samples.csv", "limit/limit_samples.json"):
-            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
-        for threads, out in outs.items():
-            for command in ("analyze", "limit"):
-                manifest = json.loads((out / command / "manifest.json").read_text())
-                assert manifest["threads"] == threads
+    @pytest.mark.parametrize("argv", [["analyze"], ["limit-sample", "--samples", "10"], ["certify"]])
+    def test_only_monte_carlo_takes_threads(self, problem_paths, argv):
+        out = problem_paths["dir"] / "threads_unread"
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], problem_paths["p2"], *argv[1:], "--threads", "2", "--out-dir", str(out)])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert not out.exists()
 
     @staticmethod
-    def _monte_carlo(problem_paths, name, *flags):
+    def _config(problem_paths):
         config = problem_paths["dir"] / "config_threads.json"
         config.write_text(json.dumps({"sample_sizes": [400], "replicates": 300, "seed": 9,
                                       "comparison_samples": 600,
                                       "hausdorff_sizes": [50], "hausdorff_replicates": 5}))
+        return str(config)
+
+    @classmethod
+    def _monte_carlo(cls, problem_paths, name, *flags):
         out = problem_paths["dir"] / name
-        assert run(["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out),
-                    *flags]) == 0
+        assert run(["monte-carlo", problem_paths["p2"], cls._config(problem_paths),
+                    "--out-dir", str(out), *flags]) == 0
         return out
 
     def test_monte_carlo_outputs_do_not_depend_on_threads(self, problem_paths):
@@ -277,23 +297,64 @@ class TestThreads:
         assert report["manifest"]["threads"] == 100000
 
     @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_threads_below_one_exit_two(self, problem_paths, monkeypatch, value):
+    def test_threads_below_one_exit_two(self, problem_paths, capsys, value):
         out = problem_paths["dir"] / f"threads_bad{value}"
-        with pytest.raises(SystemExit) as flag:
-            run(["analyze", problem_paths["p2"], "--threads", value, "--out-dir", str(out)])
-        assert flag.value.code == cli.EXIT_INPUT
-        monkeypatch.setenv("LP_LIMITLAW_THREADS", value)
-        with pytest.raises(SystemExit) as env:
-            run(["analyze", problem_paths["p2"], "--out-dir", str(out)])
-        assert env.value.code == cli.EXIT_INPUT
+        with pytest.raises(SystemExit) as exc:
+            run(["monte-carlo", problem_paths["p2"], self._config(problem_paths),
+                 "--threads", value, "--out-dir", str(out)])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert f"argument --threads: must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_default_threads_are_the_available_cpus(self, problem_paths, monkeypatch):
-        monkeypatch.delenv("LP_LIMITLAW_THREADS", raising=False)
-        args = cli.build_parser().parse_args(["analyze", problem_paths["p2"]])
+    def test_default_threads_are_the_available_cpus(self, problem_paths):
+        args = cli.build_parser().parse_args(["monte-carlo", problem_paths["p2"], "config.json"])
         assert args.threads == cli.stochastic_harness.available_cpus() >= 1
-        monkeypatch.setenv("LP_LIMITLAW_THREADS", "3")
-        assert cli.build_parser().parse_args(["analyze", problem_paths["p2"]]).threads == 3
+
+
+class TestEveryFlagIsRead:
+    @staticmethod
+    def _declared(command) -> set:
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {action.dest for action in sub.choices[command]._actions}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["limit-sample", "--samples", "200"], ["certify"],
+        ["monte-carlo", "{config}", "--threads", "3"],
+    ])
+    def test_declared_settings_are_the_settings_read(self, problem_paths, monkeypatch, argv):
+        config = problem_paths["dir"] / "config_reach.json"
+        config.write_text(json.dumps({"sample_sizes": [200], "replicates": 50, "seed": 3,
+                                      "comparison_samples": 200,
+                                      "hausdorff_sizes": [50], "hausdorff_replicates": 5}))
+        argv = [arg.format(config=config) for arg in argv]
+        reads, threads = set(), []
+
+        class SpyTolerances(Tolerances):
+            def __getattribute__(self, name):
+                if name in cli._TOL_NAMES:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        tols, mean_distances = cli._tols, cli.stochastic_harness._mean_distances
+        monkeypatch.setattr(
+            cli, "_tols", lambda args: SpyTolerances(**dataclasses.asdict(tols(args)))
+        )
+
+        def spy_mean_distances(pairs, count):
+            threads.append(count)
+            return mean_distances(pairs, count)
+
+        monkeypatch.setattr(cli.stochastic_harness, "_mean_distances", spy_mean_distances)
+        out = problem_paths["dir"] / f"reach_{argv[0]}"
+        assert run([argv[0], problem_paths["p2"], *argv[1:], "--out-dir", str(out)]) == 0
+        declared = self._declared(argv[0])
+        assert reads == declared & set(cli._TOL_NAMES)
+        manifest = json.loads((out / "manifest.json").read_text())
+        if "threads" in declared:
+            assert threads == [3] and manifest["threads"] == 3
+        else:
+            assert threads == [] and manifest["threads"] is None
 
 
 class TestMonteCarlo:
@@ -346,6 +407,21 @@ class TestMonteCarlo:
             assert digest == cli.config_digest({"problem": problem, "config": settings})
             digests.append(digest)
         assert digests[0] != digests[1]
+
+    @pytest.mark.parametrize("entry", [{"comparison_samples": 0}, {"hausdorf_sizes": [100]}])
+    def test_bad_config_exits_two_before_any_work(self, problem_paths, monkeypatch, capsys, entry):
+        def explode(*args, **kwargs):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(cli.stochastic_harness, "run_experiment", explode)
+        config = problem_paths["dir"] / "config_bad.json"
+        config.write_text(json.dumps({"sample_sizes": [10], "replicates": 1, **entry}))
+        out = problem_paths["dir"] / "mc_bad"
+        assert run(
+            ["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out)]
+        ) == cli.EXIT_INPUT
+        assert next(iter(entry)) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", [{"hausdorff_sizes": [100, 0]}, {"hausdorff_replicates": 0}])
     def test_bad_hausdorff_settings_exit_two(self, problem_paths, entry):

@@ -284,6 +284,20 @@ class TestRepeatedSolver:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_mixed_solution_peak_memory_is_blocked(self):
+        # 4,096 rows of spacings over 252 bases are 8 MB; one 1,024-row block of them is 2 MB.
+        lp = lpl.reduce_to_lp(_generic_problem(6, [6, 0]))
+        solver = lpl.RepeatedSolver(lp)
+        rows = _resample_rows(lpl.MultinomialMarginal(6, True), lp.rhs, 1000,
+                              [(1, rep) for rep in range(4096)])
+        tracemalloc.start()
+        try:
+            solver.mixed_solution(rows, (1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
+
     def test_vertices_at_recovers_optimality_set(self):
         lp = lpl.reduce_to_lp(line_problem(1.0, r=SKEWED_R, s=SKEWED_S))
         solver = lpl.RepeatedSolver(lp)
@@ -759,6 +773,11 @@ class TestSampleSizeTypes:
     def test_bad_hausdorff_settings_are_rejected(self, kwargs):
         with pytest.raises(lpl.DimensionMismatch):
             lpl.ExperimentConfig(sample_sizes=(100,), replicates=5, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_comparison_samples_below_one_are_rejected(self, count):
+        with pytest.raises(lpl.DimensionMismatch, match="comparison_samples"):
+            lpl.ExperimentConfig(sample_sizes=(100,), replicates=5, seed=0, comparison_samples=count)
 
 
 class TestRunExperimentTolerances:
