@@ -48,7 +48,7 @@ EXIT_INTERNAL = 6
 
 logger = logging.getLogger(__name__)
 
-_CSV_BLOCK = 1024  # rows formatted per write; bounds the temporary Python lists and strings
+_CSV_BLOCK = 1024  # rows formatted per write; bounds the temporary arrays
 
 _TOL_NAMES = ("feas_tol", "rank_tol", "dedup_tol", "boundary_tol", "sum_tol")
 
@@ -127,9 +127,95 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
+_CELL = 24  # the longest "%.17g" string: "-d.dddddddddddddddde-ddd"
+_POW10 = np.array([float(10**s) for s in range(23)])  # exact for every s <= 22
+# _QUADS[q] is the ASCII of the 4-digit group q as one uint32; _ZEROS4[q] counts its trailing zeros.
+_QUADS = np.ravel(
+    (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view(np.uint32))
+_ZEROS4 = (np.arange(10_000)[:, None] % [10, 100, 1000, 10_000] == 0).sum(axis=1, dtype=np.uint8)
+# _KEEP[L] keeps the first L bytes of a cell, as three uint64 masks.
+_KEEP = np.where(np.arange(_CELL) < np.arange(_CELL + 1)[:, None], 255, 0).astype(np.uint8).view(np.uint64)
+
+
+def _split(x):
+    """Veltkamp's split of binary64 x into two 26-bit halves."""
+    t = 134217729.0 * x  # 2**27 + 1
+    return t - (t - x), x - (t - (t - x))
+
+
+def _two_product(a, b):
+    """hi = fl(a * b) and lo with hi + lo == a * b exactly (Dekker, 1971)."""
+    hi = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _g17_cells(values: np.ndarray) -> np.ndarray:
+    """The ASCII of "%.17g" % v for each value, NUL-padded to a (k, 24) uint8 array.
+
+    Cells with 1e-4 <= |v| < 1e16, where "%.17g" is fixed notation, and
+    +-0.0 are formed here, byte for byte as CPython's correctly rounded
+    conversion; "%" formats the rest (subnormal, tiny, huge, inf, nan).
+    """
+    mag = np.abs(values)
+    fixed = (mag >= 1e-4) & (mag < 1e16)
+    cells = np.flatnonzero(fixed)
+    a = mag[cells]
+    # The 17 significant digits are n = round-half-even(a * 10**(16 - x)), with
+    # x the decimal exponent: n in [1e16, 1e17).  hi + lo is that product
+    # exactly, and hi is an even integer above 2**53.  n never rounds up to
+    # 1e17: below a power of ten, a binary64 value is at least 1.1e-16 short.
+    x = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _two_product(a, _POW10[16 - x])
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    wrong = np.flatnonzero(shift)  # log10 rounded across a power of ten
+    if len(wrong):
+        x[wrong] += shift[wrong]
+        hi[wrong], lo[wrong] = _two_product(a[wrong], _POW10[16 - x[wrong]])
+    floor = np.floor(lo)
+    n = hi.astype(np.int64) + floor.astype(np.int64)
+    frac = lo - floor
+    n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
+    # Cells sorted by exponent (x >= -4) put each exponent's digits in one slice.
+    order = np.argsort((x + 4).astype(np.uint8), kind="stable")
+    n, x = n[order], x[order]
+    quads = np.full((len(n), 6), _QUADS[0])
+    zeros = 0
+    for col in range(5, 1, -1):  # four 4-digit groups, least significant first
+        n, group = np.divmod(n, 10_000)
+        quads[:, col] = _QUADS[group]
+        zeros = zeros + (zeros == 4 * (5 - col)) * _ZEROS4[group]
+    quads[:, 1] = _QUADS[n]  # the leading digit
+    digits = quads.view(np.uint8)  # "0000000d" then 16 digits
+    body = np.zeros((len(x), _CELL), np.uint8)  # byte 0 is the sign's
+    counts = np.bincount(x + 4)
+    stop = 0
+    for e in np.flatnonzero(counts) - 4:
+        start, stop = stop, stop + counts[e + 4]
+        point = 8 + e  # digits[:, point:] follow the decimal point
+        width = point - 7 - min(e, 0)  # integer digits, or the "0" before the point
+        body[start:stop, 1 : 1 + width] = digits[start:stop, point - width : point]
+        body[start:stop, 1 + width] = 46  # "."
+        body[start:stop, 2 + width : 26 + width - point] = digits[start:stop, point:]
+    # Trailing zeros go, and the point with them when no fraction digit is left.
+    end = 19 - zeros - np.minimum(x, 0)
+    end = np.where(end <= x + 3, x + 2, end)
+    out = np.zeros(len(values), f"V{_CELL}")
+    out[cells[order]] = (body.view(np.uint64) & np.take(_KEEP, end, axis=0)).view(out.dtype).ravel()
+    out = out.view(np.uint8).reshape(-1, _CELL)
+    out[:, 0] = np.signbit(values) * np.uint8(45)  # "-"
+    out[:, 1][mag == 0.0] = 48  # "0"
+    rest = np.flatnonzero(~fixed & (mag != 0.0))
+    if len(rest):
+        text = "".join(("%.17g" % v).ljust(_CELL, "\0") for v in values[rest].tolist())
+        out[rest] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _CELL)
+    return out
+
+
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
         if rows.size == 0:
             return
         rows = np.atleast_2d(rows)
@@ -137,11 +223,20 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
         # Equal bits format to equal strings, so a column with one bit pattern
         # in every row is written from its first row's string.
         varying = (bits != bits[0]).any(axis=0)
-        cells = ["%.17g" if v else "%.17g" % x for v, x in zip(varying, rows[0].tolist())]
-        fmt = ",".join(cells) + "\n"
-        for start in range(0, rows.shape[0], _CSV_BLOCK):
-            block = rows[start : start + _CSV_BLOCK, varying]
-            handle.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        line = ",".join("\0" if v else "%.17g" % x for v, x in zip(varying, rows[0].tolist()))
+        head, *tails = (line + "\n").split("\0")
+        # Each varying column's slot is its cell, then the constant text up to
+        # the next varying column; the text before the first one leads the row.
+        template = (head + "".join("\0" * _CELL + tail for tail in tails)).encode("ascii")
+        starts = np.cumsum([len(head)] + [_CELL + len(tail) for tail in tails])[:-1]
+        buffer = np.tile(np.frombuffer(template, np.uint8), (min(len(rows), _CSV_BLOCK), 1))
+        for first in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[first : first + _CSV_BLOCK, varying]
+            out = buffer[: len(block)]
+            cells = _g17_cells(block.ravel()).reshape(len(block), -1, _CELL)
+            for j, start in enumerate(starts):
+                out[:, start : start + _CELL] = cells[:, j]
+            handle.write(out.tobytes().translate(None, b"\0"))  # CSV text is NUL-free
 
 
 def write_otc_csv(path, thresholds, values) -> None:
@@ -381,7 +476,7 @@ def cmd_certify(args) -> int:
     lp, problem, payload = _load_problem(args.problem, tols)
     if problem is None:
         raise DimensionMismatch("certify needs an OT problem form")
-    report = ot.certify(problem, max_len=args.max_cycle_len, tols=tols, lp=lp)
+    report = ot.certify(problem, tols=tols, lp=lp)
 
     def check_dict(check: ot.CertificateCheck) -> dict:
         witness = check.witness
@@ -398,8 +493,7 @@ def cmd_certify(args) -> int:
     }
     out_dir = _out_dir(args)
     _write_json(out_dir / "certificates.json", out)
-    digest = {"problem": payload, "max_cycle_len": args.max_cycle_len}
-    manifest = _manifest("certify", [args.problem], None, None, digest, started)
+    manifest = _manifest("certify", [args.problem], None, None, {"problem": payload}, started)
     _write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
@@ -448,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="transport uniqueness/nondegeneracy certificates")
     p.add_argument("problem")
-    p.add_argument("--max-cycle-len", type=int, default=None)
     _add_common(p, "rank_tol", "feas_tol", "sum_tol")
     p.set_defaults(func=cmd_certify)
 

@@ -387,6 +387,8 @@ def sample_limit(
     Directions are N(0, covariance) through the symmetric PSD square root,
     then mapped by evaluate_limit under the spec's tie-break policy.
     """
+    if n_samples < 1:
+        raise DimensionMismatch("n_samples must be at least 1")
     root = psd_sqrt(spec.covariance)
     rng = np.random.default_rng(seed)
     g_matrix = rng.standard_normal((n_samples, spec.m0)) @ root.T

@@ -279,13 +279,13 @@ def check_primal_summability(r, s, tol: Optional[float] = None) -> CertificateCh
     return CertificateCheck(False, (subset_a, subset_b))
 
 
-def _cycle_families(N: int, max_len: int, adjacency=None):
-    """Ordered families ((i_1..i_n), (j_1..j_n)) with distinct i's and j's.
+def _cycle_families(N: int, adjacency=None):
+    """Ordered families ((i_1..i_n), (j_1..j_n)) with distinct i's and j's, for n = 2..N.
 
     Rotations are canonicalized by starting at the smallest source index.
     With an adjacency map, only pairs (i_k, j_k) in it are generated.
     """
-    for n in range(2, max_len + 1):
+    for n in range(2, N + 1):
         for i_set in itertools.combinations(range(N), n):
             head = i_set[0]
             for tail in itertools.permutations(i_set[1:]):
@@ -317,11 +317,7 @@ def _adjacency_j_tuples(i_tuple, adjacency):
     yield from rec(0, set(), [])
 
 
-def check_dual_summability(
-    cost,
-    max_len: Optional[int] = None,
-    tol: Optional[float] = None,
-) -> CertificateCheck:
+def check_dual_summability(cost, *, tol: Optional[float] = None) -> CertificateCheck:
     """No index cycle has equal forward and shifted cost sums.
 
     For every family (i_1,j_1)..(i_n,j_n) with pairwise distinct sources
@@ -331,14 +327,11 @@ def check_dual_summability(
     """
     cost = np.asarray(cost, dtype=float)
     N = cost.shape[0]
-    if max_len is None:
-        max_len = N
-    max_len = min(max_len, N)
     if N > DUAL_SUMMABILITY_CAP:
         raise CapExceeded(f"exhaustive cycle scan needs N <= {DUAL_SUMMABILITY_CAP}, got {N}")
     if tol is None:
         tol = DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum())
-    for i_tuple, j_tuple in _cycle_families(N, max_len):
+    for i_tuple, j_tuple in _cycle_families(N):
         forward = sum(cost[i_tuple[k], j_tuple[k]] for k in range(len(i_tuple)))
         shifted = sum(cost[i_tuple[k], j_tuple[k - 1]] for k in range(len(i_tuple)))
         if abs(forward - shifted) <= tol:
@@ -346,12 +339,7 @@ def check_dual_summability(
     return CertificateCheck(True)
 
 
-def check_strict_cyclical_monotonicity(
-    cost,
-    support,
-    max_len: Optional[int] = None,
-    tol: Optional[float] = None,
-) -> CertificateCheck:
+def check_strict_cyclical_monotonicity(cost, support, *, tol: Optional[float] = None) -> CertificateCheck:
     """Strict cycle optimality of a coupling support.
 
     Every cycle within the support must not lower total cost when mass is
@@ -362,9 +350,6 @@ def check_strict_cyclical_monotonicity(
     cost = np.asarray(cost, dtype=float)
     N = cost.shape[0]
     support_set = {(int(i), int(j)) for i, j in support}
-    if max_len is None:
-        max_len = N
-    max_len = min(max_len, N)
     if N > SUPPORT_CYCLE_CAP:
         raise CapExceeded(f"support cycle scan needs N <= {SUPPORT_CYCLE_CAP}, got {N}")
     if tol is None:
@@ -372,7 +357,7 @@ def check_strict_cyclical_monotonicity(
     adjacency: dict[int, set[int]] = {}
     for i, j in support_set:
         adjacency.setdefault(i, set()).add(j)
-    for i_tuple, j_tuple in _cycle_families(N, max_len, adjacency):
+    for i_tuple, j_tuple in _cycle_families(N, adjacency):
         n = len(i_tuple)
         forward = sum(cost[i_tuple[k], j_tuple[k]] for k in range(n))
         shifted = sum(cost[i_tuple[k], j_tuple[k - 1]] for k in range(n))
@@ -398,10 +383,7 @@ class CertificateReport:
 
 
 def certify(
-    ot: OtProblem,
-    max_len: Optional[int] = None,
-    tols: Tolerances = DEFAULT_TOLS,
-    lp: Optional[StandardLp] = None,
+    ot: OtProblem, *, tols: Tolerances = DEFAULT_TOLS, lp: Optional[StandardLp] = None
 ) -> CertificateReport:
     """Run all four certificates; uniqueness follows from a strictly
     cyclically monotone optimal support or from dual summability.
@@ -412,12 +394,12 @@ def certify(
     mass_tol = tols.sum_tol_at(float(np.abs(ot.r).sum() + np.abs(ot.s).sum()))
     monge = check_strict_monge(ot.cost, tol=cost_tol)
     primal = check_primal_summability(ot.r, ot.s, tol=mass_tol)
-    dual = check_dual_summability(ot.cost, max_len=max_len, tol=cost_tol)
+    dual = check_dual_summability(ot.cost, tol=cost_tol)
     if lp is None:
         lp = reduce_to_lp(ot, tols)
     pair = lp_core.solve_min_index(lp, tols)
     coupling = coupling_from_lp_solution(pair.primal, tols)
-    monotone = check_strict_cyclical_monotonicity(ot.cost, coupling.support, max_len, tol=cost_tol)
+    monotone = check_strict_cyclical_monotonicity(ot.cost, coupling.support, tol=cost_tol)
     return CertificateReport(
         strict_monge=monge,
         primal_summability=primal,

@@ -160,15 +160,16 @@ class TestAnalyze:
 
 
 class TestLimitSample:
-    def test_zero_samples_writes_header_only(self, problem_paths):
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exit_two(self, problem_paths, capsys, samples):
         out = problem_paths["dir"] / "ls0"
         code = run(
-            ["limit-sample", problem_paths["p2"], "--samples", "0", "--seed", "1",
+            ["limit-sample", problem_paths["p2"], "--samples", samples, "--seed", "1",
              "--out-dir", str(out)]
         )
-        assert code == 0
-        lines = (out / "limit_samples.csv").read_text().splitlines()
-        assert lines == ["pi_1_1,pi_1_2,pi_1_3,pi_2_1,pi_2_2,pi_2_3,pi_3_1,pi_3_2,pi_3_3"]
+        assert code == cli.EXIT_INPUT
+        assert "n_samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_byte_identical(self, problem_paths):
         out1 = problem_paths["dir"] / "ls1"
@@ -609,6 +610,28 @@ class TestCertify:
         assert payload["strict_monge"]["holds"]
         assert payload["dual_summability"]["holds"]
         assert payload["strict_cyclical_monotone_support"]["holds"]
+
+    def test_non_unique_optimum_is_not_certified(self, tmp_path):
+        # analyze finds this optimum not unique (a2 false); no cycle scan may certify it.
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps({"points_x": [0.0, 1.0, 2.0], "p": 1.0, "q": 1.0,
+                                    "r": [0.25, 0.25, 0.5], "s": [0.5, 0.25, 0.25]}))
+        out = tmp_path / "out"
+        assert run(["analyze", str(path), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "analysis.json").read_text())["assumptions"]["a2"] is False
+        assert run(["certify", str(path), "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "certificates.json").read_text())
+        assert payload["dual_summability"]["holds"] is False
+        assert payload["strict_cyclical_monotone_support"]["holds"] is False
+        assert payload["uniqueness_implied"] is False
+
+    def test_truncated_cycle_scan_flag_is_rejected(self, problem_paths, tmp_path):
+        # A scan over cycles shorter than N certified the non-unique optimum above.
+        argv = ["certify", problem_paths["p1"], "--out-dir", str(tmp_path), "--max-cycle-len", "1"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == cli.EXIT_INPUT
+        assert not (tmp_path / "certificates.json").exists()
 
     def test_cap_exit_three(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -277,9 +277,11 @@ class TestSampleLimit:
             count = int(np.sum(chosen == k))
             assert count == result.occupancy_counts[k]
 
-    def test_empty_sample_count(self, spec_p2_two_sample):
-        result = lpl.sample_limit(spec_p2_two_sample, 0, seed=3)
-        assert result.samples.shape == (0, 9)
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_sample_count_below_one_is_rejected(self, spec_p2_two_sample, n_samples):
+        # No draws give no occupancy distribution; raised before any draw.
+        with pytest.raises(lpl.DimensionMismatch, match="at least 1"):
+            lpl.sample_limit(spec_p2_two_sample, n_samples, seed=3)
 
     def test_randomized_policy_is_chunking_free_and_seeded(self, ledger_p1):
         spec = lpl.ot_limit_spec(
