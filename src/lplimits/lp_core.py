@@ -5,8 +5,10 @@ subject to Ax = b, x >= 0.  The downstream limit-law constructions consume
 *all* dual feasible bases, not just one optimal basis, so the ledger holds
 every one of them.  Dual feasibility does not depend on b: the ledger is
 the set of feasible bases of the pointed polyhedron {y : A'y <= c}, found
-by a walk over single column exchanges from one HiGHS dual simplex start,
-in time proportional to the ledger rather than to C(d, m).  Each basis
+by a walk over single column exchanges in time proportional to the ledger
+rather than to C(d, m).  The walk of a transport LP starts at the spanning
+tree of its row-minimum potentials (``StandardLp.dual_start``); any other
+LP starts at one HiGHS dual simplex solve.  Each basis
 the walk proposes is inverted once; that inverse gives its basic pair, its
 exchange rows and its entry of ``BasisLedger.inverses``.
 """
@@ -44,12 +46,17 @@ _WALK_SLACK = 10.0
 
 @dataclass(frozen=True, eq=False)
 class StandardLp:
-    """Validated standard-form LP: minimize cost @ x s.t. matrix @ x = rhs, x >= 0."""
+    """Validated standard-form LP: minimize cost @ x s.t. matrix @ x = rhs, x >= 0.
+
+    ``dual_start``, when set, is a basis known to be dual feasible; the
+    basis walk starts there instead of at a HiGHS solve.
+    """
 
     constraint_matrix: np.ndarray
     rhs: np.ndarray
     cost: np.ndarray
     variable_names: Optional[tuple[str, ...]] = None
+    dual_start: Optional[tuple[int, ...]] = None
 
     @property
     def n_rows(self) -> int:
@@ -240,7 +247,7 @@ def basic_pair(lp: StandardLp, basis, tols: Tolerances = DEFAULT_TOLS) -> BasicS
 
 
 def _start_basis(lp: StandardLp) -> tuple[int, ...]:
-    """A dual feasible basis from one HiGHS dual simplex solve.
+    """A dual feasible basis from one HiGHS dual simplex solve: the start without a ``dual_start``.
 
     Dual feasibility does not depend on the rhs, so the solve uses the
     strictly feasible rhs ``A @ w`` with a generic w > 0: its optimum is
@@ -279,9 +286,25 @@ def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
     goes once through ``_invert_basis``, so its pair, its verdict and its
     alpha come from one inverse; ``enumeration_cap`` bounds the number of
     proposed bases.
+
+    The walk starts at ``lp.dual_start`` when it is set.  Should that basis
+    fail its verdict (rounding on costs of very large magnitude), and for
+    every LP without one, it starts at ``_start_basis`` instead; the sorted
+    result does not depend on the start.
     """
+    found = _walk_from(lp, lp.dual_start, tols, enumeration_cap) if lp.dual_start is not None else []
+    if not found:
+        found = _walk_from(lp, _start_basis(lp), tols, enumeration_cap)
+    if not found:
+        raise NoDualFeasibleBasis("no dual feasible basis exists")
+    found.sort(key=lambda f: f[0].basis.indices)
+    return [f for f in found if f[0].primal_feasible], [f for f in found if not f[0].primal_feasible]
+
+
+def _walk_from(lp: StandardLp, start: tuple[int, ...], tols: Tolerances, enumeration_cap: int):
+    """(pair, inverse) of every dual feasible basis the walk reaches from ``start``, unsorted."""
     A = lp.constraint_matrix
-    frontier = [_start_basis(lp)]
+    frontier = [start]
     seen = set(frontier)
     found: list[tuple[BasicSolutionPair, np.ndarray]] = []
     while frontier:
@@ -308,10 +331,7 @@ def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    if not found:
-        raise NoDualFeasibleBasis("no dual feasible basis exists")
-    found.sort(key=lambda f: f[0].basis.indices)
-    return [f for f in found if f[0].primal_feasible], [f for f in found if not f[0].primal_feasible]
+    return found
 
 
 def dedup_vertices(points, tol: float) -> tuple[list[np.ndarray], list[int]]:
@@ -411,14 +431,15 @@ def _recession_direction_exists(lp: StandardLp, restrict_cost: bool) -> bool:
 def _slater_holds(lp: StandardLp, tols: Tolerances) -> bool:
     """True when the feasible set contains a strictly positive point."""
     m, d = lp.n_rows, lp.n_cols
-    # variables (x, t): maximize t subject to Ax = b, x - t >= 0, x >= 0
+    # variables (x, t): maximize t <= 1 subject to Ax = b, x - t >= 0, x >= 0;
+    # the cap keeps the LP bounded along a positive recession direction
     cost = np.zeros(d + 1)
     cost[-1] = -1.0
     a_eq = np.hstack([lp.constraint_matrix, np.zeros((m, 1))])
     a_ub = np.hstack([-np.eye(d), np.ones((d, 1))])
     res = scipy.optimize.linprog(
         cost, A_ub=a_ub, b_ub=np.zeros(d), A_eq=a_eq, b_eq=lp.rhs,
-        bounds=[(0, None)] * d + [(None, None)], method="highs",
+        bounds=[(0, None)] * d + [(None, 1.0)], method="highs",
     )
     return res.status == 0 and -res.fun > tols.feas_tol
 
@@ -430,7 +451,9 @@ def check_assumptions(
 ) -> AssumptionReport:
     """Report the structural flags the limit theory depends on.
 
-    a1: the optimality set is nonempty and bounded (recession-cone test).
+    a1: the optimality set is nonempty and bounded: the recession-cone
+        test, skipped when the entrywise-nonnegative test below already
+        rules out every recession direction.
     a2: the optimum is unique (single deduplicated vertex).
     a3: all optimal dual basic solutions are pairwise distinct; when false
         the witness is the lexicographically first coinciding pair of
@@ -442,7 +465,10 @@ def check_assumptions(
     if ledger is None:
         ledger = enumerate_ledger(lp, tols)
     k = ledger.optimal_count
-    a1 = k >= 1 and not _recession_direction_exists(lp, restrict_cost=True)
+    A = lp.constraint_matrix
+    # A >= 0 with no zero column: Ah = 0 and h >= 0 force h = 0
+    nonneg_test = bool(np.all(A >= 0) and np.all(np.abs(A).sum(axis=0) > 0))
+    a1 = k >= 1 and (nonneg_test or not _recession_direction_exists(lp, restrict_cost=True))
     a2 = k >= 1 and len(ledger.primal_optimal_vertices) == 1
     a3 = k >= 1
     witness = None
@@ -455,8 +481,6 @@ def check_assumptions(
                 break
         if witness is not None:
             break
-    A = lp.constraint_matrix
-    nonneg_test = bool(np.all(A >= 0) and np.all(np.abs(A).sum(axis=0) > 0))
     bounded = nonneg_test or not _recession_direction_exists(lp, restrict_cost=False)
     return AssumptionReport(
         a1_bounded_nonempty_optimum=a1,

@@ -10,7 +10,7 @@ scalar/measure-valued functionals of couplings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -163,12 +163,20 @@ def reduce_to_lp(ot: OtProblem, tols: Tolerances = DEFAULT_TOLS) -> StandardLp:
 
     Variables are the coupling entries in row-major order; the right-hand
     side stacks the first N-1 row sums with all N column sums.
+
+    Its ``dual_start`` is the spanning tree of the row-minimum potentials
+    u_0 = 0, v_j = c_0j and u_i = min_j (c_ij - v_j) for i >= 1, reached at
+    the first argmin j_i: u_i + v_j <= c_ij on every cell, with equality on
+    the tree {(0, j)} + {(i, j_i)}, whose 2N-1 columns form a basis.
     """
     N = ot.n_points
     A = incidence_matrix_reduced(N)
     b = np.concatenate([ot.r[: N - 1], ot.s])
     names = tuple(f"pi_{i + 1}_{j + 1}" for i in range(N) for j in range(N))
-    return make_lp(A, b, ot.cost.ravel(), names=names, tols=tols)
+    lp = make_lp(A, b, ot.cost.ravel(), names=names, tols=tols)
+    argmins = np.argmin(ot.cost[1:] - ot.cost[0], axis=1)
+    tree = tuple(range(N)) + tuple(i * N + int(j) for i, j in enumerate(argmins, start=1))
+    return replace(lp, dual_start=tree)
 
 
 def coupling_from_lp_solution(x: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Coupling:

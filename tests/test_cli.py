@@ -57,6 +57,14 @@ class TestAnalyze:
         payload = json.loads((out / "analysis.json").read_text())
         assert payload["optimal_count"] == 1
 
+    def test_positive_recession_direction_keeps_slater(self, tmp_path):
+        # (1, 1) is strictly positive and feasible, and (1, 1) is also a recession direction.
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps({"A": [[1, -1]], "b": [0], "c": [1, 1]}))
+        out = tmp_path / "out"
+        assert run(["analyze", str(path), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "analysis.json").read_text())["assumptions"]["slater"] is True
+
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
@@ -646,23 +654,51 @@ class TestCertify:
         assert run(["certify", str(path), "--out-dir", str(tmp_path)]) == 3
 
 
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestOneLpPerCommand:
     @pytest.mark.parametrize("argv", [
         ["analyze"], ["certify"], ["limit-sample", "--samples", "50"], ["monte-carlo", "{config}"],
     ])
     def test_each_command_builds_the_lp_once(self, problem_paths, monkeypatch, argv):
+        import scipy.optimize
+
+        # Transport walks start from row-minimum potentials, and A >= 0 decides
+        # a1, so only analyze's Slater check reaches HiGHS.
+        highs_solves = {"analyze": 1}.get(argv[0], 0)
+
         config = problem_paths["dir"] / "config_small.json"
         config.write_text(json.dumps({"sample_sizes": [200], "replicates": 50, "seed": 3,
                                       "comparison_samples": 200}))
         argv = [arg.format(config=config) for arg in argv]
-        calls = []
-        original = ot.reduce_to_lp
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(ot, "reduce_to_lp", counting)
+        calls = _counting(monkeypatch, ot, "reduce_to_lp")
+        solves = _counting(monkeypatch, scipy.optimize, "linprog")
         out = problem_paths["dir"] / argv[0]
         assert run([argv[0], problem_paths["p2"], *argv[1:], "--out-dir", str(out)]) == 0
         assert len(calls) == 1
+        assert len(solves) == highs_solves
+
+    def test_general_lp_starts_its_walk_with_highs(self, tmp_path, monkeypatch):
+        import scipy.optimize
+
+        from lplimits import lp_core
+
+        path = tmp_path / "lp.json"
+        path.write_text(json.dumps({"A": [[1, -1, 0], [0, 1, 1]], "b": [0, 1], "c": [1, 1, 1]}))
+        starts = _counting(monkeypatch, lp_core, "_start_basis")
+        solves = _counting(monkeypatch, scipy.optimize, "linprog")
+        assert run(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(starts) == 1
+        # the walk start, the two recession LPs (A has a negative entry) and Slater
+        assert len(solves) == 4

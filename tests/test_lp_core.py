@@ -1,5 +1,7 @@
 """Basis machinery, enumeration, and assumption checks."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -147,6 +149,14 @@ def assert_same_pair(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     for flag in ("primal_feasible", "dual_feasible", "primal_degenerate", "dual_degenerate"):
         assert getattr(a, flag) == getattr(b, flag), flag
+
+
+def assert_same_ledger(a, b):
+    assert a.bases == b.bases
+    assert a.optimal_count == b.optimal_count
+    for pair, expected in zip(a.pairs, b.pairs, strict=True):
+        assert_same_pair(pair, expected)
+    assert a.inverses.tobytes() == b.inverses.tobytes()
 
 
 def assert_matches_oracle(lp):
@@ -438,6 +448,24 @@ def generic_transport_lp(n_points, seed):
     return lpl.reduce_to_lp(problem)
 
 
+@st.composite
+def _tied_transport_lp(draw):
+    """Transport LPs, N = 1..7, whose costs tie: symmetric, small-integer or on shared grid points."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["symmetric", "integer", "shared-points"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "symmetric":
+        half = rng.integers(0, n * n, (n, n))
+        cost = half + half.T
+    elif kind == "integer":
+        cost = rng.integers(0, n * n, (n, n))
+    else:
+        points = rng.integers(0, n + 1, (n, 2))
+        cost = ((points[:, None] - points[None]) ** 2).sum(axis=2)
+    problem = lpl.make_ot_problem(cost=cost, r=rng.dirichlet(np.ones(n)), s=np.full(n, 1 / n))
+    return lpl.reduce_to_lp(problem)
+
+
 def ratio_test_neighbours(lp, indices):
     """Bases one dual ratio-test exchange away: every leaving row, every tied entering column."""
     A = lp.constraint_matrix
@@ -481,16 +509,39 @@ class TestBasisWalk:
          line_problem(1.0, r=SKEWED_R, s=SKEWED_S)],
         ids=["p0.5", "p1", "p2", "skewed"],
     )
-    def test_every_start_gives_the_same_ledger(self, problem, monkeypatch):
+    def test_every_start_gives_the_same_ledger(self, problem):
         lp = lpl.reduce_to_lp(problem)
         ledger = lpl.enumerate_ledger(lp)
-        for basis in ledger.bases:
-            monkeypatch.setattr(lp_core, "_start_basis", lambda lp, b=basis: b.indices)
-            again = lpl.enumerate_ledger(lp)
-            assert again.bases == ledger.bases
-            assert again.optimal_count == ledger.optimal_count
-            for pair, expected in zip(again.pairs, ledger.pairs, strict=True):
-                assert_same_pair(pair, expected)
+        # every ledger basis as the given start, then no start: the HiGHS one
+        for start in [b.indices for b in ledger.bases] + [None]:
+            again = lpl.enumerate_ledger(dataclasses.replace(lp, dual_start=start))
+            assert_same_ledger(again, ledger)
+
+    @pytest.mark.parametrize(
+        "start", [(0, 1, 2, 3, 4), (0, 1, 2, 3, 6)], ids=["singular", "dual-infeasible"]
+    )
+    def test_start_that_fails_its_verdict_falls_back_to_highs(self, start, monkeypatch):
+        lp = lpl.reduce_to_lp(line_problem(2.0))
+        expected = lpl.enumerate_ledger(dataclasses.replace(lp, dual_start=None))
+        starts = []
+        original = lp_core._start_basis
+        monkeypatch.setattr(lp_core, "_start_basis", lambda lp: starts.append(lp) or original(lp))
+        ledger = lpl.enumerate_ledger(dataclasses.replace(lp, dual_start=start))
+        assert len(starts) == 1
+        assert_same_ledger(ledger, expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_tied_transport_lp())
+    def test_tree_start_on_tied_costs(self, lp):
+        assert lpl.basic_pair(lp, lp.dual_start).dual_feasible
+        walk = functools.partial(lpl.enumerate_ledger, enumeration_cap=2_000)
+        error, ledger = _outcome(walk, lp)
+        highs_error, expected = _outcome(walk, dataclasses.replace(lp, dual_start=None))
+        assert error is highs_error
+        if ledger is not None:
+            assert_same_ledger(ledger, expected)
+            if lp.n_cols <= 16:  # N <= 4
+                assert_same_ledger(ledger, exhaustive_ledger(lp))
 
 
 class TestOneInversePerBasis:
@@ -571,6 +622,28 @@ class TestCheckAssumptions:
         report = lpl.check_assumptions(lp)
         assert report.slater
         assert report.bounded
+
+    def test_positive_recession_direction_keeps_slater(self):
+        # (1, 1) is strictly positive and feasible; maximizing min x_i is unbounded.
+        lp = lpl.make_lp([[1.0, -1.0]], [0.0], [1.0, 1.0])
+        report = lpl.check_assumptions(lp)
+        assert report.slater
+        assert not report.bounded
+
+    def test_nonnegative_matrix_decides_a1_without_a_recession_lp(self, ledger_p2, monkeypatch):
+        calls = []
+        original = lp_core._recession_direction_exists
+        monkeypatch.setattr(
+            lp_core, "_recession_direction_exists",
+            lambda lp, restrict_cost: calls.append(restrict_cost) or original(lp, restrict_cost),
+        )
+        report = lpl.check_assumptions(ledger_p2.lp, ledger_p2)
+        assert report.a1_bounded_nonempty_optimum and report.bounded
+        assert calls == []
+        lp = lpl.make_lp([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]], [0.0, 1.0], [1.0, 1.0, 1.0])
+        report = lpl.check_assumptions(lp)
+        assert report.a1_bounded_nonempty_optimum and report.bounded
+        assert calls == [True, False]
 
     def test_slater_fails_on_a_pinned_feasible_set(self):
         # The two constraints pin the single point (1, 0): no interior point.
