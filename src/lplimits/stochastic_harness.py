@@ -1,10 +1,11 @@
 """Monte-Carlo verification harness.
 
 Resamples right-hand sides (one check of b per batch; the keyed generator
-states of a batch are derived in one vectorized pass and loaded in turn into
-one generator), solves every replicate with the limit functional's
-tie-break, and compares the scaled fluctuations, optimal values, optimality
-sets and support patterns with their limits.  The Hausdorff replicates of a
+states of a batch are derived with one vectorized SeedSequence hash and
+loaded in turn into one generator), solves every replicate with the limit
+functional's tie-break, and compares the scaled fluctuations, optimal values,
+optimality sets and support patterns with their limits, on the coordinates
+that are nonzero in some row.  The Hausdorff replicates of a
 sample size are solved as one batch; the energy distance runs on ``threads``
 workers.
 """
@@ -462,14 +463,22 @@ def two_sample_ks(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the two ECDFs.
 
     Evaluates both right-continuous ECDFs at every observation, as
-    ``scipy.stats.ks_2samp`` does; a NaN in either sample gives NaN.
+    ``scipy.stats.ks_2samp`` does; a NaN in either sample gives NaN.  The two
+    sorted samples are merged (a stable sort of two runs) and both ECDFs are
+    read at the last entry of each run of equal values, where their counts are
+    those of every value at or below it.  The counts and their quotients are the
+    ones a binary search of each sample would give, so the statistic is too.
     """
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     if np.isnan(x).any() or np.isnan(y).any():
         return float("nan")
     both = np.concatenate([x, y])
-    gap = np.searchsorted(x, both, side="right") / x.size - np.searchsorted(y, both, side="right") / y.size
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    at_most_x = np.cumsum(order < x.size)[last]
+    gap = at_most_x / x.size - (last + 1 - at_most_x) / y.size
     return float(np.abs(gap).max())
 
 
@@ -511,12 +520,20 @@ def _mean_distances(pairs, threads: Optional[int]) -> list[float]:
     return [total / (A.shape[0] * B.shape[0]) for total, (A, B) in zip(totals, pairs)]
 
 
-def _first_rows(samples, max_rows: int) -> list[np.ndarray]:
-    """The first max_rows rows of each sample; EmptySet when one has none."""
-    out = [np.asarray(v, dtype=float)[:max_rows] for v in samples]
-    if any(len(v) == 0 for v in out):
+def _carrying_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Mask of the columns with an entry other than ±0 in X or in Y (NaN counts)."""
+    return (X != 0).any(axis=0) | (Y != 0).any(axis=0)
+
+
+def _first_rows(x, y, max_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """First max_rows rows of both 2-D samples, on the columns either carries; EmptySet if one is empty."""
+    X, Y = (np.asarray(v, dtype=float)[:max_rows] for v in (x, y))
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
+        raise DimensionMismatch("sample matrices must share their column count")
+    if len(X) == 0 or len(Y) == 0:
         raise EmptySet("every sample needs at least one row")
-    return out
+    keep = _carrying_columns(X, Y)
+    return X.compress(keep, axis=1), Y.compress(keep, axis=1)  # C order: cdist copies no block
 
 
 def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -> float:
@@ -524,17 +541,25 @@ def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -
 
     Inputs are truncated to their first max_rows rows to keep the quadratic-cost
     computation at desk scale.  threads: worker threads, at most 4 (None: every available CPU).
+    Columns that are ±0 in every kept row of both samples are dropped first: cdist
+    adds the squared differences one coordinate after another, and adding +0.0 to a
+    non-negative partial sum is exact, so no distance changes in any bit.
     """
-    X, Y = _first_rows((x, y), max_rows)
-    if np.array_equal(X, Y):
+    X, Y = _first_rows(x, y, max_rows)
+    if X.shape[1] == 0 or np.array_equal(X, Y):
         return 0.0  # the exact value; the triangle sums need not cancel the full cross sum
     cross, within_x, within_y = _mean_distances([(X, Y), (X, X), (Y, Y)], threads)
     return float(2.0 * cross - within_x - within_y)
 
 
 def mean_pairwise_norm(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
-    """Mean cross-pair distance; the natural scale for energy-distance thresholds."""
-    X, Y = _first_rows((x, y), max_rows)
+    """Mean cross-pair distance; the natural scale for energy-distance thresholds.
+
+    Drops the columns that are ±0 in both samples, as energy_distance does.
+    """
+    X, Y = _first_rows(x, y, max_rows)
+    if X.shape[1] == 0:
+        return 0.0
     return float(_mean_distances([(X, Y)], None)[0])
 
 
@@ -560,6 +585,10 @@ def compare_distributions(
 ) -> ComparisonReport:
     """Per-coordinate KS statistics, energy distance, and covariance error.
 
+    A coordinate that is ±0 in every row of both samples (a structural zero,
+    such as a ``tz`` coordinate of a stable optimum) gets the KS statistic 0.0
+    without a merge, the value two all-zero samples give; the energy distance
+    drops such coordinates without changing a bit (see energy_distance).
     The covariance error is the Frobenius distance between the two sample
     covariances, relative to the Frobenius norm of the limit covariance.
     """
@@ -567,7 +596,9 @@ def compare_distributions(
     Y = np.asarray(limit, dtype=float)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise DimensionMismatch("sample matrices must share their column count")
-    ks = np.array([two_sample_ks(X[:, j], Y[:, j]) for j in range(X.shape[1])])
+    ks = np.zeros(X.shape[1])
+    for j in np.flatnonzero(_carrying_columns(X, Y)):
+        ks[j] = two_sample_ks(X[:, j], Y[:, j])
     if X.shape[0] < 2 or Y.shape[0] < 2:
         cov_err = float("nan")
     else:

@@ -1,4 +1,4 @@
-"""Byte-identity pin of the CLI's CSVs for small fixed-seed runs.
+"""Byte-identity pin of the CLI's CSVs and reports for small fixed-seed runs.
 
 The monte-carlo fluctuation and Hausdorff digests were recorded before the
 resampler seeded its generators per batch and before the Hausdorff
@@ -10,6 +10,11 @@ including the structural zeros of a generic N=4 transport's nonbasic
 columns.  All of them also pin the floating-point results of this NumPy
 release and BLAS build: a different NumPy or OpenBLAS may change the last
 digits, and the digests then need recording again.
+
+The ``report.json`` digests (taken without the run manifest, which holds
+timestamps) were recorded while the KS statistics and the energy distance
+still ran over every coordinate, so they pin those numbers against any change
+to the comparison layer.
 """
 
 import hashlib
@@ -44,6 +49,12 @@ DIGESTS = {
     },
 }
 
+# sha256 of report.json without its "manifest" key, re-serialised as the CLI writes it
+REPORT_DIGESTS = {
+    "p2-min-index": "c6b7bafae4467b10a1609eb1078ea7cf1b2140ce5152e24fb4c96651083c8bde",
+    "p1-uniform-random": "cd78593a5c0fbff3996d773b45bdffc976b2c32875606b9f11d961dbb1151680",
+}
+
 CSV_NAMES = ("fluctuations.csv", "hausdorff.csv", "limit_samples.csv")
 # Generic N=4 transport: planar Gaussian points, Dirichlet marginals.  A
 # limit draw is nonzero only on the 7 basic coordinates of the optimal
@@ -61,19 +72,25 @@ CASES = {"p2-min-index": (2.0, "min-index"), "p1-uniform-random": (1.0, "uniform
 
 
 def monte_carlo_digests(tmp_path, p: float, policy: str) -> dict:
-    """sha256 of each CSV the monte-carlo command writes for the case."""
+    """sha256 of each CSV the monte-carlo command writes for the case, and of its report."""
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(dict(LINE3, p=p)))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(CONFIG, policy=policy)))
     out = tmp_path / "out"
     assert cli.main(["monte-carlo", str(problem), str(config), "--out-dir", str(out)]) == 0
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CSV_NAMES}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CSV_NAMES}
+    report = json.loads((out / "report.json").read_text())
+    del report["manifest"]
+    digests["report.json"] = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_monte_carlo_csv_digests(tmp_path, case):
-    assert monte_carlo_digests(tmp_path, *CASES[case]) == DIGESTS[case]
+    digests = monte_carlo_digests(tmp_path, *CASES[case])
+    assert digests.pop("report.json") == REPORT_DIGESTS[case]
+    assert digests == DIGESTS[case]
 
 
 def test_limit_sample_csv_digest(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 import lplimits as lpl
 from lplimits import cones_limit, lp_core, stochastic_harness
@@ -541,6 +542,17 @@ class TestCompareDistributions:
         )
         assert report.value_ks == pytest.approx(0.0)
 
+    def test_structural_zero_columns_match_every_column_oracle(self):
+        rng = np.random.default_rng(28)
+        X, Y = rng.integers(0, 4, (300, 5)).astype(float), rng.integers(0, 3, (700, 5)).astype(float)
+        X[:, [1, 3]], Y[:, [1, 3]] = 0.0, -0.0
+        Y[0, 3] = 2.0  # nonzero in one sample only: compared as usual
+        report = lpl.compare_distributions(X, Y)
+        expected = [_oracle_two_sample_ks(X[:, j], Y[:, j]) for j in range(5)]
+        assert report.per_coordinate_ks.tobytes() == np.array(expected).tobytes()
+        assert report.per_coordinate_ks[1] == 0.0 and report.per_coordinate_ks[3] > 0.0
+        assert report.energy_distance == _unmasked_energy(X, Y, None)[0]
+
     def test_energy_distance_detects_shift(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((2000, 2))
@@ -548,7 +560,42 @@ class TestCompareDistributions:
         assert lpl.energy_distance(X, Y) > 1.0
 
 
+def _oracle_two_sample_ks(x, y):
+    """The binary-search form: both ECDFs read by searchsorted at every observation."""
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    both = np.concatenate([x, y])
+    gap = np.searchsorted(x, both, side="right") / x.size - np.searchsorted(y, both, side="right") / y.size
+    return float(np.abs(gap).max())
+
+
+# tied small integers, both signed zeros and both infinities, among general floats
+_KS_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_KS_SAMPLE = st.lists(_KS_VALUES, min_size=1, max_size=50).map(np.array)
+
+
 class TestTwoSampleKs:
+    @settings(max_examples=300, deadline=None)
+    @given(_KS_SAMPLE, _KS_SAMPLE)
+    def test_merge_equals_binary_search(self, x, y):
+        expected = _oracle_two_sample_ks(x, y)
+        assert np.float64(lpl.two_sample_ks(x, y)).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_KS_SAMPLE, _KS_SAMPLE, st.booleans(), st.integers(0, 50))
+    def test_nan_anywhere_gives_nan(self, x, y, in_x, at):
+        if in_x:
+            x = np.insert(x, min(at, x.size), np.nan)
+        else:
+            y = np.insert(y, min(at, y.size), np.nan)
+        assert np.isnan(lpl.two_sample_ks(x, y)) and np.isnan(_oracle_two_sample_ks(x, y))
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 60), st.integers(1, 60), st.booleans(), st.integers(0, 2**32 - 1)
@@ -580,6 +627,41 @@ def _sample_pair(draw):
     x = draw(hnp.arrays(float, (draw(st.integers(1, 12)), rank), elements=values))
     y = draw(hnp.arrays(float, (draw(st.integers(1, 12)), rank), elements=values))
     return x, y, draw(st.integers(1, 14))
+
+
+def _unmasked_energy(x, y, threads):
+    """energy_distance and mean_pairwise_norm on every column, as before columns were dropped."""
+    cross, within_x, within_y = stochastic_harness._mean_distances([(x, y), (x, x), (y, y)], threads)
+    energy = 0.0 if np.array_equal(x, y) else float(2.0 * cross - within_x - within_y)
+    return energy, float(stochastic_harness._mean_distances([(x, y)], None)[0])
+
+
+@st.composite
+def _pair_with_zero_columns(draw):
+    """Samples whose columns span scales 1e-8..1e8, with all-zero columns (mixing ±0) interleaved."""
+    rows = st.sampled_from([1, 2, 7, _CDIST_BLOCK - 1, _CDIST_BLOCK + 1, int(2.5 * _CDIST_BLOCK)])
+    rank, zeros = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(-8, 8, rank)
+    samples = []
+    for n in (draw(rows), draw(rows)):
+        signed_zeros = np.where(rng.random((n, zeros)) < 0.5, -0.0, 0.0)
+        samples.append(np.hstack([rng.standard_normal((n, rank)) * scales, signed_zeros]))
+    order = draw(st.permutations(range(rank + zeros)))
+    return samples[0][:, order], samples[1][:, order]
+
+
+@pytest.fixture
+def cdist_columns(monkeypatch):
+    """Column counts of the arrays every cdist call of the energy kernel receives (C order, or None)."""
+    seen = []
+
+    def spy(rows, cols, **kwargs):
+        seen.append(rows.shape[1] if rows.flags.c_contiguous and cols.flags.c_contiguous else None)
+        return cdist(rows, cols, **kwargs)
+
+    monkeypatch.setattr(stochastic_harness, "cdist", spy)
+    return seen
 
 
 _BLOCK_EDGE_ROWS = st.sampled_from(
@@ -669,6 +751,51 @@ class TestEnergyKernel:
             lpl.energy_distance(x, y)
         with pytest.raises(lpl.EmptySet):
             lpl.mean_pairwise_norm(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_with_zero_columns())
+    def test_dropping_zero_columns_changes_no_bit(self, pair):
+        x, y = pair
+        for threads in (1, 2, 3):
+            energy, cross = _unmasked_energy(x, y, threads)
+            assert np.float64(lpl.energy_distance(x, y, threads=threads)).tobytes() == np.float64(energy).tobytes()
+        assert np.float64(lpl.mean_pairwise_norm(x, y)).tobytes() == np.float64(cross).tobytes()
+
+    def test_no_column_left_gives_zero_without_cdist(self, cdist_columns):
+        x, y = np.zeros((4, 3)), np.full((6, 3), -0.0)
+        assert lpl.energy_distance(x, y) == 0.0
+        assert lpl.mean_pairwise_norm(x, y) == 0.0
+        assert cdist_columns == []
+
+    def test_column_zero_in_one_sample_only_is_kept(self, cdist_columns):
+        x = np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, 4.0]])
+        y = np.array([[3.0, 1.0], [4.0, 5.0]])
+        assert lpl.energy_distance(x, y, threads=1) == _unmasked_energy(x, y, 1)[0]
+        assert lpl.energy_distance(y, x, threads=1) == _unmasked_energy(y, x, 1)[0]
+        assert set(cdist_columns) == {2}
+
+    def test_nan_column_is_kept_and_gives_nan(self, cdist_columns):
+        x, y = np.zeros((3, 2)), np.zeros((5, 2))
+        x[:, 1] = np.nan
+        assert np.isnan(lpl.energy_distance(x, y))
+        assert np.isnan(lpl.mean_pairwise_norm(x, y))
+        assert set(cdist_columns) == {1}
+
+    def test_column_zero_only_in_the_kept_rows_is_dropped(self, cdist_columns):
+        rng = np.random.default_rng(27)
+        x, y = rng.standard_normal((40, 3)), rng.standard_normal((30, 3))
+        x[:20, 1] = y[:20, 1] = 0.0
+        energy, cross = _unmasked_energy(x[:20], y[:20], 1)
+        cdist_columns.clear()
+        assert lpl.energy_distance(x, y, max_rows=20, threads=1) == energy
+        assert lpl.mean_pairwise_norm(x, y, max_rows=20) == cross
+        assert set(cdist_columns) == {2}
+
+    def test_column_counts_must_match(self):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.energy_distance(np.ones((3, 1)), np.ones((3, 2)))
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.mean_pairwise_norm(np.ones((3, 2)), np.ones((3, 3)))
 
     def test_rejects_fewer_than_one_thread(self):
         X = np.zeros((3, 2))
