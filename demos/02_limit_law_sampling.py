@@ -37,7 +37,7 @@ for k, freq in enumerate(result.limit_result.occupancy_frequencies):
     basis = result.spec.ledger.bases[k].indices
     print(f"  basis {basis}: {freq:.3f}")
 
-freqs = result.report.support_frequencies
+freqs = result.support_frequencies
 print("\nSupport behaviour of the empirical solutions:")
 print(f"  true zeroes exactly zero in {freqs.tz_zero_rate:.1%} of replicates")
 print(f"  positives strictly positive in {freqs.pos_positive_rate:.1%}")

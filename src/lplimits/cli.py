@@ -105,22 +105,6 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _load_problem(path: str, tols):
-    """Returns (lp, ot_problem_or_None, payload); OT problems are auto-reduced, both at tols."""
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise DimensionMismatch("problem JSON must be an object")
-    if "A" in payload:
-        return lp_core.lp_from_dict(payload, tols), None, payload
-    problem = ot.ot_from_dict(payload)
-    if min(problem.r.min(), problem.s.min()) <= 0.0:
-        logger.warning(
-            "a marginal has a zero coordinate; the limit theory assumes "
-            "strictly interior probability vectors"
-        )
-    return ot.reduce_to_lp(problem, tols), problem, payload
-
-
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
@@ -253,25 +237,6 @@ def write_geodesic_csv(path, measure) -> None:
     _write_csv(Path(path), header, rows)
 
 
-def _manifest(command, inputs, seed, threads, digest_payload, started) -> RunManifest:
-    return RunManifest(
-        command=command,
-        input_paths=tuple(str(p) for p in inputs),
-        seed=seed,
-        threads=threads,
-        tool_version=__version__,
-        config_digest=config_digest(digest_payload),
-        started=started,
-        finished=_now(),
-    )
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _tols(args):
     overrides = {}
     for name in _TOL_NAMES:
@@ -281,10 +246,66 @@ def _tols(args):
     return DEFAULT_TOLS.with_(**overrides) if overrides else DEFAULT_TOLS
 
 
-def cmd_analyze(args) -> int:
-    started = _now()
+def _inputs(args):
+    """(tols, lp, OT problem or None, problem payload); OT problems are auto-reduced, both at tols.
+
+    Every command but analyze needs an OT problem.
+    """
     tols = _tols(args)
-    lp, _, payload = _load_problem(args.problem, tols)
+    payload = _load_json(args.problem)
+    if not isinstance(payload, dict):
+        raise DimensionMismatch("problem JSON must be an object")
+    if "A" in payload:
+        if args.command != "analyze":
+            raise DimensionMismatch(
+                f"{args.command} needs an OT problem (cost or ground points plus marginals)"
+            )
+        return tols, lp_core.lp_from_dict(payload, tols), None, payload
+    problem = ot.ot_from_dict(payload)
+    if min(problem.r.min(), problem.s.min()) <= 0.0:
+        logger.warning(
+            "a marginal has a zero coordinate; the limit theory assumes "
+            "strictly interior probability vectors"
+        )
+    return tols, ot.reduce_to_lp(problem, tols), problem, payload
+
+
+def _run(args) -> int:
+    """Runs the command, then writes its files and the run manifest into --out-dir.
+
+    A command returns (files, digest payload, seed).  files maps each output
+    name to a JSON payload or, for a ``.csv`` name, to (header, rows); a JSON
+    payload's ``manifest`` key receives the run manifest.  Nothing is written
+    when the command raises.
+    """
+    started = _now()
+    files, digest_payload, seed = args.func(args)
+    manifest = asdict(RunManifest(
+        command=args.command,
+        input_paths=tuple(
+            getattr(args, name) for name in ("problem", "config") if hasattr(args, name)
+        ),
+        seed=seed,
+        threads=getattr(args, "threads", None),  # only monte-carlo declares --threads
+        tool_version=__version__,
+        config_digest=config_digest(digest_payload),
+        started=started,
+        finished=_now(),
+    ))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in {**files, "manifest.json": manifest}.items():
+        if name.endswith(".csv"):
+            _write_csv(out_dir / name, *content)
+        elif "manifest" in content:
+            _write_json(out_dir / name, dict(content, manifest=manifest))
+        else:
+            _write_json(out_dir / name, content)
+    return EXIT_OK
+
+
+def cmd_analyze(args):
+    tols, lp, _, payload = _inputs(args)
     ledger = lp_core.enumerate_ledger(lp, tols)
     report = lp_core.check_assumptions(lp, ledger, tols)
     out: dict = {
@@ -330,19 +351,16 @@ def cmd_analyze(args) -> int:
             }
             for cone in cones
         ]
-    out_dir = _out_dir(args)
-    _write_json(out_dir / "analysis.json", out)
-    manifest = _manifest("analyze", [args.problem], None, None, payload, started)
-    _write_json(out_dir / "manifest.json", asdict(manifest))
-    return EXIT_OK
+    return {"analysis.json": out}, payload, None
 
 
-def _mode_from_args(mode: str, lam: float):
-    if mode == "one-sample":
+def _mode(name: str, *lam):
+    """The sampling mode called name; lam, when given, is read in two-sample mode only."""
+    if name == "one-sample":
         return ot.OneSample()
-    if mode == "two-sample":
-        return ot.TwoSample(lam)
-    raise DimensionMismatch(f"unknown mode {mode!r}")
+    if name == "two-sample":
+        return ot.TwoSample(*lam)
+    raise DimensionMismatch(f"unknown mode {name!r}")
 
 
 def _policy(name: str) -> cones_limit.TieBreak:
@@ -352,21 +370,13 @@ def _policy(name: str) -> cones_limit.TieBreak:
         raise DimensionMismatch(f"unknown tie-break policy {name!r}") from None
 
 
-def cmd_limit_sample(args) -> int:
-    started = _now()
-    tols = _tols(args)
-    lp, problem, payload = _load_problem(args.problem, tols)
-    if problem is None:
-        raise DimensionMismatch(
-            "limit-sample needs an OT problem (cost or ground points plus marginals)"
-        )
+def cmd_limit_sample(args):
+    tols, lp, problem, payload = _inputs(args)
     spec = ot.ot_limit_spec(
-        problem, _mode_from_args(args.mode, args.lam), tie_break=_policy(args.policy), tols=tols,
+        problem, _mode(args.mode, args.lam), tie_break=_policy(args.policy), tols=tols,
         ledger=lp_core.enumerate_ledger(lp, tols),
     )
     result = cones_limit.sample_limit(spec, args.samples, args.seed, tol=tols.boundary_tol)
-    out_dir = _out_dir(args)
-    _write_csv(out_dir / "limit_samples.csv", list(lp.names()), result.samples)
     sidecar = {
         "seed": args.seed,
         "mode": args.mode,
@@ -382,67 +392,42 @@ def cmd_limit_sample(args) -> int:
             list(b.indices) for b in spec.ledger.bases[: spec.ledger.optimal_count]
         ],
     }
-    _write_json(out_dir / "limit_samples.json", sidecar)
+    files = {"limit_samples.csv": (list(lp.names()), result.samples), "limit_samples.json": sidecar}
     digest = {"problem": payload, "samples": args.samples, "seed": args.seed,
               "mode": args.mode, "lambda": sidecar["lambda"], "policy": args.policy}
-    manifest = _manifest("limit-sample", [args.problem], args.seed, None, digest, started)
-    _write_json(out_dir / "manifest.json", asdict(manifest))
-    return EXIT_OK
+    return files, digest, args.seed
 
 
 def _experiment_config(config: dict) -> stochastic_harness.ExperimentConfig:
+    """The config file's settings; ExperimentConfig holds the default of every omitted key."""
     if not isinstance(config, dict):
         raise DimensionMismatch("config JSON must be an object")
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise DimensionMismatch(f"unknown monte-carlo config keys: {', '.join(unknown)}")
-    mode = _mode_from_args(config.get("mode", "one-sample"), config.get("lambda", 0.5))
-    sizes = []
-    for entry in config.get("sample_sizes", [10_000]):
-        sizes.append(tuple(int(v) for v in entry) if isinstance(entry, list) else int(entry))
-    return stochastic_harness.ExperimentConfig(
-        sample_sizes=tuple(sizes),
-        replicates=int(config.get("replicates", 200)),
-        seed=int(config.get("seed", 0)),
-        mode=mode,
-        solver_policy=_policy(config.get("policy", "min-index")),
-        comparison_samples=int(config.get("comparison_samples", 20_000)),
-        hausdorff_sizes=tuple(int(v) for v in config.get("hausdorff_sizes", [])),
-        hausdorff_replicates=int(config.get("hausdorff_replicates", 200)),
-    )
+    fields = {key: value for key, value in config.items() if key not in ("mode", "lambda", "policy")}
+    if "mode" in config:
+        lam = [config["lambda"]] if "lambda" in config else []
+        fields["mode"] = _mode(config["mode"], *lam)
+    if "policy" in config:
+        fields["solver_policy"] = _policy(config["policy"])
+    return stochastic_harness.ExperimentConfig(**fields)
 
 
-def cmd_monte_carlo(args) -> int:
-    started = _now()
-    tols = _tols(args)
-    lp, problem, payload = _load_problem(args.problem, tols)
-    if problem is None:
-        raise DimensionMismatch(
-            "monte-carlo needs an OT problem (cost or ground points plus marginals)"
-        )
+def cmd_monte_carlo(args):
+    tols, lp, problem, payload = _inputs(args)
     config_payload = _load_json(args.config)
     config = _experiment_config(config_payload)
     ledger = lp_core.enumerate_ledger(lp, tols)
     result = stochastic_harness.run_experiment(problem, config, tols, args.threads, ledger)
-    out_dir = _out_dir(args)
     names = list(lp.names())
     main_batch = result.batches[-1]
-    _write_csv(out_dir / "fluctuations.csv", names, main_batch.fluctuations)
-    _write_csv(out_dir / "limit_samples.csv", names, result.limit_result.samples)
-    hausdorff_rows = (
-        np.array(result.hausdorff.rows, dtype=float)
-        if result.hausdorff is not None and result.hausdorff.rows
-        else np.empty((0, 3))
-    )
-    _write_csv(out_dir / "hausdorff.csv", ["n", "replicate", "d_H"], hausdorff_rows)
+    hausdorff = result.hausdorff
+    hausdorff_rows = np.array(hausdorff.rows if hausdorff is not None else (), float).reshape(-1, 3)
     report = result.report
-    freqs = report.support_frequencies
-    digest = {"problem": payload, "config": config_payload}
-    manifest = _manifest(
-        "monte-carlo", [args.problem, args.config], config.seed, args.threads, digest, started
-    )
+    freqs = result.support_frequencies
     report_payload = {
-        "manifest": asdict(manifest),
+        "manifest": None,  # the run manifest, filled in by _run
         "rate": config.mode.rate_name,
         "sample_sizes": [list(n) if isinstance(n, tuple) else n for n in config.sample_sizes],
         "replicates": config.replicates,
@@ -450,7 +435,7 @@ def cmd_monte_carlo(args) -> int:
         "energy_distance": report.energy_distance,
         "covariance_frobenius_error": report.covariance_frobenius_error,
         "value_ks": report.value_ks,
-        "infeasible_rate": report.infeasible_rate,
+        "infeasible_rate": main_batch.infeasible_rate,
         "support_frequencies": {
             "pos_positive_rate": freqs.pos_positive_rate,
             "tz_zero_rate": freqs.tz_zero_rate,
@@ -461,21 +446,21 @@ def cmd_monte_carlo(args) -> int:
             "tz": list(result.partition.tz),
             "dz": list(result.partition.dz),
         },
-        "hausdorff_by_n": [list(row) for row in report.hausdorff_by_n],
+        "hausdorff_by_n": [list(row) for row in hausdorff.summary] if hausdorff is not None else [],
         "limit_occupancy_frequencies": result.limit_result.occupancy_frequencies.tolist(),
         "limit_boundary_hits": result.limit_result.boundary_hits.tolist(),
     }
-    _write_json(out_dir / "report.json", report_payload)
-    _write_json(out_dir / "manifest.json", asdict(manifest))
-    return EXIT_OK
+    files = {
+        "fluctuations.csv": (names, main_batch.fluctuations),
+        "limit_samples.csv": (names, result.limit_result.samples),
+        "hausdorff.csv": (["n", "replicate", "d_H"], hausdorff_rows),
+        "report.json": report_payload,
+    }
+    return files, {"problem": payload, "config": config_payload}, config.seed
 
 
-def cmd_certify(args) -> int:
-    started = _now()
-    tols = _tols(args)
-    lp, problem, payload = _load_problem(args.problem, tols)
-    if problem is None:
-        raise DimensionMismatch("certify needs an OT problem form")
+def cmd_certify(args):
+    tols, lp, problem, payload = _inputs(args)
     report = ot.certify(problem, tols=tols, lp=lp)
 
     def check_dict(check: ot.CertificateCheck) -> dict:
@@ -491,11 +476,7 @@ def cmd_certify(args) -> int:
         "strict_cyclical_monotone_support": check_dict(report.strict_cyclical_monotone_support),
         "uniqueness_implied": report.uniqueness_implied,
     }
-    out_dir = _out_dir(args)
-    _write_json(out_dir / "certificates.json", out)
-    manifest = _manifest("certify", [args.problem], None, None, {"problem": payload}, started)
-    _write_json(out_dir / "manifest.json", asdict(manifest))
-    return EXIT_OK
+    return {"certificates.json": out}, {"problem": payload}, None
 
 
 def _add_common(parser: argparse.ArgumentParser, *tol_names: str) -> None:
@@ -560,7 +541,7 @@ def main(argv=None) -> int:
     package_logger = logging.getLogger(__package__)
     package_logger.addHandler(handler)
     try:
-        return args.func(args)
+        return _run(args)
     except (LpLimitsError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if type(exc) is LpLimitsError:  # the bare base class marks a failure of the numerics

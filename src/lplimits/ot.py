@@ -10,6 +10,7 @@ scalar/measure-valued functionals of couplings.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -442,8 +443,8 @@ class TwoSample:
     rate_name = "sqrt(nm/(n+m))"
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise DimensionMismatch(f"lambda must lie in (0, 1), got {self.lam}")
+        if not isinstance(self.lam, numbers.Real) or not 0.0 < self.lam < 1.0:
+            raise DimensionMismatch(f"lambda must be a real number in (0, 1), got {self.lam!r}")
 
     def rate(self, n) -> float:
         """Scaling factor of the raw fluctuations at sample sizes (n, m); an int n means m = n."""

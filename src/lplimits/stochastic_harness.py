@@ -12,10 +12,11 @@ workers.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,13 +49,27 @@ PROJECTION_MAX_ITERS = 100_000  # Frank-Wolfe budget of point_to_polytope
 PROJECTION_TOL = 1e-10  # duality gap at which point_to_polytope stops
 
 
+def _integer(value, name: str, least: int = 1) -> int:
+    """value as a Python int; DimensionMismatch for a bool, float, string or integer below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DimensionMismatch(f"{name}: expected an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """A list or tuple of integers of at least 1, as a tuple of Python ints."""
+    if not isinstance(values, (list, tuple)):
+        raise DimensionMismatch(f"{name} must be a list, got {values!r}")
+    return tuple(_integer(v, name) for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs of one resampling experiment."""
+    """Knobs of one resampling experiment; each default is the one an omitted config key takes."""
 
-    sample_sizes: tuple[SampleSize, ...]
-    replicates: int
-    seed: int
+    sample_sizes: tuple[SampleSize, ...] = (10_000,)
+    replicates: int = 200
+    seed: int = 0
     mode: Union[OneSample, TwoSample] = OneSample()
     solver_policy: TieBreak = TieBreak.MIN_INDEX
     comparison_samples: int = 20_000
@@ -62,24 +77,22 @@ class ExperimentConfig:
     hausdorff_replicates: int = 200
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise DimensionMismatch("replicates must be at least 1")
-        if self.comparison_samples < 1:
-            raise DimensionMismatch("comparison_samples must be at least 1")
+        if not isinstance(self.sample_sizes, (list, tuple)) or not self.sample_sizes:
+            raise DimensionMismatch(f"sample_sizes must be a nonempty list, got {self.sample_sizes!r}")
         # Python ints and (int, int) pairs from here on, whatever integer type came in
         sizes = tuple(
-            tuple(map(operator.index, n)) if isinstance(n, tuple) else operator.index(n)
+            _integers(n, "sample_sizes") if isinstance(n, (list, tuple))
+            else _integer(n, "sample_sizes")
             for n in self.sample_sizes
         )
-        for n in sizes:
-            pair = n if isinstance(n, tuple) else (n, n)
-            if len(pair) != 2 or min(pair) < 1:
-                raise DimensionMismatch(f"sample sizes must be n or (n, m), all >= 1, got {n}")
-        object.__setattr__(self, "sample_sizes", sizes)
-        hausdorff_sizes = tuple(map(operator.index, self.hausdorff_sizes))
-        if min(hausdorff_sizes, default=1) < 1 or self.hausdorff_replicates < 1:
-            raise DimensionMismatch("hausdorff sizes and replicates must be at least 1")
-        object.__setattr__(self, "hausdorff_sizes", hausdorff_sizes)
+        if any(isinstance(n, tuple) and len(n) != 2 for n in sizes):
+            raise DimensionMismatch(f"sample_sizes entries must be n or (n, m), got {sizes}")
+        checked = {"sample_sizes": sizes, "seed": _integer(self.seed, "seed", least=0),
+                   "hausdorff_sizes": _integers(self.hausdorff_sizes, "hausdorff_sizes")}
+        for name in ("replicates", "comparison_samples", "hausdorff_replicates"):
+            checked[name] = _integer(getattr(self, name), name)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -463,7 +476,8 @@ def two_sample_ks(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the two ECDFs.
 
     Evaluates both right-continuous ECDFs at every observation, as
-    ``scipy.stats.ks_2samp`` does; a NaN in either sample gives NaN.  The two
+    ``scipy.stats.ks_2samp`` does; a NaN in either sample gives NaN, and an
+    empty one raises EmptySet, as in energy_distance.  The two
     sorted samples are merged (a stable sort of two runs) and both ECDFs are
     read at the last entry of each run of equal values, where their counts are
     those of every value at or below it.  The counts and their quotients are the
@@ -471,6 +485,8 @@ def two_sample_ks(x: np.ndarray, y: np.ndarray) -> float:
     """
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
+    if x.size == 0 or y.size == 0:
+        raise EmptySet("both samples need at least one value")
     if np.isnan(x).any() or np.isnan(y).any():
         return float("nan")
     both = np.concatenate([x, y])
@@ -571,9 +587,6 @@ class ComparisonReport:
     energy_distance: float
     covariance_frobenius_error: float
     value_ks: Optional[float] = None
-    support_frequencies: Optional[SupportFrequencies] = None
-    infeasible_rate: float = 0.0
-    hausdorff_by_n: tuple[tuple[float, float, float, float], ...] = ()
 
 
 def compare_distributions(
@@ -676,9 +689,11 @@ def hausdorff_run(
 
 
 def hausdorff_rate_slope(summary) -> float:
-    """Least-squares slope of log median distance against log sample size."""
+    """Least-squares slope of log median distance against log sample size (two sizes at least)."""
     ns = np.array([row[0] for row in summary], dtype=float)
     medians = np.array([row[1] for row in summary], dtype=float)
+    if np.unique(ns).size < 2:
+        raise DimensionMismatch("the log fit needs at least two distinct sample sizes")
     if np.any(medians <= 0):
         raise DimensionMismatch("median distances must be positive for the log fit")
     return float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
@@ -693,6 +708,7 @@ class ExperimentResult:
     limit_result: LimitSampleResult
     hausdorff: Optional[HausdorffExperiment]
     partition: SupportPartition
+    support_frequencies: SupportFrequencies  # of the last sample size's solutions
     spec: cones_limit.LimitLawSpec
 
 
@@ -727,9 +743,7 @@ def run_experiment(
         threads=threads,
     )
     partition = cones_limit.support_partition(spec.ledger, tols=tols)
-    freqs = support_frequencies(main.solutions, partition, tols.feas_tol)
     hausdorff = None
-    summary = ()
     if config.hausdorff_sizes:
         hausdorff = hausdorff_run(
             lp,
@@ -740,16 +754,12 @@ def run_experiment(
             solver=solver,
             tols=tols,
         )
-        summary = hausdorff.summary
-    report = replace(
-        report, support_frequencies=freqs, infeasible_rate=main.infeasible_rate,
-        hausdorff_by_n=tuple(summary),
-    )
     return ExperimentResult(
         report=report,
         batches=batches,
         limit_result=limit_result,
         hausdorff=hausdorff,
         partition=partition,
+        support_frequencies=support_frequencies(main.solutions, partition, tols.feas_tol),
         spec=spec,
     )

@@ -417,7 +417,12 @@ class TestMonteCarlo:
             digests.append(digest)
         assert digests[0] != digests[1]
 
-    @pytest.mark.parametrize("entry", [{"comparison_samples": 0}, {"hausdorf_sizes": [100]}])
+    @pytest.mark.parametrize("entry", [
+        {"comparison_samples": 0}, {"hausdorf_sizes": [100]},
+        {"sample_sizes": []}, {"sample_sizes": 100}, {"lambda": "x", "mode": "two-sample"},
+        {"replicates": 20.7}, {"replicates": "20"}, {"sample_sizes": [True]},
+        {"sample_sizes": [[100, 200, 300]]}, {"replicates": -3}, {"seed": 1.5},
+    ])
     def test_bad_config_exits_two_before_any_work(self, problem_paths, monkeypatch, capsys, entry):
         def explode(*args, **kwargs):
             raise AssertionError("the experiment started")
@@ -441,6 +446,12 @@ class TestMonteCarlo:
             ["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out)]
         ) == cli.EXIT_INPUT
         assert not out.exists()
+
+    def test_empty_config_takes_the_experiment_defaults(self, problem_paths):
+        config = problem_paths["dir"] / "config_empty.json"
+        config.write_text("{}")
+        assert (cli._experiment_config(cli._load_json(str(config)))
+                == cli.stochastic_harness.ExperimentConfig())
 
     def test_report_is_deterministic_up_to_manifest(self, problem_paths):
         config = problem_paths["dir"] / "config2.json"
@@ -467,6 +478,43 @@ class TestMonteCarlo:
         ra.pop("manifest")
         rb.pop("manifest")
         assert ra == rb
+
+
+class TestManifest:
+    def test_report_embeds_the_manifest_field_by_field(self, problem_paths):
+        config = problem_paths["dir"] / "config_manifest.json"
+        config.write_text(json.dumps({"sample_sizes": [10], "replicates": 2, "seed": 4,
+                                      "comparison_samples": 50}))
+        out = problem_paths["dir"] / "mc_manifest"
+        assert run(["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert next(iter(report)) == "manifest"
+        assert list(report["manifest"]) == list(manifest)
+        for field, value in manifest.items():
+            assert report["manifest"][field] == value, field
+
+    @pytest.mark.parametrize("argv, seed, threads", [
+        (["analyze"], None, None),
+        (["limit-sample", "--samples", "20", "--seed", "9"], 9, None),
+        (["certify"], None, None),
+        (["monte-carlo", "{config}", "--threads", "2"], 4, 2),
+    ])
+    def test_each_command_lists_inputs_seed_and_threads(self, problem_paths, argv, seed, threads):
+        import lplimits
+
+        config = problem_paths["dir"] / "config_inputs.json"
+        config.write_text(json.dumps({"sample_sizes": [10], "replicates": 2, "seed": 4,
+                                      "comparison_samples": 50}))
+        argv = [arg.format(config=config) for arg in argv]
+        out = problem_paths["dir"] / f"inputs_{argv[0]}"
+        assert run([argv[0], problem_paths["p2"], *argv[1:], "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        inputs = [problem_paths["p2"]] + ([str(config)] if argv[0] == "monte-carlo" else [])
+        assert manifest["command"] == argv[0] and manifest["input_paths"] == inputs
+        assert manifest["seed"] == seed and manifest["threads"] == threads
+        assert manifest["tool_version"] == lplimits.__version__
+        assert manifest["started"] <= manifest["finished"]
 
 
 class TestSameSeed:

@@ -230,6 +230,11 @@ class TestMultinomialCovariance:
 
 
 class TestOtLimitSpec:
+    @pytest.mark.parametrize("lam", ["x", None, 0.0, 1.0])
+    def test_lambda_outside_the_open_unit_interval_is_rejected(self, lam):
+        with pytest.raises(lpl.DimensionMismatch, match="lambda"):
+            lpl.TwoSample(lam)
+
     def test_two_sample_blocks(self):
         lam = 0.5
         mode = lpl.TwoSample(lam)

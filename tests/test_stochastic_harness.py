@@ -495,6 +495,12 @@ class TestRateRecovery:
         slope = lpl.hausdorff_rate_slope(experiment.summary)
         assert -0.65 <= slope <= -0.35
 
+    @pytest.mark.parametrize("summary", [((100.0, 0.1, 0.05, 0.2),),
+                                         ((100.0, 0.1, 0.05, 0.2), (100.0, 0.2, 0.1, 0.3))])
+    def test_slope_needs_two_distinct_sizes(self, summary):
+        with pytest.raises(lpl.DimensionMismatch, match="two distinct sample sizes"):
+            lpl.hausdorff_rate_slope(summary)
+
     def test_non_uniqueness_persists_when_duals_collide(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
         solver = lpl.RepeatedSolver(lp)
@@ -614,6 +620,12 @@ class TestTwoSampleKs:
 
     def test_nan_propagates(self):
         assert np.isnan(lpl.two_sample_ks(np.array([0.0, np.nan]), np.array([1.0])))
+
+    @pytest.mark.parametrize("x, y", [(np.zeros(0), np.ones(3)), (np.ones(3), np.zeros(0)),
+                                      (np.zeros(0), np.zeros(0))])
+    def test_empty_sample_is_rejected(self, x, y):
+        with pytest.raises(lpl.EmptySet):
+            lpl.two_sample_ks(x, y)
 
 
 def _oracle_mean_distance(A, B):
@@ -865,7 +877,7 @@ class TestSeedDeterminism:
         )
         assert first.report.energy_distance == second.report.energy_distance
         assert first.report.value_ks == second.report.value_ks
-        assert first.report.hausdorff_by_n == second.report.hausdorff_by_n
+        assert first.hausdorff.summary == second.hausdorff.summary
         np.testing.assert_array_equal(
             first.batches[-1].fluctuations, second.batches[-1].fluctuations
         )
