@@ -96,7 +96,6 @@ from .stochastic_harness import (
     ExperimentResult,
     FluctuationBatch,
     HausdorffExperiment,
-    MultinomialMarginal,
     RepeatedSolver,
     SupportFrequencies,
     UserSamples,

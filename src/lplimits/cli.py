@@ -276,9 +276,14 @@ def _run(args) -> int:
     A command returns (files, digest payload, seed).  files maps each output
     name to a JSON payload or, for a ``.csv`` name, to (header, rows); a JSON
     payload's ``manifest`` key receives the run manifest.  Nothing is written
-    when the command raises.
+    when the command raises, nor when --out-dir cannot be a directory (its
+    nearest existing ancestor is not one), which is found before any work.
     """
     started = _now()
+    out_dir = Path(args.out_dir)
+    ancestor = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not ancestor.is_dir():
+        raise DimensionMismatch(f"--out-dir {out_dir}: {ancestor} is not a directory")
     files, digest_payload, seed = args.func(args)
     manifest = asdict(RunManifest(
         command=args.command,
@@ -292,7 +297,6 @@ def _run(args) -> int:
         started=started,
         finished=_now(),
     ))
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in {**files, "manifest.json": manifest}.items():
         if name.endswith(".csv"):

@@ -426,13 +426,18 @@ def multinomial_covariance(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OneSample:
-    """Only the first marginal is estimated; fluctuations live on N-1 coordinates."""
+    """Only the first marginal is estimated from n draws; fluctuations live on N-1 coordinates."""
 
     rate_name = "sqrt(n)"
 
-    def rate(self, n) -> float:
-        """Scaling factor of the raw fluctuations at sample size n (an (n, m) pair reads n)."""
-        return float(np.sqrt(n[0] if isinstance(n, tuple) else n))
+    def rate(self, n: int) -> float:
+        """Scaling factor of the raw fluctuations at sample size n."""
+        return float(np.sqrt(n))
+
+    def covariance(self, ot: OtProblem) -> np.ndarray:
+        """Leading (N-1) x (N-1) block of the multinomial covariance of r."""
+        N = ot.n_points
+        return multinomial_covariance(ot.r)[: N - 1, : N - 1]
 
 
 @dataclass(frozen=True)
@@ -451,6 +456,16 @@ class TwoSample:
         n1, n2 = n if isinstance(n, tuple) else (n, n)
         return float(np.sqrt(n1 * n2 / (n1 + n2)))
 
+    def covariance(self, ot: OtProblem) -> np.ndarray:
+        """Block diagonal: lam * Sigma(r) (truncated to N-1) and (1 - lam) * Sigma(s)."""
+        N = ot.n_points
+        top = self.lam * multinomial_covariance(ot.r)[: N - 1, : N - 1]
+        bottom = (1.0 - self.lam) * multinomial_covariance(ot.s)
+        return np.block([
+            [top, np.zeros((N - 1, N))],
+            [np.zeros((N, N - 1)), bottom],
+        ])
+
 
 def ot_limit_spec(
     ot: OtProblem,
@@ -461,30 +476,17 @@ def ot_limit_spec(
 ) -> LimitLawSpec:
     """Limit-law specification of an OT instance with a unique optimum.
 
-    One-sample: directions are the first N-1 coordinates of the estimated
-    first marginal, with the leading block of its multinomial covariance.
-    Two-sample: directions stack both marginal fluctuations, with block
-    covariance lam * Sigma(r) (truncated) and (1 - lam) * Sigma(s).
+    The directions are those the mode resamples, with its covariance: the
+    first N-1 coordinates of the estimated first marginal (one-sample), or
+    both marginal fluctuations stacked (two-sample); m0 is their count.
     ``support_partition`` raises NotUnique when the optimum is not unique.
     ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
     """
     if ledger is None:
         ledger = enumerate_ledger(reduce_to_lp(ot, tols), tols)
     partition = support_partition(ledger, tols=tols)
-    N = ot.n_points
-    if isinstance(mode, OneSample):
-        m0 = N - 1
-        covariance = multinomial_covariance(ot.r)[: N - 1, : N - 1]
-    elif isinstance(mode, TwoSample):
-        m0 = 2 * N - 1
-        top = mode.lam * multinomial_covariance(ot.r)[: N - 1, : N - 1]
-        bottom = (1.0 - mode.lam) * multinomial_covariance(ot.s)
-        covariance = np.block([
-            [top, np.zeros((N - 1, N))],
-            [np.zeros((N, N - 1)), bottom],
-        ])
-    else:
-        raise DimensionMismatch(f"unknown sampling mode {mode!r}")
+    covariance = mode.covariance(ot)
+    m0 = covariance.shape[0]
     cones = build_cones(ledger, partition, m0)
     return LimitLawSpec(
         ledger=ledger,

@@ -85,27 +85,17 @@ class ExperimentConfig:
             else _integer(n, "sample_sizes")
             for n in self.sample_sizes
         )
-        if any(isinstance(n, tuple) and len(n) != 2 for n in sizes):
-            raise DimensionMismatch(f"sample_sizes entries must be n or (n, m), got {sizes}")
+        if not isinstance(self.mode, (OneSample, TwoSample)):
+            raise DimensionMismatch(f"mode must be OneSample() or TwoSample(lam), got {self.mode!r}")
+        pair = 2 if isinstance(self.mode, TwoSample) else 0  # a one-sample size is n only
+        if any(isinstance(n, tuple) and len(n) != pair for n in sizes):
+            raise DimensionMismatch(f"sample_sizes entries must be n, or (n, m) in two-sample mode: {sizes}")
         checked = {"sample_sizes": sizes, "seed": _integer(self.seed, "seed", least=0),
                    "hausdorff_sizes": _integers(self.hausdorff_sizes, "hausdorff_sizes")}
         for name in ("replicates", "comparison_samples", "hausdorff_replicates"):
             checked[name] = _integer(getattr(self, name), name)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class MultinomialMarginal:
-    """Resampling model for transport right-hand sides (r truncated, s full).
-
-    One-sample mode replaces only the r block by empirical frequencies of n
-    categorical draws; two-sample mode also resamples the s block with its
-    own sample size.
-    """
-
-    n_points: int
-    two_sample: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,42 +105,45 @@ class UserSamples:
     rows: np.ndarray
 
 
-def resample_rhs(model, b, n: SampleSize, rng: np.random.Generator) -> np.ndarray:
-    """One resampled right-hand side; deterministic given the generator state."""
-    return _draw_rows(model, b, n, [rng], 1)[0]
+def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndarray:
+    """replicates resampled right-hand sides, one per row; b is checked once.
 
-
-def _resample_rows(model, b, n: SampleSize, keys) -> np.ndarray:
-    """Row i is ``resample_rhs(model, b, n, np.random.default_rng(keys[i]))``; b is checked once."""
-    return _draw_rows(model, b, n, _keyed_generators(keys), len(keys))
-
-
-def _draw_rows(model, b, n: SampleSize, rngs, count: int) -> np.ndarray:
-    """count resampled right-hand sides, row i drawn from the i-th generator of rngs."""
+    Row rep is drawn from ``np.random.default_rng((seed, *n, rep))``, an int n
+    reading as (n,): the one rule for the streams of replicates.  The model is
+    the sampling mode of a transport rhs b = (r[:N-1], s) of length 2N - 1.
+    OneSample replaces the r block by the frequencies of n categorical draws
+    from r; TwoSample also replaces the s block by those of m draws from s,
+    with m = n for an int n.  UserSamples draws one of its rows.
+    """
     b = np.asarray(b, dtype=float)
+    sizes = n if isinstance(n, tuple) else (n,)
+    rngs = _keyed_generators([(seed, *sizes, rep) for rep in range(replicates)])
     if isinstance(model, UserSamples):
         rows = np.asarray(model.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != b.size:
             raise DimensionMismatch("user sample rows must match the rhs length")
         return rows[[int(rng.integers(rows.shape[0])) for rng in rngs]]
-    if not isinstance(model, MultinomialMarginal):
+    if not isinstance(model, (OneSample, TwoSample)):
         raise DimensionMismatch(f"unknown resampling model {model!r}")
-    N = model.n_points
-    if b.size != 2 * N - 1:
-        raise DimensionMismatch(f"rhs must have length {2 * N - 1}, got {b.size}")
+    if len(sizes) not in ((1,) if isinstance(model, OneSample) else (1, 2)):
+        raise DimensionMismatch(f"{model!r} cannot resample at the sample size {n!r}")
+    if b.size % 2 == 0:
+        raise DimensionMismatch(f"rhs must have odd length 2N - 1, got {b.size}")
+    N = (b.size + 1) // 2
     # the check make_ot_problem applies to r and s
     r = ot_module._check_probability(np.concatenate([b[: N - 1], [1.0 - b[: N - 1].sum()]]), "r")
     s = ot_module._check_probability(b[N - 1 :], "s")
-    n_r, n_s = n if isinstance(n, tuple) else (n, n)
+    n_r, n_s = (sizes * 2)[:2]  # an int n means m = n
     p_r, p_s = (np.clip(v, 0.0, None) / v.sum() for v in (r, s))
-    counts = np.zeros((count, 2, N), dtype=np.int64)
+    two_sample = isinstance(model, TwoSample)
+    counts = np.zeros((replicates, 2, N), dtype=np.int64)
     for row, rng in zip(counts, rngs):
         row[0] = rng.multinomial(int(n_r), p_r)
-        if model.two_sample:
+        if two_sample:
             row[1] = rng.multinomial(int(n_s), p_s)
-    out = np.tile(b, (count, 1))  # one-sample rows keep the s block of b
+    out = np.tile(b, (replicates, 1))  # one-sample rows keep the s block of b
     out[:, : N - 1] = counts[:, 0, : N - 1] / float(n_r)
-    if model.two_sample:
+    if two_sample:
         out[:, N - 1 :] = counts[:, 1] / float(n_s)
     return out
 
@@ -350,12 +343,11 @@ def fluctuation_run(
     batches: list[FluctuationBatch] = []
     for n in config.sample_sizes:
         rate = config.mode.rate(n)
-        n_key = n if isinstance(n, tuple) else (n,)
-        keys = [(config.seed, *n_key, rep) for rep in range(config.replicates)]
-        rows = _resample_rows(model, lp.rhs, n, keys)
+        rows = resample_rhs(model, lp.rhs, n, config.seed, config.replicates)
         if config.solver_policy is TieBreak.MIN_INDEX:
             solutions, values, _, ok = solver.solve_batch(rows)
         else:
+            n_key = n if isinstance(n, tuple) else (n,)
             solutions, ok = solver.mixed_solution(rows, (config.seed, *n_key, 1))
             values = solutions @ lp.cost
         infeasible = int(np.sum(~ok))
@@ -668,8 +660,7 @@ def hausdorff_run(
     skipped = 0
     for n in sample_sizes:
         dists: list[float] = []
-        keys = [(seed, n, rep) for rep in range(replicates)]
-        rhs_batch = _resample_rows(model, lp.rhs, int(n), keys)
+        rhs_batch = resample_rhs(model, lp.rhs, int(n), seed, replicates)
         for rep, vertices in enumerate(solver._vertex_sets(rhs_batch)):
             if not vertices:
                 skipped += 1
@@ -729,8 +720,7 @@ def run_experiment(
     spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols, ledger)
     lp = spec.ledger.lp
     solver = RepeatedSolver(lp, tols, ledger=spec.ledger)
-    model = MultinomialMarginal(ot.n_points, two_sample=isinstance(config.mode, TwoSample))
-    batches = fluctuation_run(lp, config, model, solver=solver, tols=tols)
+    batches = fluctuation_run(lp, config, config.mode, solver=solver, tols=tols)
     main = batches[-1]
     limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1, tols.boundary_tol)
     duals = spec.ledger.optimal_duals()[:, : spec.m0]
@@ -747,7 +737,7 @@ def run_experiment(
     if config.hausdorff_sizes:
         hausdorff = hausdorff_run(
             lp,
-            model,
+            config.mode,
             config.hausdorff_sizes,
             config.hausdorff_replicates,
             config.seed + 2,

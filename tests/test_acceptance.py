@@ -96,7 +96,7 @@ def test_criterion_03_nondegenerate_clt():
     config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=2000, seed=33)
     solver = lpl.RepeatedSolver(spec.ledger.lp, ledger=spec.ledger)
     batches = lpl.fluctuation_run(
-        spec.ledger.lp, config, lpl.MultinomialMarginal(3), solver=solver
+        spec.ledger.lp, config, lpl.OneSample(), solver=solver
     )
     empirical = np.cov(batches[0].fluctuations, rowvar=False)
     closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance, spec.m0)
@@ -136,7 +136,7 @@ def test_criterion_06_hausdorff_rate():
     started = time.perf_counter()
     lp = lpl.reduce_to_lp(line_problem(1.0))
     experiment = lpl.hausdorff_run(
-        lp, lpl.MultinomialMarginal(3), [100, 1000, 10_000, 100_000], 200, seed=61
+        lp, lpl.OneSample(), [100, 1000, 10_000, 100_000], 200, seed=61
     )
     slope = lpl.hausdorff_rate_slope(experiment.summary)
     assert -0.6 <= slope <= -0.4
@@ -176,7 +176,7 @@ def test_criterion_08_support_pattern():
     lp = spec.ledger.lp
     solver = lpl.RepeatedSolver(lp, ledger=spec.ledger)
     config = lpl.ExperimentConfig(sample_sizes=(100_000,), replicates=1000, seed=88)
-    batches = lpl.fluctuation_run(lp, config, lpl.MultinomialMarginal(3), solver=solver)
+    batches = lpl.fluctuation_run(lp, config, lpl.OneSample(), solver=solver)
     partition = lpl.support_partition(spec.ledger)
     assert partition.tz == (2, 6) and partition.dz == (1, 3, 5, 7)
     freqs = lpl.support_frequencies(batches[0].solutions, partition, 1e-9)

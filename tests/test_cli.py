@@ -447,6 +447,39 @@ class TestMonteCarlo:
         ) == cli.EXIT_INPUT
         assert not out.exists()
 
+    def test_pair_size_needs_two_sample_mode(self, problem_paths, capsys):
+        settings = {"sample_sizes": [[100, 200]], "replicates": 5}
+        config = problem_paths["dir"] / "config_pair.json"
+        config.write_text(json.dumps(settings))
+        out = problem_paths["dir"] / "mc_pair_one"
+        assert run(
+            ["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out)]
+        ) == cli.EXIT_INPUT
+        assert "sample_sizes" in capsys.readouterr().err
+        assert not out.exists()
+        config.write_text(json.dumps(dict(settings, mode="two-sample")))
+        out = problem_paths["dir"] / "mc_pair_two"
+        assert run(
+            ["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out)]
+        ) == 0
+        assert json.loads((out / "report.json").read_text())["sample_sizes"] == [[100, 200]]
+
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_out_dir_under_a_file_exits_two_before_any_work(self, problem_paths, monkeypatch, below):
+        def explode(*args, **kwargs):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(cli.stochastic_harness, "run_experiment", explode)
+        config = problem_paths["dir"] / "config_out_dir.json"
+        config.write_text(json.dumps({"sample_sizes": [10], "replicates": 1}))
+        afile = problem_paths["dir"] / "afile"
+        afile.write_text("kept")
+        out = afile.joinpath(*below)
+        assert run(
+            ["monte-carlo", problem_paths["p2"], str(config), "--out-dir", str(out)]
+        ) == cli.EXIT_INPUT
+        assert afile.read_text() == "kept"
+
     def test_empty_config_takes_the_experiment_defaults(self, problem_paths):
         config = problem_paths["dir"] / "config_empty.json"
         config.write_text("{}")
@@ -573,6 +606,24 @@ def csv_arrays(draw):
         columns.append(column)
     rows = np.column_stack(columns)
     return rows[0] if shape == "1-D" else rows
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_out_dir_that_cannot_be_a_directory_exits_two(self, problem_paths, capsys, below):
+        afile = problem_paths["dir"] / "afile"
+        afile.write_text("kept")
+        before = sorted(problem_paths["dir"].iterdir())
+        out = afile.joinpath(*below)
+        assert run(["analyze", problem_paths["p2"], "--out-dir", str(out)]) == cli.EXIT_INPUT
+        assert "not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept"
+        assert sorted(problem_paths["dir"].iterdir()) == before
+
+    def test_missing_ancestors_are_created(self, problem_paths):
+        out = problem_paths["dir"] / "a" / "b"
+        assert run(["analyze", problem_paths["p2"], "--out-dir", str(out)]) == 0
+        assert (out / "analysis.json").exists()
 
 
 class TestCurveWriters:

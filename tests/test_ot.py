@@ -256,7 +256,6 @@ class TestOtLimitSpec:
         spec = lpl.ot_limit_spec(nondegenerate_problem(), mode)
         assert spec.m0 == 2 and spec.rate_name == "sqrt(n)"
         assert mode.rate(1000) == float(np.sqrt(1000))
-        assert mode.rate((1000, 3000)) == float(np.sqrt(1000))
         assert np.linalg.eigvalsh(spec.covariance).min() > 1e-6
 
     def test_rejects_non_unique_optimum(self):

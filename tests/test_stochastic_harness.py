@@ -12,21 +12,23 @@ from scipy.spatial.distance import cdist
 
 import lplimits as lpl
 from lplimits import cones_limit, lp_core, stochastic_harness
-from lplimits.stochastic_harness import _CDIST_BLOCK, _pcg64_states, _resample_rows
+from lplimits.stochastic_harness import _CDIST_BLOCK, _pcg64_states
 from conftest import SKEWED_R, SKEWED_S, line_problem
 
 
-def _oracle_resample_rhs(model, b, n, rng):
-    """The per-replicate resampler that validated b on every call."""
+def _oracle_resample_rhs(mode, b, n, rng):
+    """The per-replicate resampler that validated b on every call; N is read from len(b) = 2N - 1."""
     b = np.asarray(b, dtype=float)
-    if isinstance(model, lpl.UserSamples):
-        rows = np.asarray(model.rows, dtype=float)
+    if isinstance(mode, lpl.UserSamples):
+        rows = np.asarray(mode.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != b.size:
             raise lpl.DimensionMismatch("user sample rows must match the rhs length")
         return rows[int(rng.integers(rows.shape[0]))].copy()
-    N = model.n_points
-    if b.size != 2 * N - 1:
+    if not isinstance(mode, (lpl.OneSample, lpl.TwoSample)):
+        raise lpl.DimensionMismatch("unknown mode")
+    if b.size % 2 == 0:
         raise lpl.DimensionMismatch("rhs length")
+    N = (b.size + 1) // 2
     r = np.concatenate([b[: N - 1], [1.0 - b[: N - 1].sum()]])
     s = b[N - 1 :]
     for v in (r, s):
@@ -34,101 +36,102 @@ def _oracle_resample_rhs(model, b, n, rng):
             raise lpl.NotAProbabilityVector("rhs")
     n_r, n_s = (n, n) if isinstance(n, int) else n
     r_hat = rng.multinomial(int(n_r), np.clip(r, 0.0, None) / r.sum()) / float(n_r)
-    if model.two_sample:
+    if isinstance(mode, lpl.TwoSample):
         s_hat = rng.multinomial(int(n_s), np.clip(s, 0.0, None) / s.sum()) / float(n_s)
     else:
         s_hat = s
     return np.concatenate([r_hat[: N - 1], s_hat])
 
 
+@st.composite
+def _resampling_cases(draw):
+    """(model, b, n, seed, replicates) over N in 2..6, both modes and a user pool."""
+    N = draw(st.integers(2, 6))
+    model = draw(st.sampled_from([
+        lpl.OneSample(), lpl.TwoSample(0.3),
+        lpl.UserSamples(np.arange(3.0 * (2 * N - 1)).reshape(3, 2 * N - 1)),
+    ]))
+    size = st.integers(1, 10**6)
+    n = draw(st.one_of(size, st.tuples(size, size)) if isinstance(model, lpl.TwoSample) else size)
+    weights = st.lists(st.integers(0, 5), min_size=N, max_size=N).filter(any)
+    r, s = (np.array(w, float) / sum(w) for w in (draw(weights), draw(weights)))
+    b = np.concatenate([r[: N - 1], s])
+    return model, b, n, draw(st.integers(0, 2**64)), draw(st.integers(1, 30))
+
+
 class TestResampleRhs:
     def test_point_mass_is_fixed(self):
-        model = lpl.MultinomialMarginal(3)
         b = np.array([1.0, 0.0, 0.3, 0.3, 0.4])
-        out = lpl.resample_rhs(model, b, 50, np.random.default_rng(0))
+        out = lpl.resample_rhs(lpl.OneSample(), b, 50, 0, 1)[0]
         np.testing.assert_allclose(out[:2], [1.0, 0.0])
 
     def test_one_sample_copies_second_marginal(self):
-        model = lpl.MultinomialMarginal(3, two_sample=False)
         b = np.array([0.2, 0.3, 0.25, 0.35, 0.4])
-        out = lpl.resample_rhs(model, b, 100, np.random.default_rng(1))
+        out = lpl.resample_rhs(lpl.OneSample(), b, 100, 1, 1)[0]
         np.testing.assert_array_equal(out[2:], b[2:])
         assert not np.array_equal(out[:2], b[:2])
 
     def test_two_sample_resamples_both_blocks(self):
-        model = lpl.MultinomialMarginal(3, two_sample=True)
         b = np.array([0.2, 0.3, 0.25, 0.35, 0.4])
-        out = lpl.resample_rhs(model, b, (400, 300), np.random.default_rng(2))
+        out = lpl.resample_rhs(lpl.TwoSample(), b, (400, 300), 2, 1)[0]
         assert not np.array_equal(out[2:], b[2:])
         assert out[2:].sum() == pytest.approx(1.0)
 
     def test_large_samples_concentrate(self):
-        model = lpl.MultinomialMarginal(3)
         b = np.array([0.2, 0.3, 0.25, 0.35, 0.4])
-        hits = 0
-        for rep in range(100):
-            out = lpl.resample_rhs(model, b, 1_000_000, np.random.default_rng((3, rep)))
-            if np.abs(out - b).max() < 0.01:
-                hits += 1
-        assert hits == 100
+        rows = lpl.resample_rhs(lpl.OneSample(), b, 1_000_000, 3, 100)
+        assert (np.abs(rows - b).max(axis=1) < 0.01).all()
 
     def test_rejects_non_probability_rhs(self):
-        model = lpl.MultinomialMarginal(3)
         with pytest.raises(lpl.NotAProbabilityVector):
-            lpl.resample_rhs(model, np.array([0.9, 0.9, 0.3, 0.3, 0.4]), 10,
-                             np.random.default_rng(4))
+            lpl.resample_rhs(lpl.OneSample(), np.array([0.9, 0.9, 0.3, 0.3, 0.4]), 10, 4, 1)
 
     @pytest.mark.parametrize("excess, accepted", [(1e-10, False), (1e-13, True)])
     def test_probability_tolerance_matches_make_ot_problem(self, excess, accepted):
         r = np.array([0.2, 0.3, 0.5])
         s = np.array([0.25, 0.35, 0.4 + excess])
         b = np.concatenate([r[:2], s])
-        model = lpl.MultinomialMarginal(3, two_sample=True)
         if accepted:
             lpl.make_ot_problem(points_x=np.arange(3.0), r=r, s=s, p=2.0, q=2.0)
-            assert _resample_rows(model, b, 10, [(0, rep) for rep in range(3)]).shape == (3, 5)
+            assert lpl.resample_rhs(lpl.TwoSample(), b, 10, 0, 3).shape == (3, 5)
         else:
             with pytest.raises(lpl.NotAProbabilityVector):
                 lpl.make_ot_problem(points_x=np.arange(3.0), r=r, s=s, p=2.0, q=2.0)
             with pytest.raises(lpl.NotAProbabilityVector):
-                _resample_rows(model, b, 10, [(0, rep) for rep in range(3)])
+                lpl.resample_rhs(lpl.TwoSample(), b, 10, 0, 3)
 
     def test_user_samples(self):
         rows = np.arange(15, dtype=float).reshape(3, 5)
-        model = lpl.UserSamples(rows)
-        out = lpl.resample_rhs(model, np.zeros(5), 1, np.random.default_rng(5))
+        out = lpl.resample_rhs(lpl.UserSamples(rows), np.zeros(5), 1, 5, 1)[0]
         assert any(np.array_equal(out, row) for row in rows)
 
-    @pytest.mark.parametrize("model, b, n", [
-        (lpl.MultinomialMarginal(3), [0.2, 0.3, 0.25, 0.35, 0.4], 37),
-        (lpl.MultinomialMarginal(4, two_sample=True), [0.1, 0.0, 0.5, 0.2, 0.3, 0.4, 0.1], (50, 9)),
-        (lpl.MultinomialMarginal(3, two_sample=True), [1.0, 0.0, 0.3, 0.3, 0.4], 1_000_003),
-        (lpl.UserSamples(np.arange(15, dtype=float).reshape(3, 5)), np.zeros(5), 1),
-    ])
-    def test_batch_equals_per_replicate_draws(self, model, b, n):
-        keys = [(8, *np.atleast_1d(n), rep) for rep in range(25)]
-        expected = np.array([_oracle_resample_rhs(model, b, n, np.random.default_rng(k))
-                             for k in keys])
-        np.testing.assert_array_equal(_resample_rows(model, b, n, keys), expected)
-        stacked = [lpl.resample_rhs(model, b, n, np.random.default_rng(k)) for k in keys]
-        np.testing.assert_array_equal(np.array(stacked), expected)
+    @pytest.mark.parametrize("mode, n", [(lpl.OneSample(), (10, 20)), (lpl.TwoSample(), (10, 20, 30))])
+    def test_size_the_mode_cannot_read_is_rejected(self, mode, n):
+        with pytest.raises(lpl.DimensionMismatch, match="sample size"):
+            lpl.resample_rhs(mode, [0.2, 0.3, 0.25, 0.35, 0.4], n, 0, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_resampling_cases())
+    def test_batch_equals_per_replicate_draws(self, case):
+        model, b, n, seed, replicates = case
+        sizes = n if isinstance(n, tuple) else (n,)
+        expected = np.array([_oracle_resample_rhs(model, b, n, np.random.default_rng((seed, *sizes, rep)))
+                             for rep in range(replicates)])
+        np.testing.assert_array_equal(lpl.resample_rhs(model, b, n, seed, replicates), expected)
 
     @pytest.mark.parametrize("model, b", [
-        (lpl.MultinomialMarginal(3), [0.9, 0.9, 0.3, 0.3, 0.4]),
-        (lpl.MultinomialMarginal(3), [0.2, 0.3, 0.25, 0.35, 0.5]),
-        (lpl.MultinomialMarginal(3, two_sample=True), [0.2, 0.3, 0.25, -0.1, 0.4]),
-        (lpl.MultinomialMarginal(3), [0.2, 0.3, 0.5]),
+        (lpl.OneSample(), [0.9, 0.9, 0.3, 0.3, 0.4]),
+        (lpl.OneSample(), [0.2, 0.3, 0.25, 0.35, 0.5]),
+        (lpl.TwoSample(), [0.2, 0.3, 0.25, -0.1, 0.4]),
+        (lpl.OneSample(), [0.2, 0.3, 0.25, 0.25]),
         (lpl.UserSamples(np.zeros((3, 4))), np.zeros(5)),
         (object(), np.zeros(5)),
     ])
     def test_batch_rejects_bad_rhs_like_per_replicate(self, model, b):
-        with pytest.raises(lpl.LpLimitsError) as per_replicate:
-            lpl.resample_rhs(model, b, 10, np.random.default_rng(0))
-        with pytest.raises(type(per_replicate.value)):
-            _resample_rows(model, b, 10, [(0, rep) for rep in range(3)])
-        if isinstance(model, (lpl.MultinomialMarginal, lpl.UserSamples)):
-            with pytest.raises(type(per_replicate.value)):
-                _oracle_resample_rhs(model, b, 10, np.random.default_rng(0))
+        with pytest.raises(lpl.LpLimitsError) as batch:
+            lpl.resample_rhs(model, b, 10, 0, 3)
+        with pytest.raises(type(batch.value)):
+            _oracle_resample_rhs(model, b, 10, np.random.default_rng(0))
 
 
 class TestKeyedStates:
@@ -170,7 +173,7 @@ class TestFluctuationRun:
         problem = line_problem(2.0)
         lp = lpl.reduce_to_lp(problem)
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=300, seed=1)
-        batches = lpl.fluctuation_run(lp, config, lpl.MultinomialMarginal(3))
+        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
         ledger = lpl.enumerate_ledger(lp)
         partition = lpl.support_partition(ledger)
         tz = list(partition.tz)
@@ -184,7 +187,7 @@ class TestFluctuationRun:
         spec = lpl.ot_limit_spec(problem, lpl.OneSample())
         lp = spec.ledger.lp
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=800, seed=2)
-        batches = lpl.fluctuation_run(lp, config, lpl.MultinomialMarginal(3))
+        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
         empirical = np.cov(batches[0].fluctuations, rowvar=False)
         closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance, spec.m0)
         assert np.linalg.norm(empirical - closed) / np.linalg.norm(closed) < 0.15
@@ -203,7 +206,7 @@ class TestFluctuationRun:
             sample_sizes=(500,), replicates=40, seed=3,
             solver_policy=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE,
         )
-        batches = lpl.fluctuation_run(lp, config, lpl.MultinomialMarginal(3))
+        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
         solver = lpl.RepeatedSolver(lp)
         for row_solution in batches[0].solutions:
             assert row_solution.min() >= -1e-9
@@ -275,8 +278,7 @@ class TestRepeatedSolver:
         lp = lpl.reduce_to_lp(_generic_problem(6, 1))
         solver = lpl.RepeatedSolver(lp)
         assert solver.inverses.shape == (252, 11, 11)
-        rows = _resample_rows(lpl.MultinomialMarginal(6, True), lp.rhs, 1000,
-                              [(1, rep) for rep in range(2000)])
+        rows = lpl.resample_rhs(lpl.TwoSample(), lp.rhs, 1000, 1, 2000)
         tracemalloc.start()
         try:
             solver.solve_batch(rows)
@@ -289,8 +291,7 @@ class TestRepeatedSolver:
         # 4,096 rows of spacings over 252 bases are 8 MB; one 1,024-row block of them is 2 MB.
         lp = lpl.reduce_to_lp(_generic_problem(6, [6, 0]))
         solver = lpl.RepeatedSolver(lp)
-        rows = _resample_rows(lpl.MultinomialMarginal(6, True), lp.rhs, 1000,
-                              [(1, rep) for rep in range(4096)])
+        rows = lpl.resample_rhs(lpl.TwoSample(), lp.rhs, 1000, 1, 4096)
         tracemalloc.start()
         try:
             solver.mixed_solution(rows, (1, 1))
@@ -359,7 +360,7 @@ def _generic_problem(n_points, seed):
 class TestHausdorffBatch:
     def _assert_matches_oracle(self, problem, sizes, replicates, seed, base_size):
         lp = lpl.reduce_to_lp(problem)
-        model = lpl.MultinomialMarginal(problem.n_points, two_sample=True)
+        model = lpl.TwoSample()
         rows, skipped, n_base = _oracle_hausdorff_rows(lp, model, sizes, replicates, seed)
         assert n_base == base_size
         experiment = lpl.hausdorff_run(lp, model, sizes, replicates, seed)
@@ -385,8 +386,7 @@ class TestHausdorffBatch:
     def test_blocks_do_not_change_vertex_sets(self, monkeypatch):
         lp = lpl.reduce_to_lp(line_problem(1.0))
         solver = lpl.RepeatedSolver(lp)
-        rhs_batch = _resample_rows(lpl.MultinomialMarginal(3, True), lp.rhs, 100,
-                                   [(3, rep) for rep in range(50)])
+        rhs_batch = lpl.resample_rhs(lpl.TwoSample(), lp.rhs, 100, 3, 50)
         solved = solver.solve_batch(rhs_batch)
         mixed = solver.mixed_solution(rhs_batch, (3, 1))
         monkeypatch.setattr(stochastic_harness, "_VERTEX_BLOCK", 1)
@@ -490,7 +490,7 @@ class TestRateRecovery:
     def test_hausdorff_slope_is_square_root(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
         experiment = lpl.hausdorff_run(
-            lp, lpl.MultinomialMarginal(3), [100, 1000, 10_000], 100, seed=7
+            lp, lpl.OneSample(), [100, 1000, 10_000], 100, seed=7
         )
         slope = lpl.hausdorff_rate_slope(experiment.summary)
         assert -0.65 <= slope <= -0.35
@@ -504,12 +504,9 @@ class TestRateRecovery:
     def test_non_uniqueness_persists_when_duals_collide(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
         solver = lpl.RepeatedSolver(lp)
-        model = lpl.MultinomialMarginal(3)
         non_unique = 0
         B = 200
-        for rep in range(B):
-            rng = np.random.default_rng((8, rep))
-            rhs = lpl.resample_rhs(model, lp.rhs, 10_000, rng)
+        for rhs in lpl.resample_rhs(lpl.OneSample(), lp.rhs, 10_000, 8, B):
             if len(solver.vertices_at(rhs)) >= 2:
                 non_unique += 1
         assert non_unique / B >= 0.05
@@ -853,7 +850,7 @@ class TestSupportFrequencies:
         problem = line_problem(2.0)
         lp = lpl.reduce_to_lp(problem)
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=200, seed=14)
-        batches = lpl.fluctuation_run(lp, config, lpl.MultinomialMarginal(3))
+        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
         ledger = lpl.enumerate_ledger(lp)
         partition = lpl.support_partition(ledger)
         freqs = lpl.support_frequencies(batches[0].solutions, partition, 1e-9)
@@ -905,6 +902,17 @@ class TestSampleSizeTypes:
     def test_bad_sizes_are_rejected(self, sizes):
         with pytest.raises(lpl.DimensionMismatch):
             lpl.ExperimentConfig(sample_sizes=sizes, replicates=5, seed=0)
+
+    def test_mode_must_be_a_sampling_mode(self):
+        with pytest.raises(lpl.DimensionMismatch, match="mode"):
+            lpl.ExperimentConfig(sample_sizes=(100,), replicates=5, seed=0, mode="two-sample")
+
+    def test_one_sample_mode_takes_no_pair(self):
+        with pytest.raises(lpl.DimensionMismatch, match="sample_sizes"):
+            lpl.ExperimentConfig(sample_sizes=((100, 200),), replicates=5, seed=0, mode=lpl.OneSample())
+        config = lpl.ExperimentConfig(sample_sizes=((100, 200),), replicates=5, seed=0,
+                                      mode=lpl.TwoSample())
+        assert config.sample_sizes == ((100, 200),)
 
     @pytest.mark.parametrize("kwargs", [{"hausdorff_sizes": (0,)},
                                         {"hausdorff_sizes": (100, -1)},
