@@ -110,9 +110,20 @@ class TestResampleRhs:
         with pytest.raises(lpl.DimensionMismatch, match="sample size"):
             lpl.resample_rhs(mode, [0.2, 0.3, 0.25, 0.35, 0.4], n, 0, 3)
 
+    @pytest.mark.parametrize("model, b, n", [
+        (lpl.OneSample(), [0.2, 0.3, 0.25, 0.35, 0.4], 37),
+        (lpl.TwoSample(), [0.1, 0.0, 0.5, 0.2, 0.3, 0.4, 0.1], (50, 9)),
+        (lpl.TwoSample(), [1.0, 0.0, 0.3, 0.3, 0.4], 1_000_003),
+        (lpl.UserSamples(np.arange(15, dtype=float).reshape(3, 5)), np.zeros(5), 1),
+    ])
+    def test_batch_equals_per_replicate_draws(self, model, b, n):
+        expected = np.array([_oracle_resample_rhs(model, b, n, np.random.default_rng((8, *np.atleast_1d(n), rep)))
+                             for rep in range(25)])
+        np.testing.assert_array_equal(lpl.resample_rhs(model, b, n, 8, 25), expected)
+
     @settings(max_examples=100, deadline=None)
     @given(_resampling_cases())
-    def test_batch_equals_per_replicate_draws(self, case):
+    def test_batch_equals_per_replicate_draws_for_any_case(self, case):
         model, b, n, seed, replicates = case
         sizes = n if isinstance(n, tuple) else (n,)
         expected = np.array([_oracle_resample_rhs(model, b, n, np.random.default_rng((seed, *sizes, rep)))
