@@ -48,7 +48,8 @@ EXIT_INTERNAL = 6
 
 logger = logging.getLogger(__name__)
 
-_CSV_BLOCK = 1024  # rows formatted per write; bounds the temporary arrays
+_CSV_BLOCK = 1024  # rows per write when six columns vary
+_CSV_CELLS = 6 * _CSV_BLOCK  # varying cells formatted per write: about 1 MiB of temporaries
 
 _TOL_NAMES = ("feas_tol", "rank_tol", "dedup_tol", "boundary_tol", "sum_tol")
 
@@ -161,6 +162,7 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     n = hi.astype(np.int64) + floor.astype(np.int64)
     frac = lo - floor
     n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
+    del a, hi, lo, floor, frac, shift  # each block's temporaries are freed as soon as they are dead
     # Cells sorted by exponent (x >= -4) put each exponent's digits in one slice.
     order = np.argsort((x + 4).astype(np.uint8), kind="stable")
     n, x = n[order], x[order]
@@ -182,11 +184,14 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
         body[start:stop, 1 : 1 + width] = digits[start:stop, point - width : point]
         body[start:stop, 1 + width] = 46  # "."
         body[start:stop, 2 + width : 26 + width - point] = digits[start:stop, point:]
+    del quads, digits, n
     # Trailing zeros go, and the point with them when no fraction digit is left.
     end = 19 - zeros - np.minimum(x, 0)
     end = np.where(end <= x + 3, x + 2, end)
+    words = body.view(np.uint64)
+    np.bitwise_and(words, np.take(_KEEP, end, axis=0), out=words)
     out = np.zeros(len(values), f"V{_CELL}")
-    out[cells[order]] = (body.view(np.uint64) & np.take(_KEEP, end, axis=0)).view(out.dtype).ravel()
+    out[cells[order]] = body.view(out.dtype).ravel()
     out = out.view(np.uint8).reshape(-1, _CELL)
     out[:, 0] = np.signbit(values) * np.uint8(45)  # "-"
     out[:, 1][mag == 0.0] = 48  # "0"
@@ -213,9 +218,10 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
         # the next varying column; the text before the first one leads the row.
         template = (head + "".join("\0" * _CELL + tail for tail in tails)).encode("ascii")
         starts = np.cumsum([len(head)] + [_CELL + len(tail) for tail in tails])[:-1]
-        buffer = np.tile(np.frombuffer(template, np.uint8), (min(len(rows), _CSV_BLOCK), 1))
-        for first in range(0, rows.shape[0], _CSV_BLOCK):
-            block = rows[first : first + _CSV_BLOCK, varying]
+        step = max(1, _CSV_CELLS // max(1, len(starts)))  # _CSV_CELLS varying cells, or one row
+        buffer = np.tile(np.frombuffer(template, np.uint8), (min(len(rows), step), 1))
+        for first in range(0, rows.shape[0], step):
+            block = rows[first : first + step, varying]
             out = buffer[: len(block)]
             cells = _g17_cells(block.ravel()).reshape(len(block), -1, _CELL)
             for j, start in enumerate(starts):
@@ -275,9 +281,13 @@ def _run(args) -> int:
 
     A command returns (files, digest payload, seed).  files maps each output
     name to a JSON payload or, for a ``.csv`` name, to (header, rows); a JSON
-    payload's ``manifest`` key receives the run manifest.  Nothing is written
-    when the command raises, nor when --out-dir cannot be a directory (its
-    nearest existing ancestor is not one), which is found before any work.
+    payload may come as the function that returns it, called once every CSV is
+    written.  A JSON payload's ``manifest`` key receives the run manifest,
+    whose ``finished`` time follows those calls.  Nothing is written when the
+    command raises, nor when --out-dir cannot be a directory (its nearest
+    existing ancestor is not one), which is found before any work; when a
+    write or a payload function raises, the files and directories made so
+    far are removed.
     """
     started = _now()
     out_dir = Path(args.out_dir)
@@ -285,26 +295,37 @@ def _run(args) -> int:
     if not ancestor.is_dir():
         raise DimensionMismatch(f"--out-dir {out_dir}: {ancestor} is not a directory")
     files, digest_payload, seed = args.func(args)
-    manifest = asdict(RunManifest(
-        command=args.command,
-        input_paths=tuple(
-            getattr(args, name) for name in ("problem", "config") if hasattr(args, name)
-        ),
-        seed=seed,
-        threads=getattr(args, "threads", None),  # only monte-carlo declares --threads
-        tool_version=__version__,
-        config_digest=config_digest(digest_payload),
-        started=started,
-        finished=_now(),
-    ))
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in {**files, "manifest.json": manifest}.items():
-        if name.endswith(".csv"):
-            _write_csv(out_dir / name, *content)
-        elif "manifest" in content:
-            _write_json(out_dir / name, dict(content, manifest=manifest))
-        else:
-            _write_json(out_dir / name, content)
+    written = []
+    try:
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                written.append(out_dir / name)
+                _write_csv(out_dir / name, *content)
+        payloads = {name: content() if callable(content) else content
+                    for name, content in files.items() if not name.endswith(".csv")}
+        manifest = asdict(RunManifest(
+            command=args.command,
+            input_paths=tuple(
+                getattr(args, name) for name in ("problem", "config") if hasattr(args, name)
+            ),
+            seed=seed,
+            threads=getattr(args, "threads", None),  # only monte-carlo declares --threads
+            tool_version=__version__,
+            config_digest=config_digest(digest_payload),
+            started=started,
+            finished=_now(),
+        ))
+        for name, content in {**payloads, "manifest.json": manifest}.items():
+            written.append(out_dir / name)
+            _write_json(out_dir / name, dict(content, manifest=manifest) if "manifest" in content else content)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for path in created:
+            path.rmdir()
+        raise
     return EXIT_OK
 
 
@@ -428,32 +449,36 @@ def cmd_monte_carlo(args):
     main_batch = result.batches[-1]
     hausdorff = result.hausdorff
     hausdorff_rows = np.array(hausdorff.rows if hausdorff is not None else (), float).reshape(-1, 3)
-    report = result.report
-    freqs = result.support_frequencies
-    report_payload = {
-        "manifest": None,  # the run manifest, filled in by _run
-        "rate": config.mode.rate_name,
-        "sample_sizes": [list(n) if isinstance(n, tuple) else n for n in config.sample_sizes],
-        "replicates": config.replicates,
-        "per_coordinate_ks": report.per_coordinate_ks.tolist(),
-        "energy_distance": report.energy_distance,
-        "covariance_frobenius_error": report.covariance_frobenius_error,
-        "value_ks": report.value_ks,
-        "infeasible_rate": main_batch.infeasible_rate,
-        "support_frequencies": {
-            "pos_positive_rate": freqs.pos_positive_rate,
-            "tz_zero_rate": freqs.tz_zero_rate,
-            "dz_positive_rates": list(freqs.dz_positive_rates),
-        },
-        "partition": {
-            "pos": list(result.partition.pos),
-            "tz": list(result.partition.tz),
-            "dz": list(result.partition.dz),
-        },
-        "hausdorff_by_n": [list(row) for row in hausdorff.summary] if hausdorff is not None else [],
-        "limit_occupancy_frequencies": result.limit_result.occupancy_frequencies.tolist(),
-        "limit_boundary_hits": result.limit_result.boundary_hits.tolist(),
-    }
+
+    def report_payload() -> dict:
+        """report.json; its first read of result.report waits for the energy distance."""
+        report = result.report
+        freqs = result.support_frequencies
+        return {
+            "manifest": None,  # the run manifest, filled in by _run
+            "rate": config.mode.rate_name,
+            "sample_sizes": [list(n) if isinstance(n, tuple) else n for n in config.sample_sizes],
+            "replicates": config.replicates,
+            "per_coordinate_ks": report.per_coordinate_ks.tolist(),
+            "energy_distance": report.energy_distance,
+            "covariance_frobenius_error": report.covariance_frobenius_error,
+            "value_ks": report.value_ks,
+            "infeasible_rate": main_batch.infeasible_rate,
+            "support_frequencies": {
+                "pos_positive_rate": freqs.pos_positive_rate,
+                "tz_zero_rate": freqs.tz_zero_rate,
+                "dz_positive_rates": list(freqs.dz_positive_rates),
+            },
+            "partition": {
+                "pos": list(result.partition.pos),
+                "tz": list(result.partition.tz),
+                "dz": list(result.partition.dz),
+            },
+            "hausdorff_by_n": [list(row) for row in hausdorff.summary] if hausdorff is not None else [],
+            "limit_occupancy_frequencies": result.limit_result.occupancy_frequencies.tolist(),
+            "limit_boundary_hits": result.limit_result.boundary_hits.tolist(),
+        }
+
     files = {
         "fluctuations.csv": (names, main_batch.fluctuations),
         "limit_samples.csv": (names, result.limit_result.samples),
@@ -520,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=stochastic_harness.available_cpus(),
-        help="energy-distance worker threads; results do not depend on its value",
+        help="energy-distance worker threads, at most 4; they run beside the main thread, which "
+             "computes the other stages meanwhile, and their buffers stay <= 20 MB; results do "
+             "not depend on the value",
     )
     _add_common(p, "rank_tol", "feas_tol", "dedup_tol", "boundary_tol")
     p.set_defaults(func=cmd_monte_carlo)

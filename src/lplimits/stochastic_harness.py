@@ -1,23 +1,33 @@
 """Monte-Carlo verification harness.
 
 Resamples right-hand sides (one check of b per batch; the keyed generator
-states of a batch are derived with one vectorized SeedSequence hash and
-loaded in turn into one generator), solves every replicate with the limit
-functional's tie-break, and compares the scaled fluctuations, optimal values,
-optimality sets and support patterns with their limits, on the coordinates
-that are nonzero in some row.  The Hausdorff replicates of a
-sample size are solved as one batch; the energy distance runs on ``threads``
-workers.
+states of a batch are derived with vectorized SeedSequence and PCG64 seeding
+arithmetic and loaded in turn into one generator), solves every replicate
+with the limit functional's tie-break, and compares the scaled fluctuations,
+optimal values, optimality sets and support patterns with their limits, on
+the coordinates that are nonzero in some row.  The Hausdorff replicates of a
+sample size are solved as one batch.
+
+``run_experiment`` runs its stages in this order on the calling thread: the
+limit law's specification, the limit draws (``sample_limit``), the
+fluctuations (``fluctuation_run``), the KS statistics and covariance error,
+the support frequencies and the Hausdorff replicates (``hausdorff_run``).
+The energy distance's cdist blocks run on ``threads`` workers beside them:
+the limit draws' Y-Y blocks are queued as soon as the draws exist, the X-Y
+and X-X blocks as soon as the fluctuations do, and the first read of the
+result's ``report`` joins them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -41,9 +51,10 @@ SampleSize = Union[int, tuple[int, int]]
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 _CDIST_BLOCK = 125  # rows per cdist task: 125 x 5000 distances are 5 MB per worker
 _MAX_WORKERS = 4  # caps the output buffers at 20 MB whatever the host's CPU count
+ENERGY_MAX_ROWS = 5000  # rows of each sample the energy distance reads
 _VERTEX_BLOCK = 1 << 18  # basic coordinates per block of RepeatedSolver rows: 2 MB
 PROJECTION_MAX_ITERS = 100_000  # Frank-Wolfe budget of point_to_polytope
 PROJECTION_TOL = 1e-10  # duality gap at which point_to_polytope stops
@@ -117,7 +128,7 @@ def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndar
     """
     b = np.asarray(b, dtype=float)
     sizes = n if isinstance(n, tuple) else (n,)
-    rngs = _keyed_generators([(seed, *sizes, rep) for rep in range(replicates)])
+    rngs = _keyed_generators((seed, *sizes), replicates)
     if isinstance(model, UserSamples):
         rows = np.asarray(model.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != b.size:
@@ -148,32 +159,53 @@ def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndar
     return out
 
 
-def _keyed_generators(keys):
-    """One Generator, put in turn into the state ``np.random.default_rng(key)`` starts in."""
+def _keyed_generators(prefix: tuple, replicates: int):
+    """One Generator, put in turn into the state ``np.random.default_rng((*prefix, rep))`` starts in."""
     rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_states(keys):
+    for state, inc in _pcg64_states(prefix, np.arange(replicates, dtype=np.uint64)):
         rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
         yield rng
 
 
-def _pcg64_states(keys) -> list[tuple[int, int]]:
-    """(state, inc) of ``np.random.default_rng(key).bit_generator`` for each tuple key.
+def _pcg64_states(prefix: tuple, reps: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.default_rng((*prefix, rep)).bit_generator`` for each uint64 rep.
 
-    SeedSequence hashes a key's uint32 words into a 4-word pool and
-    ``generate_state(4, np.uint64)`` expands it; both run here as uint32 array
-    arithmetic over all keys with as many words.  PCG64 then seeds from
-    (s, q) = (words 0-1, words 2-3): state 0, inc = 2q + 1, step, add s, step.
+    A key's uint32 words are the prefix's, then rep's one word (two from 2**32 on), so the
+    keys of each word count form one array.  SeedSequence hashes them into a 4-word pool and
+    ``generate_state(4, np.uint64)`` expands it, as uint32 array arithmetic.  PCG64 then
+    seeds from (s, q) = (words 0-1, words 2-3): inc = 2q + 1 and state = (s + inc) * mult
+    + inc, mod 2**128, as arithmetic on (high, low) uint64 limbs.
     """
-    words = [_entropy_words(key) for key in keys]
-    states = [(0, 0)] * len(words)
-    for length in set(map(len, words)):
-        members = [i for i, w in enumerate(words) if len(w) == length]
-        entropy = np.array([words[i] for i in members], np.uint32).reshape(len(members), length)
-        for i, (s_hi, s_lo, q_hi, q_lo) in zip(members, _seed_words(entropy).tolist()):
-            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-            states[i] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
-    return states
+    head = np.array(_entropy_words(prefix), np.uint32)
+    words = np.empty((len(reps), 4), np.uint64)
+    wide = reps > _MASK32
+    for group, columns in ((~wide, [reps]), (wide, [reps & _MASK32, reps >> 32])):
+        if group.any():
+            tail = np.column_stack([column[group] for column in columns]).astype(np.uint32)
+            words[group] = _seed_words(np.hstack([np.broadcast_to(head, (len(tail), head.size)), tail]))
+    s_hi, s_lo, q_hi, q_lo = words.T
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    t_hi, t_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+    p_hi = _mul_high(t_lo, m_lo) + t_lo * m_hi + t_hi * m_lo
+    state_hi, state_lo = _add128(p_hi, t_lo * m_lo, inc_hi, inc_lo)
+    return [((a << 64) | b, (c << 64) | d) for a, b, c, d in zip(
+        state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(high, low) limbs of a + b mod 2**128."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _mul_high(a, b):
+    """The high 64 bits of the 128-bit products a * b of uint64 values, from 32-bit halves."""
+    a1, a0, b1, b0 = a >> 32, a & _MASK32, b >> 32, b & _MASK32
+    cross_1, cross_2 = a1 * b0, a0 * b1
+    middle = ((a0 * b0) >> 32) + (cross_1 & _MASK32) + (cross_2 & _MASK32)
+    return a1 * b1 + (cross_1 >> 32) + (cross_2 >> 32) + (middle >> 32)
 
 
 def _entropy_words(key) -> list[int]:
@@ -495,42 +527,90 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _mean_distances(pairs, threads: Optional[int]) -> list[float]:
-    """Mean Euclidean distance over all row pairs of each (A, B), on min(threads, tasks, _MAX_WORKERS) threads.
+class _CdistBlocks:
+    """Mean Euclidean distances over all row pairs of (A, B), on min(threads, _MAX_WORKERS) workers.
 
-    Tasks: each _CDIST_BLOCK-row block of A against B or, when B is A, against A from the block
-    on (pairs past it count twice).  Sums add in task order, so threads never changes a result.
+    A task is one _CDIST_BLOCK-row block of A against B or, when B is A, against A
+    from the block on (pairs past it count twice).  ``submit`` queues the tasks of
+    some pairs and returns at once, so the caller computes on beside the workers;
+    ``collect`` waits for them and adds each pair's block sums in task order, so
+    neither the thread count nor the time of a submit changes a result.
+    width: the most rows a submitted B has.
     """
-    threads = available_cpus() if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    tasks = [(t, i) for t, (A, _) in enumerate(pairs) for i in range(0, A.shape[0], _CDIST_BLOCK)]
-    workers = min(threads, len(tasks), _MAX_WORKERS)
-    # one output buffer per running task, allocated here, not in a worker thread's malloc arena
-    free = [np.empty(_CDIST_BLOCK * max(B.shape[0] for _, B in pairs)) for _ in range(workers)]
 
-    def block_sum(task):
-        (A, B), i = pairs[task[0]], task[1]
-        rows, cols, buf = A[i : i + _CDIST_BLOCK], A[i:] if A is B else B, free.pop()
-        D = cdist(rows, cols, out=buf[: len(rows) * len(cols)].reshape(len(rows), len(cols)))
-        total = D[:, : len(rows)].sum() + 2.0 * D[:, len(rows) :].sum() if A is B else D.sum()
-        free.append(buf)
-        return total
+    def __init__(self, threads: Optional[int], width: int):
+        threads = available_cpus() if threads is None else threads
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
+        self._workers = min(threads, _MAX_WORKERS)
+        self._pool = ThreadPoolExecutor(max_workers=self._workers)
+        self._size = _CDIST_BLOCK * width
+        self._buffers: list[np.ndarray] = []  # the free ones
+        self._allocated = self._queued = 0
 
-    if workers <= 1:
-        sums = map(block_sum, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sum, tasks))
-    totals = [0.0] * len(pairs)
-    for (t, _), value in zip(tasks, sums):
-        totals[t] += value
-    return [total / (A.shape[0] * B.shape[0]) for total, (A, B) in zip(totals, pairs)]
+    def submit(self, pairs) -> tuple:
+        """Queues the tasks of each (A, B) and returns what ``collect`` reads."""
+        tasks = [(t, i) for t, (A, _) in enumerate(pairs) for i in range(0, A.shape[0], _CDIST_BLOCK)]
+        # The pool starts a worker per queued task up to its cap, and a worker runs one task at
+        # a time; each gets an output buffer, allocated here, not in a worker thread's malloc arena.
+        self._queued += len(tasks)
+        while self._allocated < min(self._workers, self._queued):
+            self._buffers.append(np.empty(self._size))
+            self._allocated += 1
+        return pairs, [(t, self._pool.submit(self._block_sum, *pairs[t], i)) for t, i in tasks]
+
+    def _block_sum(self, A, B, i) -> float:
+        rows, cols, buf = A[i : i + _CDIST_BLOCK], A[i:] if A is B else B, self._buffers.pop()
+        try:
+            D = cdist(rows, cols, out=buf[: len(rows) * len(cols)].reshape(len(rows), len(cols)))
+            return D[:, : len(rows)].sum() + 2.0 * D[:, len(rows) :].sum() if A is B else D.sum()
+        finally:
+            self._buffers.append(buf)
+
+    def collect(self, submitted) -> list[float]:
+        """The mean distance of each pair of a ``submit``, once its tasks are done."""
+        pairs, futures = submitted
+        totals = [0.0] * len(pairs)
+        for t, future in futures:
+            totals[t] += future.result()
+        return [total / (A.shape[0] * B.shape[0]) for total, (A, B) in zip(totals, pairs)]
+
+    def finish(self) -> None:
+        """Takes no more tasks; the workers end once the queued ones are done."""
+        self._pool.shutdown(wait=False)
+
+    def close(self) -> None:
+        """Drops the tasks not yet started, waits for the workers to end and frees the buffers."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._buffers.clear()
 
 
-def _carrying_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Mask of the columns with an entry other than ±0 in X or in Y (NaN counts)."""
-    return (X != 0).any(axis=0) | (Y != 0).any(axis=0)
+def _mean_distances(pairs, threads: Optional[int]) -> list[float]:
+    """Mean Euclidean distance over all row pairs of each (A, B): every block submitted, then collected."""
+    with contextlib.closing(_CdistBlocks(threads, max(B.shape[0] for _, B in pairs))) as blocks:
+        return blocks.collect(blocks.submit(pairs))
+
+
+def _queue_energy(blocks: _CdistBlocks, X: np.ndarray, Y: np.ndarray, within_y=None) -> Callable[[], float]:
+    """Queues the blocks of the energy distance and returns the function that joins them.
+
+    X, Y: the samples as _first_rows gives them; within_y: the Y-Y blocks, when submitted before.
+    """
+    if X.shape[1] == 0 or np.array_equal(X, Y):
+        return lambda: 0.0  # the exact value; the triangle sums need not cancel the full cross sum
+    within_y = within_y or blocks.submit([(Y, Y)])
+    terms = blocks.submit([(X, Y), (X, X)])
+
+    def join() -> float:
+        (cross, within_x), (within,) = blocks.collect(terms), blocks.collect(within_y)
+        return float(2.0 * cross - within_x - within)
+
+    return join
+
+
+def _carrying_columns(*samples: np.ndarray) -> np.ndarray:
+    """Mask of the columns with an entry other than ±0 in some sample (NaN counts)."""
+    return np.logical_or.reduce([(S != 0).any(axis=0) for S in samples])
 
 
 def _first_rows(x, y, max_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -544,23 +624,22 @@ def _first_rows(x, y, max_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return X.compress(keep, axis=1), Y.compress(keep, axis=1)  # C order: cdist copies no block
 
 
-def energy_distance(x, y, max_rows: int = 5000, threads: Optional[int] = None) -> float:
+def energy_distance(x, y, max_rows: int = ENERGY_MAX_ROWS, threads: Optional[int] = None) -> float:
     """Energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'|| with all-pairs means.
 
     Inputs are truncated to their first max_rows rows to keep the quadratic-cost
     computation at desk scale.  threads: worker threads, at most 4 (None: every available CPU).
     Columns that are ±0 in every kept row of both samples are dropped first: cdist
     adds the squared differences one coordinate after another, and adding +0.0 to a
-    non-negative partial sum is exact, so no distance changes in any bit.
+    non-negative partial sum is exact, so no distance changes in any bit.  For the
+    same reason the Y-Y term may run on the columns Y alone carries (run_experiment).
     """
     X, Y = _first_rows(x, y, max_rows)
-    if X.shape[1] == 0 or np.array_equal(X, Y):
-        return 0.0  # the exact value; the triangle sums need not cancel the full cross sum
-    cross, within_x, within_y = _mean_distances([(X, Y), (X, X), (Y, Y)], threads)
-    return float(2.0 * cross - within_x - within_y)
+    with contextlib.closing(_CdistBlocks(threads, max(X.shape[0], Y.shape[0]))) as blocks:
+        return _queue_energy(blocks, X, Y)()
 
 
-def mean_pairwise_norm(x: np.ndarray, y: np.ndarray, max_rows: int = 5000) -> float:
+def mean_pairwise_norm(x: np.ndarray, y: np.ndarray, max_rows: int = ENERGY_MAX_ROWS) -> float:
     """Mean cross-pair distance; the natural scale for energy-distance thresholds.
 
     Drops the columns that are ±0 in both samples, as energy_distance does.
@@ -599,6 +678,12 @@ def compare_distributions(
     """
     X = np.asarray(empirical, dtype=float)
     Y = np.asarray(limit, dtype=float)
+    ks, cov_err, value_ks = _sample_statistics(X, Y, empirical_values, limit_values)
+    return ComparisonReport(ks, energy_distance(X, Y, threads=threads), cov_err, value_ks)
+
+
+def _sample_statistics(X, Y, empirical_values, limit_values) -> tuple[np.ndarray, float, Optional[float]]:
+    """The per-coordinate KS statistics, covariance error and value KS of compare_distributions."""
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise DimensionMismatch("sample matrices must share their column count")
     ks = np.zeros(X.shape[1])
@@ -618,12 +703,7 @@ def compare_distributions(
         value_ks = two_sample_ks(
             np.asarray(empirical_values, float), np.asarray(limit_values, float)
         )
-    return ComparisonReport(
-        per_coordinate_ks=ks,
-        energy_distance=energy_distance(X, Y, threads=threads),
-        covariance_frobenius_error=cov_err,
-        value_ks=value_ks,
-    )
+    return ks, cov_err, value_ks
 
 
 @dataclass(frozen=True, eq=False)
@@ -692,15 +772,24 @@ def hausdorff_rate_slope(summary) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """End-to-end outcome of a resampling experiment against the limit law."""
+    """End-to-end outcome of a resampling experiment against the limit law.
 
-    report: ComparisonReport
+    ``report`` compares the last sample size's batch with the limit draws.  The
+    energy distance's blocks may still run when run_experiment returns; the first
+    read of ``report`` waits for them.
+    """
+
     batches: list[FluctuationBatch]
     limit_result: LimitSampleResult
     hausdorff: Optional[HausdorffExperiment]
     partition: SupportPartition
     support_frequencies: SupportFrequencies  # of the last sample size's solutions
     spec: cones_limit.LimitLawSpec
+    _join_report: Callable[[], ComparisonReport] = field(repr=False)
+
+    @functools.cached_property
+    def report(self) -> ComparisonReport:
+        return self._join_report()
 
 
 def run_experiment(
@@ -712,44 +801,62 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full pipeline for a transport instance with a unique optimum.
 
-    Builds the limit-law specification, runs the fluctuation experiment at
-    every configured sample size, samples the limit law with the same
-    tie-break policy, and compares the last sample size's batch with it.
+    Builds the limit-law specification, samples the limit law, runs the
+    fluctuation experiment at every configured sample size with the same
+    tie-break policy, and compares the last sample size's batch with the limit
+    draws.  The energy distance's blocks run on ``threads`` workers beside
+    the other stages: the Y-Y blocks (limit draws, on the columns they carry)
+    are queued right after the draws, the X-Y and X-X blocks right after the
+    fluctuations; the KS statistics, covariance error, support frequencies and
+    Hausdorff replicates follow while they run.  A stage that raises cancels
+    the queued blocks and waits for the running ones.
     ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
     """
     spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols, ledger)
     lp = spec.ledger.lp
     solver = RepeatedSolver(lp, tols, ledger=spec.ledger)
-    batches = fluctuation_run(lp, config, config.mode, solver=solver, tols=tols)
-    main = batches[-1]
     limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1, tols.boundary_tol)
-    duals = spec.ledger.optimal_duals()[:, : spec.m0]
-    limit_values = (limit_result.gaussian_directions @ duals.T).max(axis=1)
-    report = compare_distributions(
-        main.fluctuations,
-        limit_result.samples,
-        empirical_values=main.value_fluctuations,
-        limit_values=limit_values,
-        threads=threads,
-    )
-    partition = cones_limit.support_partition(spec.ledger, tols=tols)
-    hausdorff = None
-    if config.hausdorff_sizes:
-        hausdorff = hausdorff_run(
-            lp,
-            config.mode,
-            config.hausdorff_sizes,
-            config.hausdorff_replicates,
-            config.seed + 2,
-            solver=solver,
-            tols=tols,
-        )
+    Y = limit_result.samples[:ENERGY_MAX_ROWS]
+    Y_own = Y.compress(_carrying_columns(Y), axis=1)
+    # the widest B is Y, or X with at most config.replicates rows
+    blocks = _CdistBlocks(threads, min(max(config.replicates, Y.shape[0]), ENERGY_MAX_ROWS))
+    try:
+        within_y = blocks.submit([(Y_own, Y_own)])
+        batches = fluctuation_run(lp, config, config.mode, solver=solver, tols=tols)
+        main = batches[-1]
+        energy = _queue_energy(blocks, *_first_rows(main.fluctuations, Y, ENERGY_MAX_ROWS), within_y)
+        blocks.finish()
+        duals = spec.ledger.optimal_duals()[:, : spec.m0]
+        limit_values = (limit_result.gaussian_directions @ duals.T).max(axis=1)
+        ks, cov_err, value_ks = _sample_statistics(
+            main.fluctuations, limit_result.samples, main.value_fluctuations, limit_values)
+        partition = cones_limit.support_partition(spec.ledger, tols=tols)
+        frequencies = support_frequencies(main.solutions, partition, tols.feas_tol)
+        hausdorff = None
+        if config.hausdorff_sizes:
+            hausdorff = hausdorff_run(
+                lp,
+                config.mode,
+                config.hausdorff_sizes,
+                config.hausdorff_replicates,
+                config.seed + 2,
+                solver=solver,
+                tols=tols,
+            )
+    except BaseException:
+        blocks.close()
+        raise
+
+    def join_report() -> ComparisonReport:
+        with contextlib.closing(blocks):
+            return ComparisonReport(ks, energy(), cov_err, value_ks)
+
     return ExperimentResult(
-        report=report,
         batches=batches,
         limit_result=limit_result,
         hausdorff=hausdorff,
         partition=partition,
-        support_frequencies=support_frequencies(main.solutions, partition, tols.feas_tol),
+        support_frequencies=frequencies,
         spec=spec,
+        _join_report=join_report,
     )

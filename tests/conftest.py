@@ -9,6 +9,9 @@ only on whether p is below, at, or above 1.  All index data here is
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,19 @@ NONDEG_XS = np.array([0.0, 1.0, 2.2])
 NONDEG_YS = np.array([0.15, 0.9, 2.6])
 NONDEG_R = np.array([0.2, 0.3, 0.5])
 NONDEG_S = np.array([0.25, 0.35, 0.4])
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fails a test when a thread it started is still alive 1 s after it ends (a worker pool left running)."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    started = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in started:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    alive = [thread.name for thread in started if thread.is_alive()]
+    assert not alive, f"threads still alive 1 s after the test: {alive}"
 
 
 def line_problem(p, r=None, s=None, xs=LINE3):

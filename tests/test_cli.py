@@ -3,8 +3,10 @@
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lplimits import cli, ot
 from lplimits.tolerances import Tolerances
+from test_output_digests import CASES, CONFIG as DIGEST_CONFIG, CSV_NAMES, DIGESTS, LINE3, REPORT_DIGESTS
 
 
 @pytest.fixture()
@@ -273,34 +276,16 @@ class TestThreads:
             assert reports[t].pop("manifest")["threads"] == t
         assert reports[1] == reports[2] == reports[3]
 
-    def test_pool_never_exceeds_the_task_count(self, problem_paths, monkeypatch):
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                requested.append((self.max_workers, len(tasks)))
-                return [fn(task) for task in tasks]
-
-        monkeypatch.setattr(cli.stochastic_harness, "ThreadPoolExecutor", SerialPool)
+    def test_pool_never_exceeds_the_task_count(self, problem_paths, pool_threads):
         cap = cli.stochastic_harness._MAX_WORKERS
         out = self._monte_carlo(problem_paths, "mc_many", "--threads", "100000")
-        # 300 fluctuation rows and 600 limit draws in 125-row blocks: 3 + 3 + 5 tasks
-        assert requested == [(cap, 11)]
         serial = self._monte_carlo(problem_paths, "mc_one", "--threads", "1")
-        assert requested == [(cap, 11)]
         # fewer tasks than the cap: one block per term
         cli.stochastic_harness.energy_distance(np.zeros((5, 2)), np.ones((7, 2)), threads=100000)
-        assert requested[1:] == [(3, 3)] and cap > 3
+        # 300 fluctuation rows and 600 limit draws in 125-row blocks: 3 + 3 + 5 tasks
+        assert [(pool["max_workers"], pool["tasks"]) for pool in pool_threads] == [(cap, 11), (1, 11), (cap, 3)]
+        assert [len(pool["started"]) <= min(pool["max_workers"], pool["tasks"]) for pool in pool_threads] == [True] * 3
+        assert len(pool_threads[1]["started"]) == 1 and cap > 3
         report, serial_report = (json.loads((d / "report.json").read_text()) for d in (out, serial))
         assert report["energy_distance"] == serial_report["energy_distance"]
         assert report["manifest"]["threads"] == 100000
@@ -337,7 +322,7 @@ class TestEveryFlagIsRead:
                                       "comparison_samples": 200,
                                       "hausdorff_sizes": [50], "hausdorff_replicates": 5}))
         argv = [arg.format(config=config) for arg in argv]
-        reads, threads = set(), []
+        reads, pools = set(), []
 
         class SpyTolerances(Tolerances):
             def __getattribute__(self, name):
@@ -345,25 +330,172 @@ class TestEveryFlagIsRead:
                     reads.add(name)
                 return super().__getattribute__(name)
 
-        tols, mean_distances = cli._tols, cli.stochastic_harness._mean_distances
+        tols, real_pool = cli._tols, cli.stochastic_harness.ThreadPoolExecutor
         monkeypatch.setattr(
             cli, "_tols", lambda args: SpyTolerances(**dataclasses.asdict(tols(args)))
         )
 
-        def spy_mean_distances(pairs, count):
-            threads.append(count)
-            return mean_distances(pairs, count)
+        def spy_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(cli.stochastic_harness, "_mean_distances", spy_mean_distances)
+        monkeypatch.setattr(cli.stochastic_harness, "ThreadPoolExecutor", spy_pool)
         out = problem_paths["dir"] / f"reach_{argv[0]}"
         assert run([argv[0], problem_paths["p2"], *argv[1:], "--out-dir", str(out)]) == 0
         declared = self._declared(argv[0])
         assert reads == declared & set(cli._TOL_NAMES)
         manifest = json.loads((out / "manifest.json").read_text())
         if "threads" in declared:
-            assert threads == [3] and manifest["threads"] == 3
+            assert pools == [3] and manifest["threads"] == 3
         else:
-            assert threads == [] and manifest["threads"] is None
+            assert pools == [] and manifest["threads"] is None
+
+
+def _digests(out) -> dict:
+    """sha256 of each monte-carlo CSV in out, and of its report without the manifest."""
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CSV_NAMES}
+    report = json.loads((out / "report.json").read_text())
+    del report["manifest"]
+    digests["report.json"] = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    return digests
+
+
+@pytest.fixture
+def pool_threads(monkeypatch):
+    """Per energy pool: its max_workers, the threads it started and the number of tasks submitted to it."""
+    pools = []
+    real_pool = cli.stochastic_harness.ThreadPoolExecutor
+
+    class RecordingPool(real_pool):
+        def __init__(self, max_workers):
+            self.record = {"max_workers": max_workers, "started": [], "tasks": 0}
+            pools.append(self.record)
+            super().__init__(max_workers=max_workers,
+                             initializer=lambda: self.record["started"].append(threading.current_thread()))
+
+        def submit(self, fn, *args):
+            self.record["tasks"] += 1
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(cli.stochastic_harness, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+class TestStagedMonteCarlo:
+    """The energy distance's blocks run beside the other monte-carlo stages."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_match_the_recorded_digests_for_every_thread_count(self, tmp_path, case):
+        p, policy = CASES[case]
+        problem, config = tmp_path / "problem.json", tmp_path / "config.json"
+        problem.write_text(json.dumps(dict(LINE3, p=p)))
+        config.write_text(json.dumps(dict(DIGEST_CONFIG, policy=policy)))
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"out{threads}"
+            assert run(["monte-carlo", str(problem), str(config), "--out-dir", str(out),
+                        "--threads", threads]) == 0
+            assert _digests(out) == dict(DIGESTS[case], **{"report.json": REPORT_DIGESTS[case]})
+
+    @staticmethod
+    def _zero_energy_runs(problem_paths, problem, comparison_samples=600):
+        config = problem_paths["dir"] / "config_zero.json"
+        config.write_text(json.dumps({"sample_sizes": [400], "replicates": 300, "seed": 9,
+                                      "comparison_samples": comparison_samples,
+                                      "hausdorff_sizes": [50], "hausdorff_replicates": 5}))
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = problem_paths["dir"] / f"zero{threads}"
+            assert run(["monte-carlo", problem, str(config), "--out-dir", str(out),
+                        "--threads", threads]) == 0
+            outs.append(_digests(out))
+            assert json.loads((out / "report.json").read_text())["energy_distance"] == 0.0
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_no_carrying_column_gives_zero_for_every_thread_count(self, problem_paths, pool_threads):
+        # point-mass marginals: every fluctuation and every limit draw is 0
+        problem = problem_paths["dir"] / "point_mass.json"
+        problem.write_text(json.dumps({"points_x": [0.0, 1.0, 2.0], "p": 2.0, "q": 2.0,
+                                       "r": [1.0, 0.0, 0.0], "s": [1.0, 0.0, 0.0]}))
+        self._zero_energy_runs(problem_paths, str(problem))
+        limit = (problem_paths["dir"] / "zero1" / "limit_samples.csv").read_text().splitlines()
+        fluctuations = (problem_paths["dir"] / "zero1" / "fluctuations.csv").read_text().splitlines()
+        assert {row.replace("-", "") for row in limit[1:] + fluctuations[1:]} == {",".join("0" * 9)}
+        # the limit draws' Y-Y triangle on their 0 carried columns: 5 blocks of 600 rows, no X blocks
+        assert [pool["tasks"] for pool in pool_threads] == [5, 5, 5]
+
+    def test_identical_samples_give_exact_zero_for_every_thread_count(self, problem_paths, monkeypatch):
+        draws = []
+        real_sample_limit, real_fluctuation_run = (cli.stochastic_harness.sample_limit,
+                                                   cli.stochastic_harness.fluctuation_run)
+
+        def recorded_sample_limit(*args, **kwargs):
+            draws.append(real_sample_limit(*args, **kwargs))
+            return draws[-1]
+
+        def fluctuations_equal_to_the_draws(*args, **kwargs):
+            *rest, last = real_fluctuation_run(*args, **kwargs)
+            return [*rest, dataclasses.replace(last, fluctuations=draws[-1].samples.copy())]
+
+        monkeypatch.setattr(cli.stochastic_harness, "sample_limit", recorded_sample_limit)
+        monkeypatch.setattr(cli.stochastic_harness, "fluctuation_run", fluctuations_equal_to_the_draws)
+        # as many limit draws as replicates, all of them feasible: the two samples are the same
+        self._zero_energy_runs(problem_paths, problem_paths["p2"], comparison_samples=300)
+        fluctuations, limit = ((problem_paths["dir"] / "zero1" / name).read_bytes()
+                               for name in ("fluctuations.csv", "limit_samples.csv"))
+        assert fluctuations == limit
+
+    @staticmethod
+    def _mostly_infeasible(monkeypatch):
+        real = cli.stochastic_harness.RepeatedSolver.solve_batch
+
+        def solve_batch(self, rhs_batch):
+            solutions, values, chosen, ok = real(self, rhs_batch)
+            return solutions, values, chosen, ok & (len(rhs_batch) == 1)  # the base solve stays feasible
+
+        monkeypatch.setattr(cli.stochastic_harness.RepeatedSolver, "solve_batch", solve_batch)
+
+    @staticmethod
+    def _no_base_vertices(monkeypatch):
+        monkeypatch.setattr(cli.stochastic_harness.RepeatedSolver, "vertices_at", lambda self, rhs: [])
+
+    @pytest.mark.parametrize("fault, code", [
+        ("_mostly_infeasible", cli.EXIT_DEGENERATE),  # TooManyInfeasible from fluctuation_run
+        ("_no_base_vertices", cli.EXIT_INPUT),  # Infeasible from hausdorff_run
+    ])
+    def test_stage_raising_after_the_y_blocks_writes_nothing_and_ends_the_workers(
+            self, problem_paths, monkeypatch, pool_threads, fault, code):
+        getattr(self, fault)(monkeypatch)
+        out = problem_paths["dir"] / "failed"
+        assert run(["monte-carlo", problem_paths["p2"], TestThreads._config(problem_paths),
+                    "--out-dir", str(out), "--threads", "2"]) == code
+        assert not out.exists()
+        (pool,) = pool_threads
+        assert pool["tasks"] >= 5 and pool["started"]  # the limit draws' blocks were queued and running
+        assert [thread.is_alive() for thread in pool["started"]] == [False] * len(pool["started"])
+
+    def test_cdist_error_at_the_join_leaves_no_output_file(self, problem_paths, monkeypatch, pool_threads):
+        written = []
+        real_write_csv = cli._write_csv
+
+        def recorded_write_csv(path, *content):
+            written.append(path.name)
+            real_write_csv(path, *content)
+
+        def failing_cdist(*args, **kwargs):
+            raise MemoryError("cdist")
+
+        monkeypatch.setattr(cli, "_write_csv", recorded_write_csv)
+        monkeypatch.setattr(cli.stochastic_harness, "cdist", failing_cdist)
+        kept = problem_paths["dir"] / "kept.txt"
+        kept.write_text("kept")
+        out = problem_paths["dir"] / "new" / "out"
+        with pytest.raises(MemoryError):
+            run(["monte-carlo", problem_paths["p2"], TestThreads._config(problem_paths), "--out-dir", str(out)])
+        assert written == ["fluctuations.csv", "limit_samples.csv", "hausdorff.csv"]  # before the join
+        assert not (problem_paths["dir"] / "new").exists()
+        assert kept.read_text() == "kept"
+        (pool,) = pool_threads
+        assert [thread.is_alive() for thread in pool["started"]] == [False] * len(pool["started"])
 
 
 class TestMonteCarlo:

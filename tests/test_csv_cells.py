@@ -1,6 +1,7 @@
 """The CSV writer's vectorized "%.17g" kernel, against Python's "%" as the oracle."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,3 +131,65 @@ class TestSlotLayout:
         path = tmp_path / "rows.csv"
         cli._write_csv(path, ["a", "b", "c"], rows)
         assert path.read_text() == csv_text(["a", "b", "c"], rows)
+
+
+CELLS = cli._CSV_CELLS  # the varying cells one write formats at most
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of cells each _g17_cells call of the CSV writer receives."""
+    calls = []
+    real = cli._g17_cells
+
+    def spy(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(cli, "_g17_cells", spy)
+    return calls
+
+
+class TestCellBudget:
+    @pytest.mark.parametrize("n, calls", [
+        (CELLS - 1, [CELLS - 1]), (CELLS, [CELLS]), (CELLS + 1, [CELLS, 1]),
+    ])
+    def test_one_varying_column_takes_the_whole_budget(self, tmp_path, kernel_calls, n, calls):
+        rng = np.random.default_rng([1, n])
+        rows = np.column_stack([np.full(n, 0.5), fixed_column(rng, n), np.full(n, -0.0)])
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, ["a", "b", "c"], rows)
+        assert kernel_calls == calls
+        assert path.read_text() == csv_text(["a", "b", "c"], rows)
+
+    def test_all_columns_varying(self, tmp_path, kernel_calls):
+        rng = np.random.default_rng(7)
+        step = CELLS // 7  # rows per write
+        rows = fixed_column(rng, 7 * (2 * step + 3)).reshape(-1, 7)
+        rows[::5, 3] = rng.choice(FALLBACK, len(rows[::5, 3]))
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, [f"c{j}" for j in range(7)], rows)
+        assert kernel_calls == [7 * step, 7 * step, 7 * 3]
+        assert path.read_text() == csv_text([f"c{j}" for j in range(7)], rows)
+
+    def test_more_varying_columns_than_cells_gives_one_row_blocks(self, tmp_path, kernel_calls):
+        rng = np.random.default_rng(8)
+        width = CELLS + 3
+        rows = fixed_column(rng, 3 * width).reshape(3, width)
+        rows[:, 1] = 0.25  # one constant column among them
+        header = [f"c{j}" for j in range(width)]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, header, rows)
+        assert kernel_calls == [width - 1] * 3
+        assert path.read_text() == csv_text(header, rows)
+
+    def test_peak_memory_of_a_wide_write_is_bounded_by_cells(self, tmp_path):
+        # 16 varying columns: 1,024-row blocks peaked at 4.3 MiB, 384-row blocks peak at 1.02 MiB
+        rows = np.random.default_rng(5).standard_normal((20_000, 16))
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "big.csv", [f"c{j}" for j in range(16)], rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 2**20

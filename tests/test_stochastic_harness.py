@@ -145,30 +145,41 @@ class TestResampleRhs:
             _oracle_resample_rhs(model, b, 10, np.random.default_rng(0))
 
 
+_KEY_WORDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**31 - 1).map(np.int32),
+)
+
+
+def _default_rng_states(prefix, reps):
+    states = (np.random.default_rng((*prefix, rep)).bit_generator.state["state"] for rep in reps)
+    return [(state["state"], state["inc"]) for state in states]
+
+
 class TestKeyedStates:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(
-        st.lists(
-            st.one_of(
-                st.integers(0, 2**64 - 1),
-                st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
-                st.integers(0, 2**63 - 1).map(np.int64),
-                st.integers(0, 2**64 - 1).map(np.uint64),
-                st.integers(0, 2**31 - 1).map(np.int32),
-            ),
-            min_size=1, max_size=6,
-        ).map(tuple),
-        min_size=1, max_size=8,
-    ))
-    def test_states_equal_default_rng(self, keys):
-        expected = [np.random.default_rng(key).bit_generator.state["state"] for key in keys]
-        assert _pcg64_states(keys) == [(state["state"], state["inc"]) for state in expected]
+    @given(
+        st.lists(_KEY_WORDS, max_size=5).map(tuple),
+        st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])),
+                 min_size=1, max_size=8),
+    )
+    def test_states_equal_default_rng(self, prefix, reps):
+        assert _pcg64_states(prefix, np.array(reps, np.uint64)) == _default_rng_states(prefix, reps)
+
+    def test_multi_word_seeds_and_reps_equal_default_rng(self):
+        # one- and two-word reps interleaved in one batch, behind seeds and sizes of two and three words
+        reps = [0, 2**32, 1, 2**64 - 1, 2**32 - 1, 2**33 + 5, 7]
+        for prefix in [(2**32, 10_000), (2**64 - 1, 2**40 + 3), (2**70 + 1, 2**32 + 9, 2**32)]:
+            assert _pcg64_states(prefix, np.array(reps, np.uint64)) == _default_rng_states(prefix, reps)
 
     def test_negative_entry_is_rejected_like_default_rng(self):
         with pytest.raises(ValueError):
             np.random.default_rng((1, -1))
         with pytest.raises(ValueError):
-            _pcg64_states([(1, 2), (1, -1)])
+            _pcg64_states((1, -1), np.arange(2, dtype=np.uint64))
 
 
 class TestFluctuationRun:
@@ -846,6 +857,54 @@ class TestEnergyKernel:
         assert requested == [stochastic_harness._MAX_WORKERS]
         assert peak < 64 * 2**20
         assert energy == lpl.energy_distance(X, Y, threads=1)
+
+
+@st.composite
+def _limit_draws_beside_wider_fluctuations(draw):
+    """(X, Y): Y is ±0 in every row on some columns, at any positions, that X carries."""
+    rows = st.sampled_from([1, 2, 7, _CDIST_BLOCK - 1, _CDIST_BLOCK + 1, int(2.5 * _CDIST_BLOCK)])
+    rank, zeros = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(-8, 8, rank + zeros)
+    n_y = draw(rows)
+    signed_zeros = np.where(rng.random((n_y, zeros)) < 0.5, -0.0, 0.0)
+    Y = np.hstack([rng.standard_normal((n_y, rank)) * scales[:rank], signed_zeros])
+    X = rng.standard_normal((draw(rows), rank + zeros)) * scales
+    order = draw(st.permutations(range(rank + zeros)))
+    return X[:, order], Y[:, order]
+
+
+class TestStagedEnergy:
+    @settings(max_examples=60, deadline=None)
+    @given(_limit_draws_beside_wider_fluctuations(), st.integers(1, 3))
+    def test_within_y_on_its_own_columns_equals_the_union_term(self, pair, threads):
+        X, Y = pair
+        union = stochastic_harness._carrying_columns(X, Y)
+        own = stochastic_harness._carrying_columns(Y)
+        assert union.all() and not own.all()
+        on_union = Y.compress(union, axis=1)
+        on_own = Y.compress(own, axis=1)
+        (want,) = stochastic_harness._mean_distances([(on_union, on_union)], threads)
+        (got,) = stochastic_harness._mean_distances([(on_own, on_own)], threads)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("p, policy", [(2.0, lpl.TieBreak.MIN_INDEX), (1.0, lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE)])
+    def test_report_equals_compare_distributions(self, p, policy):
+        config = lpl.ExperimentConfig(sample_sizes=(400,), replicates=300, seed=21, comparison_samples=700,
+                                      solver_policy=policy, hausdorff_sizes=(50,), hausdorff_replicates=5)
+        for threads in (1, 2, 3):
+            result = lpl.run_experiment(line_problem(p), config, threads=threads)
+            main, draws, spec = result.batches[-1], result.limit_result, result.spec
+            limit_values = (draws.gaussian_directions @ spec.ledger.optimal_duals()[:, : spec.m0].T).max(axis=1)
+            want = lpl.compare_distributions(main.fluctuations, draws.samples, main.value_fluctuations,
+                                             limit_values, threads=threads)
+            got = result.report
+            assert result.report is got  # joined once
+            assert np.float64(got.energy_distance).tobytes() == np.float64(want.energy_distance).tobytes()
+            assert got.energy_distance > 0.0
+            np.testing.assert_array_equal(got.per_coordinate_ks, want.per_coordinate_ks)
+            assert got.covariance_frobenius_error == want.covariance_frobenius_error
+            assert got.value_ks == want.value_ks
 
 
 class TestSupportFrequencies:
