@@ -18,7 +18,7 @@ lp = lpl.reduce_to_lp(problem)
 
 print("Resampling the first marginal at four sample sizes, 200 replicates each...")
 experiment = lpl.hausdorff_run(
-    lp, lpl.OneSample(), [100, 1_000, 10_000, 100_000], 200, seed=17
+    lpl.RepeatedSolver(lp), lpl.OneSample(), [100, 1_000, 10_000, 100_000], 200, seed=17
 )
 print(f"\n{'n':>8} {'median d_H':>12} {'q25':>10} {'q75':>10}")
 for n, median, q25, q75 in experiment.summary:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -395,12 +395,17 @@ def sample_limit(
     return evaluate_limit(spec, g_matrix, seed=seed, tol=tol)
 
 
-def optimal_value_limit(ledger: BasisLedger, g) -> float:
-    """Limiting fluctuation of the optimal value: best dual response to g."""
+def optimal_value_limit(ledger: BasisLedger, g) -> Union[float, np.ndarray]:
+    """Limiting fluctuation of the optimal value: best dual response to g.
+
+    g: one direction of length k (a float back) or an (n, k) stack (n values back);
+    the first k coordinates of the optimal duals respond, as m0 of a limit-law spec.
+    """
     if ledger.optimal_count == 0:
         raise Infeasible("ledger has no optimal basis")
-    g = np.asarray(g, dtype=float)
-    return float((ledger.optimal_duals() @ g).max())
+    G = np.asarray(g, dtype=float)
+    values = (np.atleast_2d(G) @ ledger.optimal_duals()[:, : G.shape[-1]].T).max(axis=1)
+    return float(values[0]) if G.ndim == 1 else values
 
 
 def pushforward_covariance(ledger: BasisLedger, k: int, covariance: np.ndarray, m0: int) -> np.ndarray:

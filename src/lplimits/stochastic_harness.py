@@ -124,10 +124,12 @@ def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndar
     the sampling mode of a transport rhs b = (r[:N-1], s) of length 2N - 1.
     OneSample replaces the r block by the frequencies of n categorical draws
     from r; TwoSample also replaces the s block by those of m draws from s,
-    with m = n for an int n.  UserSamples draws one of its rows.
+    with m = n for an int n.  UserSamples draws one of its rows.  A size or
+    replicate count that is not an integer of at least 1 is a DimensionMismatch.
     """
     b = np.asarray(b, dtype=float)
-    sizes = n if isinstance(n, tuple) else (n,)
+    sizes = tuple(_integer(size, "n") for size in (n if isinstance(n, tuple) else (n,)))
+    replicates = _integer(replicates, "replicates")
     rngs = _keyed_generators((seed, *sizes), replicates)
     if isinstance(model, UserSamples):
         rows = np.asarray(model.rows, dtype=float)
@@ -149,9 +151,9 @@ def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndar
     two_sample = isinstance(model, TwoSample)
     counts = np.zeros((replicates, 2, N), dtype=np.int64)
     for row, rng in zip(counts, rngs):
-        row[0] = rng.multinomial(int(n_r), p_r)
+        row[0] = rng.multinomial(n_r, p_r)
         if two_sample:
-            row[1] = rng.multinomial(int(n_s), p_s)
+            row[1] = rng.multinomial(n_s, p_s)
     out = np.tile(b, (replicates, 1))  # one-sample rows keep the s block of b
     out[:, : N - 1] = counts[:, 0, : N - 1] / float(n_r)
     if two_sample:
@@ -257,13 +259,15 @@ class RepeatedSolver:
     Dual feasibility of a basis does not depend on the right-hand side, so
     the dual feasible bases and their inverses (``BasisLedger.inverses``)
     are fixed once; each solve is then a blocked feasibility scan in
-    lexicographic basis order.
+    lexicographic basis order.  ``ledger``, given or built, is the one source
+    of the optimum, optimal value and optimality set at ``lp.rhs``.
     """
 
     def __init__(self, lp: StandardLp, tols: Tolerances = DEFAULT_TOLS,
                  ledger: Optional[BasisLedger] = None):
         if ledger is None:
             ledger = enumerate_ledger(lp, tols)
+        self.ledger = ledger
         self.lp = lp
         self.tols = tols
         order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
@@ -352,26 +356,21 @@ class FluctuationBatch:
         return self.infeasible_count / total if total else 0.0
 
 
-def fluctuation_run(
-    lp: StandardLp,
-    config: ExperimentConfig,
-    model,
-    solver: Optional[RepeatedSolver] = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> list[FluctuationBatch]:
+def fluctuation_run(solver: RepeatedSolver, config: ExperimentConfig, model) -> list[FluctuationBatch]:
     """Scaled solution and value fluctuations under resampled right-hand sides.
 
-    Every replicate is solved with the configured tie-break; replicates
-    whose resampled problem is infeasible are dropped and counted, and more
-    than 50% of them aborts the run.
+    The centre is the ledger's first optimal vertex, its entries within feas_tol
+    of zero set to 0 as ``support_partition`` reads them, and the optimal value.
+    Every replicate is solved with the configured tie-break; replicates whose
+    resampled problem is infeasible are dropped and counted, and more than 50%
+    of them aborts the run.
     """
-    if solver is None:
-        solver = RepeatedSolver(lp, tols)
-    base_solutions, base_values, _, base_ok = solver.solve_batch(lp.rhs.reshape(1, -1))
-    if not base_ok[0]:
+    ledger, lp = solver.ledger, solver.lp
+    if ledger.optimal_count == 0:
         raise Infeasible("the base problem itself is infeasible")
-    x_star = base_solutions[0]
-    value_star = base_values[0]
+    x_star = ledger.primal_optimal_vertices[0]
+    x_star = np.where(np.abs(x_star) <= solver.tols.feas_tol, 0.0, x_star)
+    value_star = ledger.optimal_value
     batches: list[FluctuationBatch] = []
     for n in config.sample_sizes:
         rate = config.mode.rate(n)
@@ -615,6 +614,7 @@ def _carrying_columns(*samples: np.ndarray) -> np.ndarray:
 
 def _first_rows(x, y, max_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """First max_rows rows of both 2-D samples, on the columns either carries; EmptySet if one is empty."""
+    max_rows = _integer(max_rows, "max_rows")
     X, Y = (np.asarray(v, dtype=float)[:max_rows] for v in (x, y))
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise DimensionMismatch("sample matrices must share their column count")
@@ -716,22 +716,19 @@ class HausdorffExperiment:
 
 
 def hausdorff_run(
-    lp: StandardLp,
+    solver: RepeatedSolver,
     model,
     sample_sizes: Sequence[int],
     replicates: int,
     seed: int,
-    solver: Optional[RepeatedSolver] = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> HausdorffExperiment:
     """Hausdorff distance between empirical and base optimality sets by n.
 
-    Infeasible replicates are skipped and counted.  The summary holds
-    (n, median, lower quartile, upper quartile) per sample size.
+    The base set is the ledger's optimal vertices.  Infeasible replicates
+    are skipped and counted.  The summary holds (n, median, lower quartile,
+    upper quartile) per sample size.
     """
-    if solver is None:
-        solver = RepeatedSolver(lp, tols)
-    base = solver.vertices_at(lp.rhs)
+    base = solver.ledger.primal_optimal_vertices
     if not base:
         raise Infeasible("the base problem is infeasible")
     base_array = np.array(base)
@@ -740,7 +737,7 @@ def hausdorff_run(
     skipped = 0
     for n in sample_sizes:
         dists: list[float] = []
-        rhs_batch = resample_rhs(model, lp.rhs, int(n), seed, replicates)
+        rhs_batch = resample_rhs(model, solver.lp.rhs, n, seed, replicates)
         for rep, vertices in enumerate(solver._vertex_sets(rhs_batch)):
             if not vertices:
                 skipped += 1
@@ -750,7 +747,7 @@ def hausdorff_run(
                 dist = max(float(np.linalg.norm(v - base[0])) for v in vertices)
             else:
                 dist = hausdorff_distance(np.array(vertices), base_array)
-            rows.append((int(n), rep, dist))
+            rows.append((n, rep, dist))
             dists.append(dist)
         if dists:
             arr = np.array(dists)
@@ -813,8 +810,7 @@ def run_experiment(
     ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
     """
     spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols, ledger)
-    lp = spec.ledger.lp
-    solver = RepeatedSolver(lp, tols, ledger=spec.ledger)
+    solver = RepeatedSolver(spec.ledger.lp, tols, ledger=spec.ledger)
     limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1, tols.boundary_tol)
     Y = limit_result.samples[:ENERGY_MAX_ROWS]
     Y_own = Y.compress(_carrying_columns(Y), axis=1)
@@ -822,27 +818,19 @@ def run_experiment(
     blocks = _CdistBlocks(threads, min(max(config.replicates, Y.shape[0]), ENERGY_MAX_ROWS))
     try:
         within_y = blocks.submit([(Y_own, Y_own)])
-        batches = fluctuation_run(lp, config, config.mode, solver=solver, tols=tols)
+        batches = fluctuation_run(solver, config, config.mode)
         main = batches[-1]
         energy = _queue_energy(blocks, *_first_rows(main.fluctuations, Y, ENERGY_MAX_ROWS), within_y)
         blocks.finish()
-        duals = spec.ledger.optimal_duals()[:, : spec.m0]
-        limit_values = (limit_result.gaussian_directions @ duals.T).max(axis=1)
+        limit_values = cones_limit.optimal_value_limit(spec.ledger, limit_result.gaussian_directions)
         ks, cov_err, value_ks = _sample_statistics(
             main.fluctuations, limit_result.samples, main.value_fluctuations, limit_values)
         partition = cones_limit.support_partition(spec.ledger, tols=tols)
         frequencies = support_frequencies(main.solutions, partition, tols.feas_tol)
         hausdorff = None
         if config.hausdorff_sizes:
-            hausdorff = hausdorff_run(
-                lp,
-                config.mode,
-                config.hausdorff_sizes,
-                config.hausdorff_replicates,
-                config.seed + 2,
-                solver=solver,
-                tols=tols,
-            )
+            hausdorff = hausdorff_run(solver, config.mode, config.hausdorff_sizes,
+                                      config.hausdorff_replicates, config.seed + 2)
     except BaseException:
         blocks.close()
         raise

@@ -450,17 +450,20 @@ class TestStagedMonteCarlo:
 
         def solve_batch(self, rhs_batch):
             solutions, values, chosen, ok = real(self, rhs_batch)
-            return solutions, values, chosen, ok & (len(rhs_batch) == 1)  # the base solve stays feasible
+            return solutions, values, chosen, np.zeros_like(ok)
 
         monkeypatch.setattr(cli.stochastic_harness.RepeatedSolver, "solve_batch", solve_batch)
 
     @staticmethod
-    def _no_base_vertices(monkeypatch):
-        monkeypatch.setattr(cli.stochastic_harness.RepeatedSolver, "vertices_at", lambda self, rhs: [])
+    def _infeasible_hausdorff_replicates(monkeypatch):
+        def vertex_sets(self, rhs_batch):
+            raise cli.stochastic_harness.Infeasible("forced on the Hausdorff path")
+
+        monkeypatch.setattr(cli.stochastic_harness.RepeatedSolver, "_vertex_sets", vertex_sets)
 
     @pytest.mark.parametrize("fault, code", [
         ("_mostly_infeasible", cli.EXIT_DEGENERATE),  # TooManyInfeasible from fluctuation_run
-        ("_no_base_vertices", cli.EXIT_INPUT),  # Infeasible from hausdorff_run
+        ("_infeasible_hausdorff_replicates", cli.EXIT_INPUT),  # Infeasible from hausdorff_run
     ])
     def test_stage_raising_after_the_y_blocks_writes_nothing_and_ends_the_workers(
             self, problem_paths, monkeypatch, pool_threads, fault, code):

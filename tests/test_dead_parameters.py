@@ -1,9 +1,11 @@
 """Every parameter and every local of every function in the package is read.
 
 A parameter that no line reads is an option that does nothing: callers can
-set it and nothing changes.  A local that is assigned and never read is work
-that goes nowhere.  This test walks the syntax tree of each module and names
-every such parameter and local; locals whose name starts with ``_`` pass.
+set it and nothing changes.  So is one read only inside ``if <other
+parameter> is None:``: once the caller passes that other parameter, it is
+ignored.  A local that is assigned and never read is work that goes nowhere.
+This test walks the syntax tree of each module and names every such
+parameter and local; locals whose name starts with ``_`` pass.
 """
 
 import ast
@@ -20,25 +22,63 @@ def _functions(source: str):
             yield node
 
 
-def _names(node, ctx) -> list[str]:
-    """Names the body of a function (nested scopes included) uses in context ctx."""
+def _name_nodes(node, ctx) -> list[ast.Name]:
+    """Name nodes the body of a function (nested scopes included) uses in context ctx."""
     return [
-        name.id
+        name
         for stmt in node.body
         for name in ast.walk(stmt)
         if isinstance(name, ast.Name) and isinstance(name.ctx, ctx)
     ]
 
 
+def _names(node, ctx) -> list[str]:
+    return [name.id for name in _name_nodes(node, ctx)]
+
+
+def _parameters(node) -> list[str]:
+    args = node.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return params + [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+
+
 def unread_parameters(source: str) -> list[tuple[str, str]]:
     """(function, parameter) for each parameter its function never reads; self and cls pass."""
     found = []
     for node in _functions(source):
-        args = node.args
-        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
         read = set(_names(node, ast.Load))
-        found += [(node.name, p) for p in params if p not in ("self", "cls") and p not in read]
+        found += [(node.name, p) for p in _parameters(node) if p not in ("self", "cls") and p not in read]
+    return found
+
+
+def _none_guard(node, params) -> str | None:
+    """q when node is ``if q is None:`` for a parameter q, else None."""
+    test = node.test if isinstance(node, ast.If) else None
+    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name) and test.left.id in params
+            and len(test.ops) == 1 and isinstance(test.ops[0], ast.Is)
+            and isinstance(test.comparators[0], ast.Constant) and test.comparators[0].value is None):
+        return test.left.id
+    return None
+
+
+def parameters_read_only_when_another_is_none(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter read, but only in ``if <other parameter> is None:`` bodies."""
+    found = []
+    for node in _functions(source):
+        params = _parameters(node)
+        guards: dict[int, set[str]] = {}  # id of a Name read in a guarded body -> its guarding parameters
+        for branch in ast.walk(node):
+            guard = _none_guard(branch, params)
+            if guard is None:
+                continue
+            for stmt in branch.body:
+                for name in ast.walk(stmt):
+                    guards.setdefault(id(name), set()).add(guard)
+        reads = _name_nodes(node, ast.Load)
+        for p in params:
+            mine = [n for n in reads if n.id == p]
+            if mine and all(guards.get(id(n), set()) - {p} for n in mine):
+                found.append((node.name, p))
     return found
 
 
@@ -60,6 +100,14 @@ def test_every_parameter_is_read():
     assert {name: params for name, params in unread.items() if params} == {}
 
 
+def test_no_parameter_is_read_only_when_another_is_none():
+    found = {
+        path.name: parameters_read_only_when_another_is_none(path.read_text(encoding="utf-8"))
+        for path in SOURCES
+    }
+    assert {name: params for name, params in found.items() if params} == {}
+
+
 def test_every_local_is_read():
     unread = {path.name: unread_locals(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: names for name, names in unread.items() if names} == {}
@@ -68,6 +116,20 @@ def test_every_local_is_read():
 def test_guard_names_an_unread_parameter():
     source = "def f(a, b, *rest, c=1, **extra):\n    return a + sum(rest) + c\n"
     assert unread_parameters(source) == [("f", "b"), ("f", "extra")]
+
+
+def test_guard_names_a_parameter_read_only_when_another_is_none():
+    source = (
+        "def f(lp, solver=None, tols=None, x=None, y=None):\n"
+        "    if solver is None:\n"
+        "        solver = build(lp, tols, y)\n"
+        "    if x is None:\n"
+        "        x = lp\n"
+        "    if y is not None:\n"
+        "        solver.use(y)\n"
+        "    return solver.run(lp, x)\n"
+    )
+    assert parameters_read_only_when_another_is_none(source) == [("f", "tols")]
 
 
 def test_guard_names_an_unread_local():

@@ -110,6 +110,21 @@ class TestResampleRhs:
         with pytest.raises(lpl.DimensionMismatch, match="sample size"):
             lpl.resample_rhs(mode, [0.2, 0.3, 0.25, 0.35, 0.4], n, 0, 3)
 
+    @pytest.mark.parametrize("model, n, replicates", [
+        (lpl.OneSample(), 0, 3),  # rows of NaN
+        (lpl.TwoSample(), (10, 0), 3),
+        (lpl.OneSample(), 10.5, 3),
+        (lpl.TwoSample(), (10, 2.0), 3),
+        (lpl.OneSample(), True, 3),
+        (lpl.OneSample(), 10, 0),
+        (lpl.OneSample(), 10, -1),
+        (lpl.TwoSample(), 10, 2.5),
+        (lpl.UserSamples(np.zeros((3, 5))), 0, 3),
+    ])
+    def test_counts_that_are_not_integers_of_at_least_one_are_rejected(self, model, n, replicates):
+        with pytest.raises(lpl.DimensionMismatch, match="^(n|replicates): expected an integer"):
+            lpl.resample_rhs(model, [0.2, 0.3, 0.25, 0.35, 0.4], n, 0, replicates)
+
     @pytest.mark.parametrize("model, b, n", [
         (lpl.OneSample(), [0.2, 0.3, 0.25, 0.35, 0.4], 37),
         (lpl.TwoSample(), [0.1, 0.0, 0.5, 0.2, 0.3, 0.4, 0.1], (50, 9)),
@@ -187,7 +202,7 @@ class TestFluctuationRun:
         lp = lpl.reduce_to_lp(line_problem(2.0))
         config = lpl.ExperimentConfig(sample_sizes=(10,), replicates=5, seed=0)
         model = lpl.UserSamples(np.tile(lp.rhs, (4, 1)))
-        batches = lpl.fluctuation_run(lp, config, model)
+        batches = lpl.fluctuation_run(lpl.RepeatedSolver(lp), config, model)
         np.testing.assert_allclose(batches[0].fluctuations, 0.0, atol=1e-12)
         np.testing.assert_allclose(batches[0].value_fluctuations, 0.0, atol=1e-12)
 
@@ -195,9 +210,9 @@ class TestFluctuationRun:
         problem = line_problem(2.0)
         lp = lpl.reduce_to_lp(problem)
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=300, seed=1)
-        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
-        ledger = lpl.enumerate_ledger(lp)
-        partition = lpl.support_partition(ledger)
+        solver = lpl.RepeatedSolver(lp)
+        batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
+        partition = lpl.support_partition(solver.ledger)
         tz = list(partition.tz)
         zero_rows = np.all(batches[0].fluctuations[:, tz] == 0.0, axis=1)
         assert zero_rows.mean() >= 0.99
@@ -209,7 +224,7 @@ class TestFluctuationRun:
         spec = lpl.ot_limit_spec(problem, lpl.OneSample())
         lp = spec.ledger.lp
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=800, seed=2)
-        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
+        batches = lpl.fluctuation_run(lpl.RepeatedSolver(lp, ledger=spec.ledger), config, lpl.OneSample())
         empirical = np.cov(batches[0].fluctuations, rowvar=False)
         closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance, spec.m0)
         assert np.linalg.norm(empirical - closed) / np.linalg.norm(closed) < 0.15
@@ -220,7 +235,7 @@ class TestFluctuationRun:
         bad = np.array([0.9, 0.9, 0.25, 0.35, 0.4])
         config = lpl.ExperimentConfig(sample_sizes=(10,), replicates=8, seed=4)
         with pytest.raises(lpl.TooManyInfeasible):
-            lpl.fluctuation_run(lp, config, lpl.UserSamples(np.tile(bad, (3, 1))))
+            lpl.fluctuation_run(lpl.RepeatedSolver(lp), config, lpl.UserSamples(np.tile(bad, (3, 1))))
 
     def test_randomized_policy_stays_feasible_and_optimal(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
@@ -228,8 +243,7 @@ class TestFluctuationRun:
             sample_sizes=(500,), replicates=40, seed=3,
             solver_policy=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE,
         )
-        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
-        solver = lpl.RepeatedSolver(lp)
+        batches = lpl.fluctuation_run(lpl.RepeatedSolver(lp), config, lpl.OneSample())
         for row_solution in batches[0].solutions:
             assert row_solution.min() >= -1e-9
             marginal_residual = lp.constraint_matrix @ row_solution - lp.rhs
@@ -379,13 +393,73 @@ def _generic_problem(n_points, seed):
     )
 
 
+class TestBaseProblemFromLedger:
+    """The ledger is the one source of x*, the optimal value and the optimality set at b."""
+
+    @staticmethod
+    def _assert_ledger_is_the_solve_at_b(problem):
+        lp = lpl.reduce_to_lp(problem)
+        solver = lpl.RepeatedSolver(lp)
+        ledger = solver.ledger
+        solutions, values, _, ok = solver.solve_batch(lp.rhs[None])
+        assert ok[0]
+        assert solutions[0].tobytes() == ledger.primal_optimal_vertices[0].tobytes()
+        assert np.float64(values[0]).tobytes() == np.float64(ledger.optimal_value).tobytes()
+        vertices = solver.vertices_at(lp.rhs)
+        assert [v.tobytes() for v in vertices] == [v.tobytes() for v in ledger.primal_optimal_vertices]
+
+    @pytest.mark.parametrize("problem", [
+        line_problem(1.0), line_problem(2.0), line_problem(1.0, r=SKEWED_R, s=SKEWED_S),
+        line_problem(2.0, r=np.ones(6) / 6, xs=np.arange(6.0)), _generic_problem(8, [8, 0]),
+    ], ids=["p1", "p2", "two-vertex", "line6-p2", "generic8"])
+    def test_fixed_instances(self, problem):
+        self._assert_ledger_is_the_solve_at_b(problem)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 2**32 - 1))
+    def test_generic_transport(self, n_points, key):
+        self._assert_ledger_is_the_solve_at_b(_generic_problem(n_points, [n_points, key]))
+
+    def test_no_solve_at_the_base_rhs(self, monkeypatch):
+        lp = lpl.reduce_to_lp(line_problem(1.0))  # no count over 100 or 1,000 draws gives 1/3
+        solver = lpl.RepeatedSolver(lp)
+        solved = []
+        blocks = lpl.RepeatedSolver._blocks
+
+        def spy(self, rhs_batch):
+            solved.append(np.array(rhs_batch))
+            return blocks(self, rhs_batch)
+
+        monkeypatch.setattr(lpl.RepeatedSolver, "_blocks", spy)
+        for policy in lpl.TieBreak:
+            config = lpl.ExperimentConfig(sample_sizes=(100, (100, 1000)), replicates=20, seed=3,
+                                          mode=lpl.TwoSample(), solver_policy=policy)
+            lpl.fluctuation_run(solver, config, config.mode)
+        lpl.hausdorff_run(solver, lpl.OneSample(), [100, 1000], 20, 4)
+        assert len(solved) == 6
+        assert not any((rows == lp.rhs).all(axis=1).any() for rows in solved)
+
+    def test_centre_carries_no_residue_on_a_zero(self):
+        # line N=6, p=2: the min-index optimum holds 5.55e-17 on a degenerate zero
+        lp = lpl.reduce_to_lp(line_problem(2.0, r=np.ones(6) / 6, xs=np.arange(6.0)))
+        solver = lpl.RepeatedSolver(lp)
+        x_star = solver.ledger.primal_optimal_vertices[0]
+        residue = (x_star != 0) & (np.abs(x_star) <= solver.tols.feas_tol)
+        assert residue.any()
+        config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=200, seed=5, mode=lpl.TwoSample())
+        (batch,) = lpl.fluctuation_run(solver, config, config.mode)
+        at_zero = batch.solutions[:, residue] == 0.0
+        assert at_zero.any()
+        assert (batch.fluctuations[:, residue][at_zero] == 0.0).all()
+
+
 class TestHausdorffBatch:
     def _assert_matches_oracle(self, problem, sizes, replicates, seed, base_size):
         lp = lpl.reduce_to_lp(problem)
         model = lpl.TwoSample()
         rows, skipped, n_base = _oracle_hausdorff_rows(lp, model, sizes, replicates, seed)
         assert n_base == base_size
-        experiment = lpl.hausdorff_run(lp, model, sizes, replicates, seed)
+        experiment = lpl.hausdorff_run(lpl.RepeatedSolver(lp), model, sizes, replicates, seed)
         assert experiment.rows == rows  # bit-equal distances
         assert experiment.skipped == skipped
 
@@ -404,6 +478,12 @@ class TestHausdorffBatch:
         self._assert_matches_oracle(
             _generic_problem(n_points, seed), [100, 1000], 40, seed, base_size=1
         )
+
+    def test_non_integer_size_is_rejected(self):
+        # the size used to be truncated: 10.5 ran the replicates of n = 10
+        solver = lpl.RepeatedSolver(lpl.reduce_to_lp(line_problem(1.0)))
+        with pytest.raises(lpl.DimensionMismatch, match="^n: expected an integer"):
+            lpl.hausdorff_run(solver, lpl.TwoSample(), [10.5], 5, 0)
 
     def test_blocks_do_not_change_vertex_sets(self, monkeypatch):
         lp = lpl.reduce_to_lp(line_problem(1.0))
@@ -512,7 +592,7 @@ class TestRateRecovery:
     def test_hausdorff_slope_is_square_root(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
         experiment = lpl.hausdorff_run(
-            lp, lpl.OneSample(), [100, 1000, 10_000], 100, seed=7
+            lpl.RepeatedSolver(lp), lpl.OneSample(), [100, 1000, 10_000], 100, seed=7
         )
         slope = lpl.hausdorff_rate_slope(experiment.summary)
         assert -0.65 <= slope <= -0.35
@@ -822,6 +902,16 @@ class TestEnergyKernel:
         assert lpl.mean_pairwise_norm(x, y, max_rows=20) == cross
         assert set(cdist_columns) == {2}
 
+    @pytest.mark.parametrize("max_rows", [0, -1, 2.5])
+    def test_max_rows_that_is_not_an_integer_of_at_least_one_is_rejected(self, max_rows):
+        # max_rows=-1 used to drop the last row silently, as max_rows=9 does on 10 rows
+        rng = np.random.default_rng(29)
+        x, y = rng.standard_normal((10, 2)), rng.standard_normal((10, 2))
+        with pytest.raises(lpl.DimensionMismatch, match="max_rows"):
+            lpl.energy_distance(x, y, max_rows=max_rows)
+        with pytest.raises(lpl.DimensionMismatch, match="max_rows"):
+            lpl.mean_pairwise_norm(x, y, max_rows=max_rows)
+
     def test_column_counts_must_match(self):
         with pytest.raises(lpl.DimensionMismatch):
             lpl.energy_distance(np.ones((3, 1)), np.ones((3, 2)))
@@ -920,9 +1010,9 @@ class TestSupportFrequencies:
         problem = line_problem(2.0)
         lp = lpl.reduce_to_lp(problem)
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=200, seed=14)
-        batches = lpl.fluctuation_run(lp, config, lpl.OneSample())
-        ledger = lpl.enumerate_ledger(lp)
-        partition = lpl.support_partition(ledger)
+        solver = lpl.RepeatedSolver(lp)
+        batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
+        partition = lpl.support_partition(solver.ledger)
         freqs = lpl.support_frequencies(batches[0].solutions, partition, 1e-9)
         assert freqs.tz_zero_rate >= 0.99
         assert freqs.pos_positive_rate >= 0.99
