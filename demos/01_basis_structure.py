@@ -21,7 +21,7 @@ for p in (0.5, 1.0, 2.0):
     problem = lpl.make_ot_problem(points_x=points, r=r, s=r, p=p, q=2.0)
     lp = lpl.reduce_to_lp(problem)
     ledger = lpl.enumerate_ledger(lp)
-    report = lpl.check_assumptions(lp, ledger)
+    report = lpl.check_assumptions(ledger)
     print(f"p = {p}:")
     print(f"  dual feasible bases N = {len(ledger.bases)}, optimal bases K = {ledger.optimal_count}")
     print(f"  unique optimum: {report.a2_unique_optimum}, "

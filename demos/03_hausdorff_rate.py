@@ -14,12 +14,10 @@ import lplimits as lpl
 r = np.ones(3) / 3.0
 points = np.array([0.0, 1.0, 2.0])
 problem = lpl.make_ot_problem(points_x=points, r=r, s=r, p=1.0, q=2.0)
-lp = lpl.reduce_to_lp(problem)
+solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lpl.reduce_to_lp(problem)))
 
 print("Resampling the first marginal at four sample sizes, 200 replicates each...")
-experiment = lpl.hausdorff_run(
-    lpl.RepeatedSolver(lp), lpl.OneSample(), [100, 1_000, 10_000, 100_000], 200, seed=17
-)
+experiment = lpl.hausdorff_run(solver, lpl.OneSample(), [100, 1_000, 10_000, 100_000], 200, seed=17)
 print(f"\n{'n':>8} {'median d_H':>12} {'q25':>10} {'q75':>10}")
 for n, median, q25, q75 in experiment.summary:
     print(f"{int(n):>8} {median:>12.5f} {q25:>10.5f} {q75:>10.5f}")

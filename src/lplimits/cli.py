@@ -253,9 +253,10 @@ def _tols(args):
 
 
 def _inputs(args):
-    """(tols, lp, OT problem or None, problem payload); OT problems are auto-reduced, both at tols.
+    """(tols, problem, problem payload).
 
-    Every command but analyze needs an OT problem.
+    analyze's problem is an LP, which an OT problem is auto-reduced to at tols;
+    every other command needs an OT problem and gets it as an ``OtProblem``.
     """
     tols = _tols(args)
     payload = _load_json(args.problem)
@@ -266,14 +267,16 @@ def _inputs(args):
             raise DimensionMismatch(
                 f"{args.command} needs an OT problem (cost or ground points plus marginals)"
             )
-        return tols, lp_core.lp_from_dict(payload, tols), None, payload
+        return tols, lp_core.lp_from_dict(payload, tols), payload
     problem = ot.ot_from_dict(payload)
     if min(problem.r.min(), problem.s.min()) <= 0.0:
         logger.warning(
             "a marginal has a zero coordinate; the limit theory assumes "
             "strictly interior probability vectors"
         )
-    return tols, ot.reduce_to_lp(problem, tols), problem, payload
+    if args.command == "analyze":
+        return tols, ot.reduce_to_lp(problem, tols), payload
+    return tols, problem, payload
 
 
 def _run(args) -> int:
@@ -330,9 +333,9 @@ def _run(args) -> int:
 
 
 def cmd_analyze(args):
-    tols, lp, _, payload = _inputs(args)
+    tols, lp, payload = _inputs(args)
     ledger = lp_core.enumerate_ledger(lp, tols)
-    report = lp_core.check_assumptions(lp, ledger, tols)
+    report = lp_core.check_assumptions(ledger, tols)
     out: dict = {
         "m": lp.n_rows,
         "d": lp.n_cols,
@@ -396,11 +399,8 @@ def _policy(name: str) -> cones_limit.TieBreak:
 
 
 def cmd_limit_sample(args):
-    tols, lp, problem, payload = _inputs(args)
-    spec = ot.ot_limit_spec(
-        problem, _mode(args.mode, args.lam), tie_break=_policy(args.policy), tols=tols,
-        ledger=lp_core.enumerate_ledger(lp, tols),
-    )
+    tols, problem, payload = _inputs(args)
+    spec = ot.ot_limit_spec(problem, _mode(args.mode, args.lam), tie_break=_policy(args.policy), tols=tols)
     result = cones_limit.sample_limit(spec, args.samples, args.seed, tol=tols.boundary_tol)
     sidecar = {
         "seed": args.seed,
@@ -417,7 +417,8 @@ def cmd_limit_sample(args):
             list(b.indices) for b in spec.ledger.bases[: spec.ledger.optimal_count]
         ],
     }
-    files = {"limit_samples.csv": (list(lp.names()), result.samples), "limit_samples.json": sidecar}
+    files = {"limit_samples.csv": (list(spec.ledger.lp.names()), result.samples),
+             "limit_samples.json": sidecar}
     digest = {"problem": payload, "samples": args.samples, "seed": args.seed,
               "mode": args.mode, "lambda": sidecar["lambda"], "policy": args.policy}
     return files, digest, args.seed
@@ -440,12 +441,11 @@ def _experiment_config(config: dict) -> stochastic_harness.ExperimentConfig:
 
 
 def cmd_monte_carlo(args):
-    tols, lp, problem, payload = _inputs(args)
+    tols, problem, payload = _inputs(args)
     config_payload = _load_json(args.config)
     config = _experiment_config(config_payload)
-    ledger = lp_core.enumerate_ledger(lp, tols)
-    result = stochastic_harness.run_experiment(problem, config, tols, args.threads, ledger)
-    names = list(lp.names())
+    result = stochastic_harness.run_experiment(problem, config, tols, args.threads)
+    names = list(result.spec.ledger.lp.names())
     main_batch = result.batches[-1]
     hausdorff = result.hausdorff
     hausdorff_rows = np.array(hausdorff.rows if hausdorff is not None else (), float).reshape(-1, 3)
@@ -489,8 +489,8 @@ def cmd_monte_carlo(args):
 
 
 def cmd_certify(args):
-    tols, lp, problem, payload = _inputs(args)
-    report = ot.certify(problem, tols=tols, lp=lp)
+    tols, problem, payload = _inputs(args)
+    report = ot.certify(problem, tols=tols)
 
     def check_dict(check: ot.CertificateCheck) -> dict:
         witness = check.witness

@@ -444,12 +444,8 @@ def _slater_holds(lp: StandardLp, tols: Tolerances) -> bool:
     return res.status == 0 and -res.fun > tols.feas_tol
 
 
-def check_assumptions(
-    lp: StandardLp,
-    ledger: Optional[BasisLedger] = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> AssumptionReport:
-    """Report the structural flags the limit theory depends on.
+def check_assumptions(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
+    """Report the structural flags the limit theory depends on, for the LP ``ledger.lp``.
 
     a1: the optimality set is nonempty and bounded: the recession-cone
         test, skipped when the entrywise-nonnegative test below already
@@ -462,8 +458,7 @@ def check_assumptions(
     bounded: the feasible polytope is bounded, via the entrywise-nonnegative
         sufficient test or the recession-cone test.
     """
-    if ledger is None:
-        ledger = enumerate_ledger(lp, tols)
+    lp = ledger.lp
     k = ledger.optimal_count
     A = lp.constraint_matrix
     # A >= 0 with no zero column: Ah = 0 and h >= 0 force h = 0

@@ -391,22 +391,19 @@ class CertificateReport:
     uniqueness_implied: bool
 
 
-def certify(
-    ot: OtProblem, *, tols: Tolerances = DEFAULT_TOLS, lp: Optional[StandardLp] = None
-) -> CertificateReport:
+def certify(ot: OtProblem, *, tols: Tolerances = DEFAULT_TOLS) -> CertificateReport:
     """Run all four certificates; uniqueness follows from a strictly
     cyclically monotone optimal support or from dual summability.
 
-    lp: the instance's ``reduce_to_lp(ot, tols)``, when the caller has built it.
+    The optimal support is that of the min-index solve of ``reduce_to_lp(ot,
+    tols)``, the one LP built here.
     """
     cost_tol = tols.sum_tol_at(np.abs(ot.cost).sum())
     mass_tol = tols.sum_tol_at(float(np.abs(ot.r).sum() + np.abs(ot.s).sum()))
     monge = check_strict_monge(ot.cost, tol=cost_tol)
     primal = check_primal_summability(ot.r, ot.s, tol=mass_tol)
     dual = check_dual_summability(ot.cost, tol=cost_tol)
-    if lp is None:
-        lp = reduce_to_lp(ot, tols)
-    pair = lp_core.solve_min_index(lp, tols)
+    pair = lp_core.solve_min_index(reduce_to_lp(ot, tols), tols)
     coupling = coupling_from_lp_solution(pair.primal, tols)
     monotone = check_strict_cyclical_monotonicity(ot.cost, coupling.support, tol=cost_tol)
     return CertificateReport(
@@ -472,7 +469,6 @@ def ot_limit_spec(
     mode: Union[OneSample, TwoSample],
     tie_break: TieBreak = TieBreak.MIN_INDEX,
     tols: Tolerances = DEFAULT_TOLS,
-    ledger=None,
 ) -> LimitLawSpec:
     """Limit-law specification of an OT instance with a unique optimum.
 
@@ -480,10 +476,10 @@ def ot_limit_spec(
     first N-1 coordinates of the estimated first marginal (one-sample), or
     both marginal fluctuations stacked (two-sample); m0 is their count.
     ``support_partition`` raises NotUnique when the optimum is not unique.
-    ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
+    The LP ``reduce_to_lp(ot, tols)`` and its ledger are built once, here;
+    ``spec.ledger`` holds both (the LP as ``spec.ledger.lp``).
     """
-    if ledger is None:
-        ledger = enumerate_ledger(reduce_to_lp(ot, tols), tols)
+    ledger = enumerate_ledger(reduce_to_lp(ot, tols), tols)
     partition = support_partition(ledger, tols=tols)
     covariance = mode.covariance(ot)
     m0 = covariance.shape[0]

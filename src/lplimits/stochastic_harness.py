@@ -41,7 +41,8 @@ from .errors import (
     NonConvergence,
     TooManyInfeasible,
 )
-from .lp_core import BasisLedger, StandardLp, dedup_vertices, enumerate_ledger
+# enumerate_ledger is not called here: it stays as the alias lpbench's tracer wraps and checks
+from .lp_core import BasisLedger, dedup_vertices, enumerate_ledger  # noqa: F401
 from .ot import OneSample, OtProblem, TwoSample
 from .tolerances import DEFAULT_TOLS, Tolerances
 
@@ -125,12 +126,13 @@ def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndar
     OneSample replaces the r block by the frequencies of n categorical draws
     from r; TwoSample also replaces the s block by those of m draws from s,
     with m = n for an int n.  UserSamples draws one of its rows.  A size or
-    replicate count that is not an integer of at least 1 is a DimensionMismatch.
+    replicate count that is not an integer of at least 1, or a seed that is
+    not an integer of at least 0, is a DimensionMismatch.
     """
     b = np.asarray(b, dtype=float)
     sizes = tuple(_integer(size, "n") for size in (n if isinstance(n, tuple) else (n,)))
     replicates = _integer(replicates, "replicates")
-    rngs = _keyed_generators((seed, *sizes), replicates)
+    rngs = _keyed_generators((_integer(seed, "seed", least=0), *sizes), replicates)
     if isinstance(model, UserSamples):
         rows = np.asarray(model.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != b.size:
@@ -254,25 +256,25 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
 
 
 class RepeatedSolver:
-    """Min-index solves of one LP family over many right-hand sides.
+    """Solutions of one LP family over many right-hand sides, from its ledger.
 
     Dual feasibility of a basis does not depend on the right-hand side, so
     the dual feasible bases and their inverses (``BasisLedger.inverses``)
-    are fixed once; each solve is then a blocked feasibility scan in
-    lexicographic basis order.  ``ledger``, given or built, is the one source
-    of the optimum, optimal value and optimality set at ``lp.rhs``.
+    are fixed once; each row is then a blocked feasibility scan in
+    lexicographic basis order, which gives its min-index solution
+    (``solve_batch``), its uniform mixture of optimal vertices
+    (``mixed_solution``) or its optimal vertex set (``vertices_at``).
+    ``ledger`` is the one source of the LP (``ledger.lp``) and of the
+    optimum, optimal value and optimality set at ``lp.rhs``.
     """
 
-    def __init__(self, lp: StandardLp, tols: Tolerances = DEFAULT_TOLS,
-                 ledger: Optional[BasisLedger] = None):
-        if ledger is None:
-            ledger = enumerate_ledger(lp, tols)
+    def __init__(self, ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS):
         self.ledger = ledger
-        self.lp = lp
+        self.lp = ledger.lp
         self.tols = tols
         order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
         self.inverses = ledger.inverses[order]
-        self.columns = np.array([ledger.bases[k].indices for k in order]).reshape(-1, lp.n_rows)
+        self.columns = np.array([ledger.bases[k].indices for k in order]).reshape(-1, self.lp.n_rows)
 
     def _blocks(self, rhs_batch: np.ndarray):
         """(start, coords, feasible) per block of at most _VERTEX_BLOCK coordinates (or one row).
@@ -534,13 +536,12 @@ class _CdistBlocks:
     some pairs and returns at once, so the caller computes on beside the workers;
     ``collect`` waits for them and adds each pair's block sums in task order, so
     neither the thread count nor the time of a submit changes a result.
+    threads: None (every available CPU) or an integer of at least 1, else DimensionMismatch.
     width: the most rows a submitted B has.
     """
 
     def __init__(self, threads: Optional[int], width: int):
-        threads = available_cpus() if threads is None else threads
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
+        threads = available_cpus() if threads is None else _integer(threads, "threads")
         self._workers = min(threads, _MAX_WORKERS)
         self._pool = ThreadPoolExecutor(max_workers=self._workers)
         self._size = _CDIST_BLOCK * width
@@ -794,7 +795,6 @@ def run_experiment(
     config: ExperimentConfig,
     tols: Tolerances = DEFAULT_TOLS,
     threads: Optional[int] = None,
-    ledger=None,
 ) -> ExperimentResult:
     """Full pipeline for a transport instance with a unique optimum.
 
@@ -806,11 +806,11 @@ def run_experiment(
     are queued right after the draws, the X-Y and X-X blocks right after the
     fluctuations; the KS statistics, covariance error, support frequencies and
     Hausdorff replicates follow while they run.  A stage that raises cancels
-    the queued blocks and waits for the running ones.
-    ledger: the ledger of ``reduce_to_lp(ot, tols)``, when the caller has built it.
+    the queued blocks and waits for the running ones.  The LP and ledger are
+    built once, at tols, by ``ot_limit_spec``; ``spec.ledger`` holds them.
     """
-    spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols, ledger)
-    solver = RepeatedSolver(spec.ledger.lp, tols, ledger=spec.ledger)
+    spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols)
+    solver = RepeatedSolver(spec.ledger, tols)
     limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1, tols.boundary_tol)
     Y = limit_result.samples[:ENERGY_MAX_ROWS]
     Y_own = Y.compress(_carrying_columns(Y), axis=1)

@@ -125,8 +125,8 @@ def ledger_p2():
 
 
 @pytest.fixture(scope="session")
-def spec_p2_two_sample(ledger_p2):
-    return lpl.ot_limit_spec(line_problem(2.0), lpl.TwoSample(0.5), ledger=ledger_p2)
+def spec_p2_two_sample():
+    return lpl.ot_limit_spec(line_problem(2.0), lpl.TwoSample(0.5))
 
 
 @pytest.fixture(scope="session")

@@ -79,7 +79,7 @@ def test_criterion_02_cones():
             by_scheme[b].products(points) > band, axis=1
         )
         assert both.any()
-    report = lpl.check_assumptions(ledger.lp, ledger)
+    report = lpl.check_assumptions(ledger)
     assert not report.a3_distinct_optimal_duals
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -94,7 +94,7 @@ def test_criterion_03_nondegenerate_clt():
     spec = lpl.ot_limit_spec(problem, lpl.OneSample())
     assert spec.ledger.optimal_count == 1
     config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=2000, seed=33)
-    solver = lpl.RepeatedSolver(spec.ledger.lp, ledger=spec.ledger)
+    solver = lpl.RepeatedSolver(spec.ledger)
     batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
     empirical = np.cov(batches[0].fluctuations, rowvar=False)
     closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance, spec.m0)
@@ -161,10 +161,8 @@ def test_criteria_04_05_at_scale(n_points, p, policy):
 
 def test_criterion_06_hausdorff_rate():
     started = time.perf_counter()
-    lp = lpl.reduce_to_lp(line_problem(1.0))
-    experiment = lpl.hausdorff_run(
-        lpl.RepeatedSolver(lp), lpl.OneSample(), [100, 1000, 10_000, 100_000], 200, seed=61
-    )
+    solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(1.0))))
+    experiment = lpl.hausdorff_run(solver, lpl.OneSample(), [100, 1000, 10_000, 100_000], 200, seed=61)
     slope = lpl.hausdorff_rate_slope(experiment.summary)
     assert -0.6 <= slope <= -0.4
     elapsed = time.perf_counter() - started
@@ -201,7 +199,7 @@ def test_criterion_08_support_pattern():
     problem = line_problem(2.0)
     spec = lpl.ot_limit_spec(problem, lpl.OneSample())
     lp = spec.ledger.lp
-    solver = lpl.RepeatedSolver(lp, ledger=spec.ledger)
+    solver = lpl.RepeatedSolver(spec.ledger)
     config = lpl.ExperimentConfig(sample_sizes=(100_000,), replicates=1000, seed=88)
     batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
     partition = lpl.support_partition(spec.ledger)

@@ -197,10 +197,9 @@ class TestLimitFunctional:
                     assert np.abs(outs[0] - outs[1]).max() <= 1e-8
         assert found >= 10
 
-    def test_randomized_policy_mixes_feasible_bases(self, ledger_p1):
+    def test_randomized_policy_mixes_feasible_bases(self):
         spec = lpl.ot_limit_spec(
-            line_problem(1.0), lpl.TwoSample(0.5),
-            tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE, ledger=ledger_p1,
+            line_problem(1.0), lpl.TwoSample(0.5), tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE
         )
         rng = np.random.default_rng(7)
         g = rng.standard_normal(5)
@@ -226,18 +225,17 @@ class TestLimitFunctional:
         with pytest.raises(lpl.NoFeasibleCone):
             lpl.limit_functional(spec, np.array([-1.0]))
 
-    def test_requires_rng_for_randomized_policy(self, ledger_p1):
+    def test_requires_rng_for_randomized_policy(self):
         spec = lpl.ot_limit_spec(
-            line_problem(1.0), lpl.TwoSample(0.5),
-            tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE, ledger=ledger_p1,
+            line_problem(1.0), lpl.TwoSample(0.5), tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE
         )
         with pytest.raises(lpl.LpLimitsError):
             lpl.limit_functional(spec, np.ones(5))
 
 
 class TestSampleLimit:
-    def test_zero_covariance_gives_zero_samples(self, ledger_p2):
-        spec = lpl.ot_limit_spec(line_problem(2.0), lpl.TwoSample(0.5), ledger=ledger_p2)
+    def test_zero_covariance_gives_zero_samples(self, spec_p2_two_sample):
+        spec = spec_p2_two_sample
         zero_spec = lpl.LimitLawSpec(
             ledger=spec.ledger, cones=spec.cones, tie_break=spec.tie_break,
             covariance=np.zeros((5, 5)), m0=5, rate_name=spec.rate_name,
@@ -283,10 +281,9 @@ class TestSampleLimit:
         with pytest.raises(lpl.DimensionMismatch, match="at least 1"):
             lpl.sample_limit(spec_p2_two_sample, n_samples, seed=3)
 
-    def test_randomized_policy_is_chunking_free_and_seeded(self, ledger_p1):
+    def test_randomized_policy_is_chunking_free_and_seeded(self):
         spec = lpl.ot_limit_spec(
-            line_problem(1.0), lpl.TwoSample(0.5),
-            tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE, ledger=ledger_p1,
+            line_problem(1.0), lpl.TwoSample(0.5), tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE
         )
         a = lpl.sample_limit(spec, 200, seed=9)
         b = lpl.sample_limit(spec, 200, seed=9)
@@ -345,11 +342,10 @@ class TestSampleLimit:
             points_x=rng.standard_normal((n_points, 2)), r=np.full(n_points, 1 / n_points),
             s=np.full(n_points, 1 / n_points), p=2.0, q=2.0,
         )
-        ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(problem))
-        assert ledger.optimal_count >= 2
         for mode in (lpl.OneSample(), lpl.TwoSample(0.5)):
             for policy in lpl.TieBreak:
-                spec = lpl.ot_limit_spec(problem, mode, policy, ledger=ledger)
+                spec = lpl.ot_limit_spec(problem, mode, policy)
+                assert spec.ledger.optimal_count >= 2
                 result = lpl.sample_limit(spec, 2000, seed)  # NoFeasibleCone on a miss
                 assert result.samples.shape == (2000, n_points**2)
 

@@ -4,8 +4,11 @@ A parameter that no line reads is an option that does nothing: callers can
 set it and nothing changes.  So is one read only inside ``if <other
 parameter> is None:``: once the caller passes that other parameter, it is
 ignored.  A local that is assigned and never read is work that goes nowhere.
-This test walks the syntax tree of each module and names every such
-parameter and local; locals whose name starts with ``_`` pass.
+So is a side input that defaults to None and is built, when None, by
+``enumerate_ledger`` or ``reduce_to_lp``: the function then takes its
+problem twice, and nothing checks that the two forms agree.  This test
+walks the syntax tree of each module and names every such parameter and
+local; locals whose name starts with ``_`` pass.
 """
 
 import ast
@@ -82,6 +85,78 @@ def parameters_read_only_when_another_is_none(source: str) -> list[tuple[str, st
     return found
 
 
+_BUILDERS = ("enumerate_ledger", "reduce_to_lp")
+
+
+def _qualified_functions(source: str):
+    """(qualified name, node) of each function and method, classes' names as prefix."""
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+                yield from walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}{node.name}.")
+    yield from walk(ast.parse(source).body, "")
+
+
+def _none_defaults(node) -> list[str]:
+    args = node.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [a.arg for a, d in pairs if isinstance(d, ast.Constant) and d.value is None]
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _built_when_none(node, p: str) -> bool:
+    """True when an ``if p is None:`` body of node assigns p a value that calls a builder."""
+    return any(
+        isinstance(assign, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == p for t in assign.targets)
+        and any(isinstance(c, ast.Call) and _callee(c) in _BUILDERS for c in ast.walk(assign.value))
+        for branch in ast.walk(node) if _none_guard(branch, [p]) == p
+        for stmt in branch.body for assign in ast.walk(stmt)
+    )
+
+
+def side_inputs_built_when_none(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each None-default parameter built when None.
+
+    Its function replaces it, under ``if <parameter> is None:``, by a call to
+    ``enumerate_ledger`` or ``reduce_to_lp``, or passes it on as such a
+    parameter of another function of the package (a class call reaches its
+    ``__init__``).
+    """
+    functions = [(module, name, node) for module, source in sources.items()
+                 for name, node in _qualified_functions(source)]
+    params = {}  # last name part (or class name for __init__) -> parameters, self dropped
+    for _, name, node in functions:
+        key = name.split(".")[-2] if name.endswith(".__init__") else name.split(".")[-1]
+        params[key] = (name, [p for p in _parameters(node) if p != "self"])
+    found = {(module, name, p) for module, name, node in functions
+             for p in _none_defaults(node) if _built_when_none(node, p)}
+    grown = True
+    while grown:
+        flagged = {(name, p) for _, name, p in found}
+        before = len(found)
+        for module, name, node in functions:
+            for p in _none_defaults(node):
+                for call in (c for c in ast.walk(node) if isinstance(c, ast.Call) and _callee(c) in params):
+                    target, target_params = params[_callee(call)]
+                    passed = [kw.arg for kw in call.keywords if isinstance(kw.value, ast.Name) and kw.value.id == p]
+                    passed += [target_params[i] for i, a in enumerate(call.args[: len(target_params)])
+                               if isinstance(a, ast.Name) and a.id == p]
+                    if any((target, q) in flagged for q in passed):
+                        found.add((module, name, p))
+        grown = len(found) > before
+    return sorted(found)
+
+
 def unread_locals(source: str) -> list[tuple[str, str]]:
     """(function, local) for each name its function assigns and never reads; _names pass."""
     found = []
@@ -106,6 +181,11 @@ def test_no_parameter_is_read_only_when_another_is_none():
         for path in SOURCES
     }
     assert {name: params for name, params in found.items() if params} == {}
+
+
+def test_no_side_input_is_built_when_none():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert side_inputs_built_when_none(sources) == []
 
 
 def test_every_local_is_read():
@@ -144,3 +224,33 @@ def test_guard_names_an_unread_local():
         "    return g\n"
     )
     assert unread_locals(source) == [("f", "first")]
+
+
+def test_guard_names_a_side_input_built_when_none():
+    sources = {
+        "a.py": (
+            "def spec(ot, tols=None, ledger=None, lp=None):\n"
+            "    if tols is None:\n"
+            "        tols = DEFAULT\n"
+            "    if ledger is None:\n"
+            "        ledger = enumerate_ledger(reduce_to_lp(ot, tols), tols)\n"
+            "    if lp is not None:\n"
+            "        lp = reduce_to_lp(ot)\n"
+            "    return ledger, lp\n"
+            "class Solver:\n"
+            "    def __init__(self, lp, ledger=None):\n"
+            "        if ledger is None:\n"
+            "            ledger = lp_core.enumerate_ledger(lp)\n"
+            "        self.ledger = ledger\n"
+        ),
+        "b.py": (
+            "def run(ot, ledger=None, cache=None):\n"
+            "    return a.spec(ot, None, ledger), cache\n"
+            "def solve(lp, ledger=None, lp_again=None):\n"
+            "    return Solver(lp, ledger=ledger), spec(lp, lp=lp_again)\n"
+        ),
+    }
+    assert side_inputs_built_when_none(sources) == [
+        ("a.py", "Solver.__init__", "ledger"), ("a.py", "spec", "ledger"),
+        ("b.py", "run", "ledger"), ("b.py", "solve", "ledger"),
+    ]

@@ -174,7 +174,7 @@ def check_against_oracles(ledger, m0, seed):
 
 def check_solver_against_oracle(ledger, seed):
     lp = ledger.lp
-    solver = lpl.RepeatedSolver(lp, ledger=ledger)
+    solver = lpl.RepeatedSolver(ledger)
     order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
     inverses = np.array([oracle_inverse(ledger, k) for k in order])
     columns = [list(ledger.bases[k].indices) for k in order]
@@ -275,15 +275,12 @@ class TestKeyedMixture:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_rows_do_not_depend_on_the_row_count(self, seed):
-        lp = lpl.reduce_to_lp(line_problem(1.0))
-        ledger = lpl.enumerate_ledger(lp)
-        spec = lpl.ot_limit_spec(
-            line_problem(1.0), lpl.TwoSample(0.5), tie_break=RANDOMIZED, ledger=ledger
-        )
+        spec = lpl.ot_limit_spec(line_problem(1.0), lpl.TwoSample(0.5), tie_break=RANDOMIZED)
+        ledger, lp = spec.ledger, spec.ledger.lp
         n_max = 5 * BLOCK // 2
         g = lpl.sample_limit(spec, n_max, seed).gaussian_directions
         full = lpl.evaluate_limit(spec, g, seed=seed).samples
-        solver = lpl.RepeatedSolver(lp, ledger=ledger)
+        solver = lpl.RepeatedSolver(ledger)
         rng = np.random.default_rng(seed)
         rhs_batch = lp.rhs + 0.25 * rng.standard_normal((n_max, lp.n_rows))
         mixed, ok = solver.mixed_solution(rhs_batch, (seed, 1))
@@ -320,7 +317,7 @@ class TestKeyedMixture:
         spacings = lpl.cones_limit.keyed_spacings((seed,), len(g), ledger.optimal_count)
         assert_on_simplex(mixture_weights(feasible, spacings), feasible)
 
-        solver = lpl.RepeatedSolver(lp, ledger=ledger)
+        solver = lpl.RepeatedSolver(ledger)
         rng = np.random.default_rng(seed)
         rhs_batch = lp.rhs + 0.3 * np.abs(lp.rhs).max() * rng.standard_normal((40, lp.n_rows))
         rhs_batch[0] = lp.rhs

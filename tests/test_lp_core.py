@@ -602,7 +602,7 @@ class TestHighsOracle:
 
 class TestCheckAssumptions:
     def test_equal_marginals_unit_cost_exponent(self, ledger_p1):
-        report = lpl.check_assumptions(ledger_p1.lp, ledger_p1)
+        report = lpl.check_assumptions(ledger_p1)
         assert report.a1_bounded_nonempty_optimum
         assert report.a2_unique_optimum
         assert not report.a3_distinct_optimal_duals
@@ -612,21 +612,21 @@ class TestCheckAssumptions:
         assert {ids[j], ids[k]} <= {3, 6, 7} or {ids[j], ids[k]} <= {4, 5, 8}
 
     def test_equal_marginals_convex_cost(self, ledger_p2):
-        report = lpl.check_assumptions(ledger_p2.lp, ledger_p2)
+        report = lpl.check_assumptions(ledger_p2)
         assert report.a2_unique_optimum
         assert report.a3_distinct_optimal_duals
         assert report.a3_witness is None
 
     def test_transport_lp_satisfies_slater(self):
         lp = lpl.reduce_to_lp(line_problem(2.0, r=np.array([0.2, 0.3, 0.5])))
-        report = lpl.check_assumptions(lp)
+        report = lpl.check_assumptions(lpl.enumerate_ledger(lp))
         assert report.slater
         assert report.bounded
 
     def test_positive_recession_direction_keeps_slater(self):
         # (1, 1) is strictly positive and feasible; maximizing min x_i is unbounded.
         lp = lpl.make_lp([[1.0, -1.0]], [0.0], [1.0, 1.0])
-        report = lpl.check_assumptions(lp)
+        report = lpl.check_assumptions(lpl.enumerate_ledger(lp))
         assert report.slater
         assert not report.bounded
 
@@ -637,18 +637,18 @@ class TestCheckAssumptions:
             lp_core, "_recession_direction_exists",
             lambda lp, restrict_cost: calls.append(restrict_cost) or original(lp, restrict_cost),
         )
-        report = lpl.check_assumptions(ledger_p2.lp, ledger_p2)
+        report = lpl.check_assumptions(ledger_p2)
         assert report.a1_bounded_nonempty_optimum and report.bounded
         assert calls == []
         lp = lpl.make_lp([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]], [0.0, 1.0], [1.0, 1.0, 1.0])
-        report = lpl.check_assumptions(lp)
+        report = lpl.check_assumptions(lpl.enumerate_ledger(lp))
         assert report.a1_bounded_nonempty_optimum and report.bounded
         assert calls == [True, False]
 
     def test_slater_fails_on_a_pinned_feasible_set(self):
         # The two constraints pin the single point (1, 0): no interior point.
         lp = lpl.make_lp([[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0], [1.0, 1.0])
-        report = lpl.check_assumptions(lp)
+        report = lpl.check_assumptions(lpl.enumerate_ledger(lp))
         assert not report.slater
 
 
@@ -688,7 +688,7 @@ class TestStructuralInvariants:
                 continue
             # A single vertex is a unique optimum only when the optimality
             # set is also bounded.
-            report = lpl.check_assumptions(lp, ledger)
+            report = lpl.check_assumptions(ledger)
             if not report.a1_bounded_nonempty_optimum:
                 continue
             checked += 1

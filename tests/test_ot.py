@@ -350,7 +350,7 @@ class TestCertify:
             s = rng.dirichlet(np.ones(3))
             problem = lpl.make_ot_problem(cost=cost, r=r, s=s)
             lp = lpl.reduce_to_lp(problem)
-            report = lpl.check_assumptions(lp)
+            report = lpl.check_assumptions(lpl.enumerate_ledger(lp))
             assert report.a3_distinct_optimal_duals
 
     def test_summability_and_monge_give_distinct_duals(self):
@@ -360,7 +360,7 @@ class TestCertify:
         problem = nondegenerate_problem()
         assert lpl.check_primal_summability(problem.r, problem.s).holds
         assert lpl.check_strict_monge(problem.cost).holds
-        report = lpl.check_assumptions(lpl.reduce_to_lp(problem))
+        report = lpl.check_assumptions(lpl.enumerate_ledger(lpl.reduce_to_lp(problem)))
         assert report.a3_distinct_optimal_duals and report.a2_unique_optimum
 
         rng = np.random.default_rng(11)
@@ -374,7 +374,7 @@ class TestCertify:
             checked += 1
             random_problem = lpl.make_ot_problem(points_x=xs, r=r, s=s, p=2.0, q=2.0)
             assert lpl.check_strict_monge(random_problem.cost).holds
-            report = lpl.check_assumptions(lpl.reduce_to_lp(random_problem))
+            report = lpl.check_assumptions(lpl.enumerate_ledger(lpl.reduce_to_lp(random_problem)))
             assert report.a3_distinct_optimal_duals
 
 

@@ -125,6 +125,17 @@ class TestResampleRhs:
         with pytest.raises(lpl.DimensionMismatch, match="^(n|replicates): expected an integer"):
             lpl.resample_rhs(model, [0.2, 0.3, 0.25, 0.35, 0.4], n, 0, replicates)
 
+    @pytest.mark.parametrize("model", [lpl.OneSample(), lpl.TwoSample(), lpl.UserSamples(np.zeros((3, 5)))])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_that_is_not_an_integer_of_at_least_zero_is_rejected(self, model, seed):
+        with pytest.raises(lpl.DimensionMismatch, match="^seed: expected an integer of at least 0"):
+            lpl.resample_rhs(model, [0.2, 0.3, 0.25, 0.35, 0.4], 10, seed, 3)
+
+    def test_hausdorff_run_checks_its_seed_through_resample_rhs(self):
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(1.0))))
+        with pytest.raises(lpl.DimensionMismatch, match="^seed: expected"):
+            lpl.hausdorff_run(solver, lpl.TwoSample(), [10], 5, -1)
+
     @pytest.mark.parametrize("model, b, n", [
         (lpl.OneSample(), [0.2, 0.3, 0.25, 0.35, 0.4], 37),
         (lpl.TwoSample(), [0.1, 0.0, 0.5, 0.2, 0.3, 0.4, 0.1], (50, 9)),
@@ -202,7 +213,7 @@ class TestFluctuationRun:
         lp = lpl.reduce_to_lp(line_problem(2.0))
         config = lpl.ExperimentConfig(sample_sizes=(10,), replicates=5, seed=0)
         model = lpl.UserSamples(np.tile(lp.rhs, (4, 1)))
-        batches = lpl.fluctuation_run(lpl.RepeatedSolver(lp), config, model)
+        batches = lpl.fluctuation_run(lpl.RepeatedSolver(lpl.enumerate_ledger(lp)), config, model)
         np.testing.assert_allclose(batches[0].fluctuations, 0.0, atol=1e-12)
         np.testing.assert_allclose(batches[0].value_fluctuations, 0.0, atol=1e-12)
 
@@ -210,7 +221,7 @@ class TestFluctuationRun:
         problem = line_problem(2.0)
         lp = lpl.reduce_to_lp(problem)
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=300, seed=1)
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
         partition = lpl.support_partition(solver.ledger)
         tz = list(partition.tz)
@@ -224,18 +235,18 @@ class TestFluctuationRun:
         spec = lpl.ot_limit_spec(problem, lpl.OneSample())
         lp = spec.ledger.lp
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=800, seed=2)
-        batches = lpl.fluctuation_run(lpl.RepeatedSolver(lp, ledger=spec.ledger), config, lpl.OneSample())
+        batches = lpl.fluctuation_run(lpl.RepeatedSolver(spec.ledger), config, lpl.OneSample())
         empirical = np.cov(batches[0].fluctuations, rowvar=False)
         closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance, spec.m0)
         assert np.linalg.norm(empirical - closed) / np.linalg.norm(closed) < 0.15
 
     def test_mostly_infeasible_replicates_abort(self):
-        lp = lpl.reduce_to_lp(line_problem(2.0))
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(2.0))))
         # A right-hand side whose implied first marginal has negative mass.
         bad = np.array([0.9, 0.9, 0.25, 0.35, 0.4])
         config = lpl.ExperimentConfig(sample_sizes=(10,), replicates=8, seed=4)
         with pytest.raises(lpl.TooManyInfeasible):
-            lpl.fluctuation_run(lpl.RepeatedSolver(lp), config, lpl.UserSamples(np.tile(bad, (3, 1))))
+            lpl.fluctuation_run(solver, config, lpl.UserSamples(np.tile(bad, (3, 1))))
 
     def test_randomized_policy_stays_feasible_and_optimal(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
@@ -243,7 +254,8 @@ class TestFluctuationRun:
             sample_sizes=(500,), replicates=40, seed=3,
             solver_policy=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE,
         )
-        batches = lpl.fluctuation_run(lpl.RepeatedSolver(lp), config, lpl.OneSample())
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
+        batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
         for row_solution in batches[0].solutions:
             assert row_solution.min() >= -1e-9
             marginal_residual = lp.constraint_matrix @ row_solution - lp.rhs
@@ -254,7 +266,7 @@ class TestFluctuationRun:
 class TestRepeatedSolver:
     def test_matches_reference_solver_on_perturbed_rhs(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         rng = np.random.default_rng(4)
         rows = []
         for _ in range(30):
@@ -278,7 +290,7 @@ class TestRepeatedSolver:
     def test_solve_batch_equals_solve_min_index(self, instance, seed, scale):
         p, r, s = instance
         lp = lpl.reduce_to_lp(line_problem(p, r=r, s=s))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         rng = np.random.default_rng(seed)
         rows = lp.rhs + scale * rng.standard_normal((4, lp.n_rows))
         solutions, values, chosen, ok = solver.solve_batch(rows)
@@ -297,7 +309,7 @@ class TestRepeatedSolver:
         # Every row has a basic coordinate within ulps of -feas_tol, so a
         # second rounding of inverses[k] @ row would flip some verdicts.
         lp = lpl.reduce_to_lp(_generic_problem(4, [4, 0]))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         rows = _boundary_rows(solver, seed=8, n_directions=4)
         solutions, _, _, ok = solver.solve_batch(rows)
         _, mixed_ok = solver.mixed_solution(rows, (0, 1))
@@ -312,7 +324,7 @@ class TestRepeatedSolver:
     def test_peak_memory_is_blocked(self):
         # All 252 bases of generic N=6 at 2,000 rows are 44 MB of coordinates.
         lp = lpl.reduce_to_lp(_generic_problem(6, 1))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         assert solver.inverses.shape == (252, 11, 11)
         rows = lpl.resample_rhs(lpl.TwoSample(), lp.rhs, 1000, 1, 2000)
         tracemalloc.start()
@@ -326,7 +338,7 @@ class TestRepeatedSolver:
     def test_mixed_solution_peak_memory_is_blocked(self):
         # 4,096 rows of spacings over 252 bases are 8 MB; one 1,024-row block of them is 2 MB.
         lp = lpl.reduce_to_lp(_generic_problem(6, [6, 0]))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         rows = lpl.resample_rhs(lpl.TwoSample(), lp.rhs, 1000, 1, 4096)
         tracemalloc.start()
         try:
@@ -338,7 +350,7 @@ class TestRepeatedSolver:
 
     def test_vertices_at_recovers_optimality_set(self):
         lp = lpl.reduce_to_lp(line_problem(1.0, r=SKEWED_R, s=SKEWED_S))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         vertices = solver.vertices_at(lp.rhs)
         ledger = lpl.enumerate_ledger(lp)
         assert len(vertices) == len(ledger.primal_optimal_vertices) == 2
@@ -371,7 +383,7 @@ def _oracle_vertices_at(solver, rhs):
 
 def _oracle_hausdorff_rows(lp, model, sizes, replicates, seed):
     """Per-replicate resample, optimality set and Frank-Wolfe Hausdorff distance."""
-    solver = lpl.RepeatedSolver(lp)
+    solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
     base = np.array(_oracle_vertices_at(solver, lp.rhs))
     rows, skipped = [], 0
     for n in sizes:
@@ -399,7 +411,7 @@ class TestBaseProblemFromLedger:
     @staticmethod
     def _assert_ledger_is_the_solve_at_b(problem):
         lp = lpl.reduce_to_lp(problem)
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         ledger = solver.ledger
         solutions, values, _, ok = solver.solve_batch(lp.rhs[None])
         assert ok[0]
@@ -422,7 +434,7 @@ class TestBaseProblemFromLedger:
 
     def test_no_solve_at_the_base_rhs(self, monkeypatch):
         lp = lpl.reduce_to_lp(line_problem(1.0))  # no count over 100 or 1,000 draws gives 1/3
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         solved = []
         blocks = lpl.RepeatedSolver._blocks
 
@@ -442,7 +454,7 @@ class TestBaseProblemFromLedger:
     def test_centre_carries_no_residue_on_a_zero(self):
         # line N=6, p=2: the min-index optimum holds 5.55e-17 on a degenerate zero
         lp = lpl.reduce_to_lp(line_problem(2.0, r=np.ones(6) / 6, xs=np.arange(6.0)))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         x_star = solver.ledger.primal_optimal_vertices[0]
         residue = (x_star != 0) & (np.abs(x_star) <= solver.tols.feas_tol)
         assert residue.any()
@@ -453,13 +465,41 @@ class TestBaseProblemFromLedger:
         assert (batch.fluctuations[:, residue][at_zero] == 0.0).all()
 
 
+class TestProblemInOneForm:
+    """Each function takes its problem once; the LP it solves is the one its ledger or OT problem gives."""
+
+    def test_solver_reads_the_ledgers_lp(self, ledger_p2):
+        solver = lpl.RepeatedSolver(ledger_p2)
+        assert solver.ledger is ledger_p2
+        assert solver.lp is ledger_p2.lp
+
+    def test_run_experiment_builds_its_lp_at_tols(self):
+        problem = line_problem(2.0)
+        config = lpl.ExperimentConfig(sample_sizes=(100,), replicates=5, seed=0, comparison_samples=50)
+        lp = lpl.run_experiment(problem, config).spec.ledger.lp
+        reference = lpl.reduce_to_lp(problem)
+        assert lp.names() == reference.names()
+        for got, want in ((lp.constraint_matrix, reference.constraint_matrix), (lp.rhs, reference.rhs),
+                          (lp.cost, reference.cost)):
+            assert got.tobytes() == want.tobytes()
+        # rank_tol = 1 ranks the reduced incidence matrix 0 < m: the LP is built at the given tols
+        rank_deficient = lpl.DEFAULT_TOLS.with_(rank_tol=1.0)
+        with pytest.raises(lpl.RankDeficient):
+            lpl.run_experiment(problem, config, tols=rank_deficient)
+        with pytest.raises(lpl.RankDeficient):
+            lpl.ot_limit_spec(problem, lpl.OneSample(), tols=rank_deficient)
+        with pytest.raises(lpl.RankDeficient):
+            lpl.certify(problem, tols=rank_deficient)
+
+
 class TestHausdorffBatch:
     def _assert_matches_oracle(self, problem, sizes, replicates, seed, base_size):
         lp = lpl.reduce_to_lp(problem)
         model = lpl.TwoSample()
         rows, skipped, n_base = _oracle_hausdorff_rows(lp, model, sizes, replicates, seed)
         assert n_base == base_size
-        experiment = lpl.hausdorff_run(lpl.RepeatedSolver(lp), model, sizes, replicates, seed)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
+        experiment = lpl.hausdorff_run(solver, model, sizes, replicates, seed)
         assert experiment.rows == rows  # bit-equal distances
         assert experiment.skipped == skipped
 
@@ -481,13 +521,13 @@ class TestHausdorffBatch:
 
     def test_non_integer_size_is_rejected(self):
         # the size used to be truncated: 10.5 ran the replicates of n = 10
-        solver = lpl.RepeatedSolver(lpl.reduce_to_lp(line_problem(1.0)))
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(1.0))))
         with pytest.raises(lpl.DimensionMismatch, match="^n: expected an integer"):
             lpl.hausdorff_run(solver, lpl.TwoSample(), [10.5], 5, 0)
 
     def test_blocks_do_not_change_vertex_sets(self, monkeypatch):
         lp = lpl.reduce_to_lp(line_problem(1.0))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         rhs_batch = lpl.resample_rhs(lpl.TwoSample(), lp.rhs, 100, 3, 50)
         solved = solver.solve_batch(rhs_batch)
         mixed = solver.mixed_solution(rhs_batch, (3, 1))
@@ -590,10 +630,8 @@ class TestHausdorff:
 
 class TestRateRecovery:
     def test_hausdorff_slope_is_square_root(self):
-        lp = lpl.reduce_to_lp(line_problem(1.0))
-        experiment = lpl.hausdorff_run(
-            lpl.RepeatedSolver(lp), lpl.OneSample(), [100, 1000, 10_000], 100, seed=7
-        )
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(1.0))))
+        experiment = lpl.hausdorff_run(solver, lpl.OneSample(), [100, 1000, 10_000], 100, seed=7)
         slope = lpl.hausdorff_rate_slope(experiment.summary)
         assert -0.65 <= slope <= -0.35
 
@@ -605,7 +643,7 @@ class TestRateRecovery:
 
     def test_non_uniqueness_persists_when_duals_collide(self):
         lp = lpl.reduce_to_lp(line_problem(1.0))
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         non_unique = 0
         B = 200
         for rhs in lpl.resample_rhs(lpl.OneSample(), lp.rhs, 10_000, 8, B):
@@ -920,9 +958,11 @@ class TestEnergyKernel:
 
     def test_rejects_fewer_than_one_thread(self):
         X = np.zeros((3, 2))
-        for threads in (0, -3):
-            with pytest.raises(ValueError):
+        for threads in (0, -3, 1.5, True):
+            with pytest.raises(lpl.DimensionMismatch, match="^threads: expected an integer of at least 1"):
                 lpl.energy_distance(X, X + 1.0, threads=threads)
+            with pytest.raises(lpl.DimensionMismatch, match="^threads: expected"):
+                lpl.compare_distributions(X, X + 1.0, threads=threads)
 
     def test_buffer_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
         # the default worker count on a 64-CPU host: the pool and its buffers stay capped
@@ -1010,7 +1050,7 @@ class TestSupportFrequencies:
         problem = line_problem(2.0)
         lp = lpl.reduce_to_lp(problem)
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=200, seed=14)
-        solver = lpl.RepeatedSolver(lp)
+        solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
         partition = lpl.support_partition(solver.ledger)
         freqs = lpl.support_frequencies(batches[0].solutions, partition, 1e-9)
