@@ -30,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 _SPACING_BLOCK = 1024  # rows per keyed spacing block of the randomized tie-break
 _PSD_TOL = 1e-10  # allowed covariance asymmetry and negative eigenvalue, times max(1, max |entry|)
+# Multiply-adds per block of row_products.  OpenBLAS runs a GEMM of at most
+# 65536 * 4 multiply-adds on the calling thread alone, so its helper threads stay asleep.
+_PRODUCT_MACS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class ConeH:
         v = np.asarray(v, dtype=float)
         if v.ndim == 1:
             return self.halfspace_normals @ v
-        return v @ self.halfspace_normals.T
+        return row_products(v, self.halfspace_normals.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +280,28 @@ def spacing_blocks(key: tuple[int, ...], n_rows: int, n_cols: int):
         yield start, rng.exponential(size=(min(_SPACING_BLOCK, n_rows - start), n_cols))
 
 
+def row_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` in row blocks of at most ``_PRODUCT_MACS`` multiply-adds, or three rows if more.
+
+    Bit-equal to the one product for a C-ordered ``left`` and a ``right`` that is the transpose of
+    a C-ordered array, as at every call here: OpenBLAS's kernel for that layout does not round a
+    row by the row count.  NumPy hands a one-row product and a one-column one to gemv instead, so
+    the last block takes a row from the one before rather than hold one alone, and a one-column
+    product is made in one call, since gemv rounds a row by its place in the call.
+    """
+    n = left.shape[0]
+    step = max(3, _PRODUCT_MACS // max(1, right.shape[0] * right.shape[1]))
+    if n <= step or right.shape[1] == 1:
+        return left @ right
+    starts = list(range(0, n, step))
+    if n - starts[-1] == 1:
+        starts[-1] -= 1
+    out = np.empty((n, right.shape[1]), dtype=np.result_type(left, right))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        out[start:stop] = left[start:stop] @ right
+    return out
+
+
 def basis_products(inverses: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Broadcast ``inverses @ vectors``, one matvec per entry: bit-equal to ``inverses[k] @ v``."""
     return np.matmul(inverses, vectors[..., None])[..., 0]
@@ -340,7 +365,7 @@ def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], 
             rows = np.flatnonzero(chosen == k)
             occupancy[k] = rows.size
             if rows.size:
-                samples[np.ix_(rows, columns[k])] = emb[rows] @ inverses[k].T
+                samples[np.ix_(rows, columns[k])] = row_products(emb[rows], inverses[k].T)
     else:
         occupancy[:] = feasible.sum(axis=0)
         spacings = draw_spacings(n_samples, k_count)
@@ -391,7 +416,7 @@ def sample_limit(
         raise DimensionMismatch("n_samples must be at least 1")
     root = psd_sqrt(spec.covariance)
     rng = np.random.default_rng(seed)
-    g_matrix = rng.standard_normal((n_samples, spec.m0)) @ root.T
+    g_matrix = row_products(rng.standard_normal((n_samples, spec.m0)), root.T)
     return evaluate_limit(spec, g_matrix, seed=seed, tol=tol)
 
 
@@ -404,7 +429,7 @@ def optimal_value_limit(ledger: BasisLedger, g) -> Union[float, np.ndarray]:
     if ledger.optimal_count == 0:
         raise Infeasible("ledger has no optimal basis")
     G = np.asarray(g, dtype=float)
-    values = (np.atleast_2d(G) @ ledger.optimal_duals()[:, : G.shape[-1]].T).max(axis=1)
+    values = row_products(np.atleast_2d(G), ledger.optimal_duals()[:, : G.shape[-1]].T).max(axis=1)
     return float(values[0]) if G.ndim == 1 else values
 
 

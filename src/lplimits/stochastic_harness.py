@@ -125,9 +125,10 @@ def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndar
     the sampling mode of a transport rhs b = (r[:N-1], s) of length 2N - 1.
     OneSample replaces the r block by the frequencies of n categorical draws
     from r; TwoSample also replaces the s block by those of m draws from s,
-    with m = n for an int n.  UserSamples draws one of its rows.  A size or
-    replicate count that is not an integer of at least 1, or a seed that is
-    not an integer of at least 0, is a DimensionMismatch.
+    with m = n for an int n.  UserSamples draws one of its rows, EmptySet when
+    it has none.  A size or replicate count that is not an integer of at
+    least 1, or a seed that is not an integer of at least 0, is a
+    DimensionMismatch.
     """
     b = np.asarray(b, dtype=float)
     sizes = tuple(_integer(size, "n") for size in (n if isinstance(n, tuple) else (n,)))
@@ -137,6 +138,8 @@ def resample_rhs(model, b, n: SampleSize, seed: int, replicates: int) -> np.ndar
         rows = np.asarray(model.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != b.size:
             raise DimensionMismatch("user sample rows must match the rhs length")
+        if rows.shape[0] == 0:
+            raise EmptySet("the user sample pool has no rows")
         return rows[[int(rng.integers(rows.shape[0])) for rng in rngs]]
     if not isinstance(model, (OneSample, TwoSample)):
         raise DimensionMismatch(f"unknown resampling model {model!r}")

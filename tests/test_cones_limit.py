@@ -1,5 +1,9 @@
 """Stability cones, support partition, and the limit functional."""
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,3 +395,83 @@ class TestOptimalValueLimit:
                 + lpl.optimal_value_limit(ledger_p1, g2)
             ) / 2.0
             assert mid <= avg + 1e-10
+
+
+class _MatmulSpy(np.ndarray):
+    """An array that records the (left, right) shapes of every product it is the left factor of."""
+
+    calls: list = []
+
+    def __matmul__(self, other):
+        _MatmulSpy.calls.append((self.shape, other.shape))
+        return np.asarray(self) @ np.asarray(other)
+
+
+@st.composite
+def _row_product_cases(draw):
+    """(left, right): zero to two full row blocks plus a last block, of widths 1 to 20.
+
+    right is a transposed C-ordered array, as at every call of ``row_products``.
+    """
+    inner, cols = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    step = lpl.cones_limit._PRODUCT_MACS // (inner * cols)
+    last = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33]) | st.integers(1, step))
+    n_rows = draw(st.integers(0, 2)) * step + last
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.standard_normal((n_rows, inner))
+    return left, rng.standard_normal((cols, inner)).T
+
+
+def _thread_run_times() -> dict:
+    """Native thread id -> nanoseconds run on a CPU, for every thread of this process."""
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/schedstat") as f:
+                out[int(tid)] = int(f.read().split()[0])
+        except FileNotFoundError:  # the thread ended
+            pass
+    return out
+
+
+class TestRowProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(_row_product_cases())
+    def test_blocks_are_bit_equal_and_within_the_budget(self, case):
+        left, right = case
+        _MatmulSpy.calls = []
+        out = lpl.cones_limit.row_products(left.view(_MatmulSpy), right)
+        np.testing.assert_array_equal(np.asarray(out), left @ right)
+        blocks = _MatmulSpy.calls
+        assert sum(rows for (rows, _), _ in blocks) == left.shape[0]
+        if right.shape[1] == 1:  # gemv rounds a row by its place in the call: one call
+            assert len(blocks) == 1
+            return
+        for (rows, inner), (_, cols) in blocks:
+            assert rows * inner * cols <= lpl.cones_limit._PRODUCT_MACS
+            assert rows >= 2 or left.shape[0] == 1  # a one-row block would go through gemv
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="per-thread run times are read from /proc")
+    @pytest.mark.parametrize("policy", list(lpl.TieBreak))
+    def test_limit_draws_wake_no_other_thread(self, policy):
+        # OpenBLAS splits a large GEMM over its own helper threads, which then spin for about
+        # 0.1 s; every thread but this one was started before the calls and must stay asleep.
+        spec = lpl.ot_limit_spec(line_problem(1.0), lpl.TwoSample(0.5), policy)
+        assert spec.ledger.optimal_count == 8
+        main = threading.get_native_id()
+        before = _thread_run_times()
+        deadline = time.monotonic() + 10.0
+        while True:
+            time.sleep(0.05)
+            now = _thread_run_times()
+            if all(now.get(tid) == ns for tid, ns in before.items() if tid != main):
+                break
+            assert time.monotonic() < deadline, "threads other than the main one kept running for 10 s"
+            before = now
+        result = lpl.sample_limit(spec, 20_000, seed=5)
+        lpl.optimal_value_limit(spec.ledger, result.gaussian_directions)
+        time.sleep(0.05)
+        after = _thread_run_times()
+        woken = {tid: after[tid] - ns for tid, ns in before.items() if tid != main and after.get(tid, ns) != ns}
+        assert not woken, f"run time gained by other threads (ns): {woken}"
+

@@ -105,6 +105,10 @@ class TestResampleRhs:
         out = lpl.resample_rhs(lpl.UserSamples(rows), np.zeros(5), 1, 5, 1)[0]
         assert any(np.array_equal(out, row) for row in rows)
 
+    def test_empty_user_pool_is_rejected(self):
+        with pytest.raises(lpl.EmptySet):
+            lpl.resample_rhs(lpl.UserSamples(np.zeros((0, 5))), np.zeros(5), 1, 0, 2)
+
     @pytest.mark.parametrize("mode, n", [(lpl.OneSample(), (10, 20)), (lpl.TwoSample(), (10, 20, 30))])
     def test_size_the_mode_cannot_read_is_rejected(self, mode, n):
         with pytest.raises(lpl.DimensionMismatch, match="sample size"):
