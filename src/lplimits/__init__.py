@@ -38,14 +38,12 @@ from .lp_core import (
     BasicSolutionPair,
     Basis,
     BasisLedger,
-    OptimalitySet,
     StandardLp,
     basic_pair,
     check_assumptions,
     enumerate_ledger,
     lp_from_dict,
     make_lp,
-    optimality_set,
     solve_min_index,
 )
 from .cones_limit import (

@@ -9,7 +9,7 @@ randomized) function of a Gaussian direction, assembled from those cones.
 from __future__ import annotations
 
 import enum
-import logging
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -26,13 +26,18 @@ from .errors import (
 from .lp_core import BasisLedger
 from .tolerances import DEFAULT_TOLS, Tolerances
 
-logger = logging.getLogger(__name__)
-
 _SPACING_BLOCK = 1024  # rows per keyed spacing block of the randomized tie-break
 _PSD_TOL = 1e-10  # allowed covariance asymmetry and negative eigenvalue, times max(1, max |entry|)
 # Multiply-adds per block of row_products.  OpenBLAS runs a GEMM of at most
 # 65536 * 4 multiply-adds on the calling thread alone, so its helper threads stay asleep.
 _PRODUCT_MACS = 1 << 18
+
+
+def _integer(value, name: str, least: int = 1) -> int:
+    """value as a Python int; DimensionMismatch for a bool, float, string or integer below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DimensionMismatch(f"{name}: expected an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,7 @@ def _smallest_products(cone: ConeH, g_matrix: np.ndarray) -> np.ndarray:
     return cone.products(g_matrix).min(axis=1)
 
 
-def cone_contains(cone: ConeH, v, tol: Optional[float] = None) -> Verdict:
+def cone_contains(cone: ConeH, v, tol: float = DEFAULT_TOLS.boundary_tol) -> Verdict:
     """Tri-state membership of a direction in a cone.
 
     Boundary when the smallest halfspace product sits within [-tol, tol],
@@ -197,8 +202,6 @@ def cone_contains(cone: ConeH, v, tol: Optional[float] = None) -> Verdict:
     half-spaces is all of the ambient space.  The limit law applies the
     same rule: a cone is feasible for a direction unless it is Outside.
     """
-    if tol is None:
-        tol = DEFAULT_TOLS.boundary_tol
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.m0,):
         raise DimensionMismatch(f"direction must have length {cone.m0}, got {v.shape}")
@@ -210,27 +213,16 @@ def cone_contains(cone: ConeH, v, tol: Optional[float] = None) -> Verdict:
     return Verdict.OUTSIDE
 
 
-def limit_functional(spec: LimitLawSpec, g, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def limit_functional(spec: LimitLawSpec, g, seed: int = 0) -> np.ndarray:
     """Evaluate the limiting solution fluctuation at one direction.
 
-    Feasible cones are those whose membership verdict is not Outside
-    (Boundary resolves to Inside and is logged).  Min-index returns the
-    basic fluctuation of the smallest feasible index; the randomized policy
-    mixes all feasible ones with uniform simplex weights from a (1, K)
-    block of exponential spacings drawn from rng.  The value is row 0 of
-    ``evaluate_limit``'s kernel on the one-row stack.
+    Row 0 of ``evaluate_limit(spec, g[None], seed)``: feasible cones are those
+    whose membership verdict is not Outside (Boundary resolves to Inside).
+    Min-index returns the basic fluctuation of the smallest feasible index; the
+    randomized policy mixes all feasible ones with uniform simplex weights from
+    row 0 of the seed's spacing stream.  A g of another shape is a DimensionMismatch.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (spec.m0,):
-        raise DimensionMismatch(f"direction must have length {spec.m0}, got {g.shape}")
-    if spec.tie_break is not TieBreak.MIN_INDEX and rng is None:
-        raise LpLimitsError("the randomized tie-break needs an explicit rng")
-    samples, _, boundary = _limit_rows(
-        spec, g[None], DEFAULT_TOLS.boundary_tol, lambda n, k: rng.exponential(size=(n, k))
-    )
-    if boundary.any():
-        logger.debug("direction on cone boundaries %s taken as inside", np.flatnonzero(boundary))
-    return samples[0]
+    return evaluate_limit(spec, np.asarray(g, dtype=float)[None], seed).samples[0]
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -259,22 +251,15 @@ class LimitSampleResult:
         return self.occupancy_counts / total
 
 
-def keyed_spacings(key: tuple[int, ...], n_rows: int, n_cols: int) -> np.ndarray:
-    """(n_rows, n_cols) exponential spacings of the keyed stream ``key``.
-
-    Rows [jB, (j+1)B), with B = ``_SPACING_BLOCK``, come from the generator
-    of child j of ``SeedSequence(key)``, so row i depends only on (key, i).
-    Children, unlike ``default_rng((*key, j))``, never share a stream with
-    ``default_rng(key)``: ``default_rng((seed, 0))`` is ``default_rng(seed)``.
-    """
-    out = np.empty((n_rows, n_cols))
-    for start, block in spacing_blocks(key, n_rows, n_cols):
-        out[start : start + len(block)] = block
-    return out
-
-
 def spacing_blocks(key: tuple[int, ...], n_rows: int, n_cols: int):
-    """(start, rows [start, start + B) of ``keyed_spacings(key, n_rows, n_cols)``), block by block."""
+    """(start, rows [start, start + B)) of the (n_rows, n_cols) exponential spacings of stream ``key``.
+
+    The one source of the randomized tie-break's weights.  Block j, of
+    B = ``_SPACING_BLOCK`` rows, comes from the generator of child j of
+    ``SeedSequence(key)``, so row i depends only on (key, i).  Children, unlike
+    ``default_rng((*key, j))``, never share a stream with ``default_rng(key)``:
+    ``default_rng((seed, 0))`` is ``default_rng(seed)``.
+    """
     for j, start in enumerate(range(0, n_rows, _SPACING_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(key, spawn_key=(j,)))
         yield start, rng.exponential(size=(min(_SPACING_BLOCK, n_rows - start), n_cols))
@@ -324,16 +309,14 @@ def uniform_mixture(feasible, spacings, coords, columns, n_cols: int) -> np.ndar
     return out
 
 
-def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], draw_spacings):
+def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: float, seed: int):
     """Samples, occupancy counts and boundary counts of a stack of directions.
 
     Feasible and boundary follow ``cone_contains``.  A basic fluctuation is the
     zero-padded direction times ``spec.ledger.inverses[k]``; the randomized
-    policy mixes the ``basis_products`` of each ``_SPACING_BLOCK`` of rows and
-    their feasible bases with ``uniform_mixture`` on ``draw_spacings(n, K)``.
+    policy mixes the ``basis_products`` of each block of rows and their feasible
+    bases with ``uniform_mixture`` on that block of ``spacing_blocks((seed,), n, K)``.
     """
-    if tol is None:
-        tol = DEFAULT_TOLS.boundary_tol
     if not np.all(np.isfinite(g_matrix)):
         raise DimensionMismatch("directions contain non-finite entries")
     n_samples = g_matrix.shape[0]
@@ -368,13 +351,12 @@ def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: Optional[float], 
                 samples[np.ix_(rows, columns[k])] = row_products(emb[rows], inverses[k].T)
     else:
         occupancy[:] = feasible.sum(axis=0)
-        spacings = draw_spacings(n_samples, k_count)
         samples = np.empty((n_samples, d))
-        for start in range(0, n_samples, _SPACING_BLOCK):
-            block = slice(start, start + _SPACING_BLOCK)
+        for start, spacings in spacing_blocks((seed,), n_samples, k_count):
+            block = slice(start, start + len(spacings))
             rows, bases = np.nonzero(feasible[block])
             coords = basis_products(inverses[bases], emb[block][rows])
-            samples[block] = uniform_mixture(feasible[block], spacings[block], coords, columns, d)
+            samples[block] = uniform_mixture(feasible[block], spacings, coords, columns, d)
     return samples, occupancy, boundary
 
 
@@ -382,22 +364,22 @@ def evaluate_limit(
     spec: LimitLawSpec,
     directions: np.ndarray,
     seed: int = 0,
-    tol: Optional[float] = None,
+    tol: float = DEFAULT_TOLS.boundary_tol,
 ) -> LimitSampleResult:
     """Map a stack of externally supplied directions through the limit law.
 
     Accepts any finite (n, m0) array, so non-Gaussian direction streams
     plug in directly.  Boundary verdicts are counted per cone and resolved
     to Inside.  The randomized policy takes row i's spacings from row i of
-    ``keyed_spacings((seed,), n, K)``, so results do not depend on n or on
-    any chunking of the rows.
+    ``spacing_blocks((seed,), n, K)``, so results do not depend on n or on
+    any chunking of the rows.  A seed that is not an integer of at least 0
+    is a DimensionMismatch.
     """
+    seed = _integer(seed, "seed", least=0)
     g_matrix = np.asarray(directions, dtype=float)
     if g_matrix.ndim != 2 or g_matrix.shape[1] != spec.m0:
         raise DimensionMismatch(f"directions must be an (n, {spec.m0}) array")
-    samples, occupancy, boundary = _limit_rows(
-        spec, g_matrix, tol, lambda n, k: keyed_spacings((seed,), n, k)
-    )
+    samples, occupancy, boundary = _limit_rows(spec, g_matrix, tol, seed)
     return LimitSampleResult(samples, g_matrix, occupancy, boundary, seed)
 
 
@@ -405,15 +387,17 @@ def sample_limit(
     spec: LimitLawSpec,
     n_samples: int,
     seed: int,
-    tol: Optional[float] = None,
+    tol: float = DEFAULT_TOLS.boundary_tol,
 ) -> LimitSampleResult:
     """Draw the limit law at Gaussian directions, reproducibly by seed.
 
     Directions are N(0, covariance) through the symmetric PSD square root,
-    then mapped by evaluate_limit under the spec's tie-break policy.
+    then mapped by evaluate_limit under the spec's tie-break policy.  A sample
+    count that is not an integer of at least 1, or a seed that is not an
+    integer of at least 0, is a DimensionMismatch.
     """
-    if n_samples < 1:
-        raise DimensionMismatch("n_samples must be at least 1")
+    n_samples = _integer(n_samples, "n_samples")
+    seed = _integer(seed, "seed", least=0)
     root = psd_sqrt(spec.covariance)
     rng = np.random.default_rng(seed)
     g_matrix = row_products(rng.standard_normal((n_samples, spec.m0)), root.T)
@@ -429,6 +413,8 @@ def optimal_value_limit(ledger: BasisLedger, g) -> Union[float, np.ndarray]:
     if ledger.optimal_count == 0:
         raise Infeasible("ledger has no optimal basis")
     G = np.asarray(g, dtype=float)
+    if G.ndim not in (1, 2) or not 1 <= G.shape[-1] <= ledger.lp.n_rows:
+        raise DimensionMismatch(f"g must be a direction or a stack of length 1..{ledger.lp.n_rows}")
     values = row_products(np.atleast_2d(G), ledger.optimal_duals()[:, : G.shape[-1]].T).max(axis=1)
     return float(values[0]) if G.ndim == 1 else values
 

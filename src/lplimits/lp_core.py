@@ -135,14 +135,6 @@ class BasisLedger:
         return np.array([p.dual for p in self.optimal_pairs()])
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalitySet:
-    """Vertices of the polytope of optimal solutions, and the shared value."""
-
-    vertices: tuple[np.ndarray, ...]
-    value: float
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Diagnostic flags for the structural conditions behind the limit laws."""
@@ -378,13 +370,6 @@ def enumerate_ledger(
         vertex_ids=tuple(vertex_ids),
         inverses=stack,
     )
-
-
-def optimality_set(ledger: BasisLedger) -> OptimalitySet:
-    """Deduplicated optimal vertex set; the optimality polytope is their convex hull."""
-    if ledger.optimal_count == 0:
-        raise Infeasible("no basis is simultaneously primal and dual feasible")
-    return OptimalitySet(vertices=ledger.primal_optimal_vertices, value=ledger.optimal_value)
 
 
 def solve_min_index(lp: StandardLp, tols: Tolerances = DEFAULT_TOLS) -> BasicSolutionPair:

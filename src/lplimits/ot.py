@@ -222,6 +222,14 @@ class CertificateCheck:
     witness: Optional[tuple] = None
 
 
+def _square_cost(cost, tol: Optional[float]) -> tuple[np.ndarray, float]:
+    """cost as a float (N, N) array, and tol or the default for its sum; DimensionMismatch if not square."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise DimensionMismatch(f"cost must be square, got shape {cost.shape}")
+    return cost, DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum()) if tol is None else tol
+
+
 def check_strict_monge(cost, tol: Optional[float] = None) -> CertificateCheck:
     """Strict Monge inequality over all increasing index pairs.
 
@@ -229,12 +237,8 @@ def check_strict_monge(cost, tol: Optional[float] = None) -> CertificateCheck:
     tol for every i < i', j < j'; returns the lexicographically first
     violating quadruple (i, i', j, j') otherwise.
     """
-    cost = np.asarray(cost, dtype=float)
+    cost, tol = _square_cost(cost, tol)
     N = cost.shape[0]
-    if cost.shape != (N, N):
-        raise DimensionMismatch("cost must be square")
-    if tol is None:
-        tol = DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum())
     for i in range(N):
         for i2 in range(i + 1, N):
             for j in range(N):
@@ -254,11 +258,12 @@ def check_primal_summability(r, s, tol: Optional[float] = None) -> CertificateCh
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
+    if r.ndim != 1 or r.shape != s.shape:
+        raise DimensionMismatch(f"marginals must be vectors of one length, got {r.shape} and {s.shape}")
     N = len(r)
     if N > PRIMAL_SUMMABILITY_CAP:
         raise CapExceeded(f"subset scan needs N <= {PRIMAL_SUMMABILITY_CAP}, got {N}")
-    if tol is None:
-        tol = DEFAULT_TOLS.sum_tol_at(float(np.abs(r).sum() + np.abs(s).sum()))
+    tol = DEFAULT_TOLS.sum_tol_at(float(np.abs(r).sum() + np.abs(s).sum())) if tol is None else tol
     r_sums = np.zeros(1 << N)
     s_sums = np.zeros(1 << N)
     for mask in range(1, 1 << N):
@@ -334,12 +339,10 @@ def check_dual_summability(cost, *, tol: Optional[float] = None) -> CertificateC
     (cyclically shifted) must differ by more than tol.  When true, all dual
     basic solutions of the transport LP are nondegenerate.
     """
-    cost = np.asarray(cost, dtype=float)
+    cost, tol = _square_cost(cost, tol)
     N = cost.shape[0]
     if N > DUAL_SUMMABILITY_CAP:
         raise CapExceeded(f"exhaustive cycle scan needs N <= {DUAL_SUMMABILITY_CAP}, got {N}")
-    if tol is None:
-        tol = DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum())
     for i_tuple, j_tuple in _cycle_families(N):
         forward = sum(cost[i_tuple[k], j_tuple[k]] for k in range(len(i_tuple)))
         shifted = sum(cost[i_tuple[k], j_tuple[k - 1]] for k in range(len(i_tuple)))
@@ -356,13 +359,13 @@ def check_strict_cyclical_monotonicity(cost, support, *, tol: Optional[float] = 
     support.  Equivalent to uniqueness of the optimal coupling carrying
     that support.
     """
-    cost = np.asarray(cost, dtype=float)
+    cost, tol = _square_cost(cost, tol)
     N = cost.shape[0]
     support_set = {(int(i), int(j)) for i, j in support}
+    if not all(0 <= i < N and 0 <= j < N for i, j in support_set):
+        raise DimensionMismatch(f"support pairs must index the {N}x{N} cost")
     if N > SUPPORT_CYCLE_CAP:
         raise CapExceeded(f"support cycle scan needs N <= {SUPPORT_CYCLE_CAP}, got {N}")
-    if tol is None:
-        tol = DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum())
     adjacency: dict[int, set[int]] = {}
     for i, j in support_set:
         adjacency.setdefault(i, set()).add(j)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import cones_limit, ot as ot_module
-from .cones_limit import LimitSampleResult, SupportPartition, TieBreak, basis_products, sample_limit
+from .cones_limit import LimitSampleResult, SupportPartition, TieBreak, _integer, basis_products, sample_limit
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -59,13 +58,6 @@ ENERGY_MAX_ROWS = 5000  # rows of each sample the energy distance reads
 _VERTEX_BLOCK = 1 << 18  # basic coordinates per block of RepeatedSolver rows: 2 MB
 PROJECTION_MAX_ITERS = 100_000  # Frank-Wolfe budget of point_to_polytope
 PROJECTION_TOL = 1e-10  # duality gap at which point_to_polytope stops
-
-
-def _integer(value, name: str, least: int = 1) -> int:
-    """value as a Python int; DimensionMismatch for a bool, float, string or integer below least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise DimensionMismatch(f"{name}: expected an integer of at least {least}, got {value!r}")
-    return int(value)
 
 
 def _integers(values, name: str) -> tuple[int, ...]:
@@ -312,8 +304,8 @@ class RepeatedSolver:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Uniform simplex mixture of all optimal vertices, per right-hand side.
 
-        Row i's weights come from row i of ``cones_limit.keyed_spacings(key,
-        R, n_bases)``, drawn one spacing block of rows at a time.  Returns
+        Row i's weights come from row i of ``cones_limit.spacing_blocks(key,
+        R, n_bases)``, the limit law's stream, one block at a time.  Returns
         (solutions, feasible_any); rows with no feasible basis have NaN solutions.
         """
         rhs_batch = np.asarray(rhs_batch, dtype=float)
@@ -416,6 +408,8 @@ def point_to_polytope(v, vertices) -> float:
     if P.ndim != 2 or P.shape[0] == 0:
         raise EmptySet("vertex list must be a nonempty 2-d array")
     v = np.asarray(v, dtype=float)
+    if v.shape != P.shape[1:]:
+        raise DimensionMismatch(f"point of shape {v.shape} is not a vertex of length {P.shape[1]}")
     if P.shape[0] == 1:
         return float(np.linalg.norm(v - P[0]))
     K = P.shape[0]

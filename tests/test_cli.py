@@ -179,7 +179,7 @@ class TestLimitSample:
              "--out-dir", str(out)]
         )
         assert code == cli.EXIT_INPUT
-        assert "n_samples must be at least 1" in capsys.readouterr().err
+        assert f"n_samples: expected an integer of at least 1, got {samples}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_same_seed_byte_identical(self, problem_paths):

@@ -207,7 +207,7 @@ class TestLimitFunctional:
         )
         rng = np.random.default_rng(7)
         g = rng.standard_normal(5)
-        out = lpl.limit_functional(spec, g, rng=np.random.default_rng(8))
+        out = lpl.limit_functional(spec, g, seed=8)
         # Mixing preserves the constraint image: A @ out equals the direction.
         np.testing.assert_allclose(
             spec.ledger.lp.constraint_matrix @ out, g, atol=1e-10
@@ -229,12 +229,10 @@ class TestLimitFunctional:
         with pytest.raises(lpl.NoFeasibleCone):
             lpl.limit_functional(spec, np.array([-1.0]))
 
-    def test_requires_rng_for_randomized_policy(self):
-        spec = lpl.ot_limit_spec(
-            line_problem(1.0), lpl.TwoSample(0.5), tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE
-        )
-        with pytest.raises(lpl.LpLimitsError):
-            lpl.limit_functional(spec, np.ones(5))
+    @pytest.mark.parametrize("g", [np.ones(3), np.ones((1, 5)), 1.0], ids=["short", "stack", "scalar"])
+    def test_direction_of_another_shape_is_rejected(self, spec_p2_two_sample, g):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.limit_functional(spec_p2_two_sample, g)
 
 
 class TestSampleLimit:
@@ -284,6 +282,27 @@ class TestSampleLimit:
         # No draws give no occupancy distribution; raised before any draw.
         with pytest.raises(lpl.DimensionMismatch, match="at least 1"):
             lpl.sample_limit(spec_p2_two_sample, n_samples, seed=3)
+
+    @pytest.mark.parametrize("n_samples, seed", [(2.5, 0), (True, 0), (3.0, 0), ("3", 0),
+                                                 (3, -1), (3, 1.5), (3, True), (3, None)])
+    def test_counts_and_seeds_that_are_not_integers_are_rejected(self, spec_p2_two_sample,
+                                                                 n_samples, seed):
+        with pytest.raises(lpl.DimensionMismatch, match="expected an integer"):
+            lpl.sample_limit(spec_p2_two_sample, n_samples, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, False])
+    def test_evaluate_limit_rejects_a_seed_that_is_not_a_natural_number(self, seed):
+        spec = lpl.ot_limit_spec(
+            line_problem(1.0), lpl.TwoSample(0.5), tie_break=lpl.TieBreak.UNIFORM_RANDOM_OVER_FEASIBLE
+        )
+        with pytest.raises(lpl.DimensionMismatch, match="seed"):
+            lpl.evaluate_limit(spec, np.ones((2, 5)), seed=seed)
+
+    def test_numpy_integers_give_the_python_int_results(self, spec_p2_two_sample):
+        a = lpl.sample_limit(spec_p2_two_sample, np.int64(50), np.uint32(4))
+        b = lpl.sample_limit(spec_p2_two_sample, 50, 4)
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert type(a.seed) is int and a.seed == 4
 
     def test_randomized_policy_is_chunking_free_and_seeded(self):
         spec = lpl.ot_limit_spec(
@@ -364,6 +383,12 @@ class TestOptimalValueLimit:
 
     def test_zero_direction(self, ledger_p2):
         assert lpl.optimal_value_limit(ledger_p2, np.zeros(5)) == 0.0
+
+    @pytest.mark.parametrize("g", [np.zeros(99), np.zeros((3, 6)), np.zeros(0), np.float64(0.0),
+                                   np.zeros((2, 2, 5))], ids=["long", "wide-stack", "empty", "scalar", "3-d"])
+    def test_direction_of_another_shape_is_rejected(self, ledger_p2, g):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.optimal_value_limit(ledger_p2, g)
 
     def test_finite_perturbation_oracle(self, ledger_p2):
         lp = ledger_p2.lp

@@ -6,9 +6,11 @@ parameter> is None:``: once the caller passes that other parameter, it is
 ignored.  A local that is assigned and never read is work that goes nowhere.
 So is a side input that defaults to None and is built, when None, by
 ``enumerate_ledger`` or ``reduce_to_lp``: the function then takes its
-problem twice, and nothing checks that the two forms agree.  This test
-walks the syntax tree of each module and names every such parameter and
-local; locals whose name starts with ``_`` pass.
+problem twice, and nothing checks that the two forms agree.  So is a
+parameter that a function sets, under ``if p is None:``, to a bare
+``DEFAULT_TOLS.<field>``: that default belongs in the signature, where it is
+spelled once.  This test walks the syntax tree of each module and names
+every such parameter and local; locals whose name starts with ``_`` pass.
 """
 
 import ast
@@ -157,6 +159,26 @@ def side_inputs_built_when_none(sources: dict[str, str]) -> list[tuple[str, str,
     return sorted(found)
 
 
+def defaults_set_when_none(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter set to a bare ``DEFAULT_TOLS.<field>`` under ``if p is None:``.
+
+    A value computed from the input, such as ``DEFAULT_TOLS.sum_tol_at(...)``, passes.
+    """
+    found = []
+    for node in _functions(source):
+        for p in _parameters(node):
+            if any(
+                isinstance(assign, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == p for t in assign.targets)
+                and isinstance(assign.value, ast.Attribute)
+                and isinstance(assign.value.value, ast.Name) and assign.value.value.id == "DEFAULT_TOLS"
+                for branch in ast.walk(node) if _none_guard(branch, [p]) == p
+                for stmt in branch.body for assign in ast.walk(stmt)
+            ):
+                found.append((node.name, p))
+    return found
+
+
 def unread_locals(source: str) -> list[tuple[str, str]]:
     """(function, local) for each name its function assigns and never reads; _names pass."""
     found = []
@@ -188,6 +210,11 @@ def test_no_side_input_is_built_when_none():
     assert side_inputs_built_when_none(sources) == []
 
 
+def test_no_default_is_set_when_none():
+    found = {path.name: defaults_set_when_none(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
 def test_every_local_is_read():
     unread = {path.name: unread_locals(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: names for name, names in unread.items() if names} == {}
@@ -210,6 +237,28 @@ def test_guard_names_a_parameter_read_only_when_another_is_none():
         "    return solver.run(lp, x)\n"
     )
     assert parameters_read_only_when_another_is_none(source) == [("f", "tols")]
+
+
+def test_guard_names_a_default_set_when_none():
+    source = (
+        "def f(cost, tol=None, band=None, m0=None, other=None, *, sum_tol=None):\n"
+        "    if tol is None:\n"
+        "        tol = DEFAULT_TOLS.boundary_tol\n"
+        "    if band is None:\n"
+        "        band = DEFAULT_TOLS.sum_tol_at(cost.sum())\n"
+        "    if m0 is None:\n"
+        "        m0 = cost.shape[0]\n"
+        "    if other is not None:\n"
+        "        other = DEFAULT_TOLS.feas_tol\n"
+        "    if sum_tol is None:\n"
+        "        sum_tol = DEFAULT_TOLS.sum_tol\n"
+        "    return tol, band, m0, other, sum_tol\n"
+        "def g(v, tol):\n"
+        "    if tol is None:\n"
+        "        tol = DEFAULT_TOLS.boundary_tol\n"
+        "    return v, tol\n"
+    )
+    assert defaults_set_when_none(source) == [("f", "tol"), ("f", "sum_tol"), ("g", "tol")]
 
 
 def test_guard_names_an_unread_local():

@@ -157,9 +157,7 @@ def check_against_oracles(ledger, m0, seed):
             np.testing.assert_array_equal(first, result.occupancy_counts)
 
         one = lpl.evaluate_limit(spec, g[:1], seed=seed).samples[0]
-        child = np.random.SeedSequence(seed, spawn_key=(0,))
-        rng = np.random.default_rng(child) if randomized else None
-        np.testing.assert_array_equal(lpl.limit_functional(spec, g[0], rng=rng), one)
+        np.testing.assert_array_equal(lpl.limit_functional(spec, g[0], seed=seed), one)
 
     cov = np.cov(np.random.default_rng(seed).standard_normal((m0, 2 * m0 + 2)))
     for k in range(ledger.optimal_count):
@@ -314,7 +312,7 @@ class TestKeyedMixture:
         atol = 1e-10 * scale * (1 + np.abs(g).max())
         np.testing.assert_allclose(out @ A.T, emb, rtol=0, atol=atol)
         feasible = oracle_feasible(normals, g)[0]
-        spacings = lpl.cones_limit.keyed_spacings((seed,), len(g), ledger.optimal_count)
+        spacings = oracle_spacings((seed,), len(g), ledger.optimal_count)
         assert_on_simplex(mixture_weights(feasible, spacings), feasible)
 
         solver = lpl.RepeatedSolver(ledger)
@@ -333,14 +331,16 @@ class TestKeyedMixture:
         assert np.isnan(mixed[~ok]).all()
         coords = lpl.cones_limit.basis_products(solver.inverses, rhs_batch[:, None])
         feasible = (coords >= -solver.tols.feas_tol).all(axis=2)
-        spacings = lpl.cones_limit.keyed_spacings((seed, 1), len(rhs_batch), feasible.shape[1])
+        spacings = oracle_spacings((seed, 1), len(rhs_batch), feasible.shape[1])
         assert_on_simplex(mixture_weights(feasible, spacings), feasible)
 
     def test_spacings_match_full_keyed_blocks(self):
         key = (5, 1000, 1)
         n = 5 * BLOCK // 2
+        blocks = list(lpl.cones_limit.spacing_blocks(key, n, 3))
+        assert [start for start, _ in blocks] == [0, BLOCK, 2 * BLOCK]
         np.testing.assert_array_equal(
-            lpl.cones_limit.keyed_spacings(key, n, 3), oracle_spacings(key, n, 3)
+            np.vstack([block for _, block in blocks]), oracle_spacings(key, n, 3)
         )
 
     @pytest.mark.parametrize("key", [(0,), (7,), (11, 500, 1), (11, 30, 40, 1)])
@@ -349,5 +349,5 @@ class TestKeyedMixture:
         # block 0 of evaluate_limit(seed) would replay sample_limit's direction
         # stream, and block 0 of a fluctuation key would replay the resample
         # stream of replicate 1.
-        spacings = lpl.cones_limit.keyed_spacings(key, 3, 4)
+        _, spacings = next(lpl.cones_limit.spacing_blocks(key, 3, 4))
         assert not np.array_equal(spacings, np.random.default_rng(key).exponential(size=(3, 4)))

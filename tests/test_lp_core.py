@@ -315,19 +315,20 @@ class TestEnumerateLedger:
 
 
 class TestOptimalitySet:
+    """The ledger's optimal vertices and value, against known vertices and a brute-force scan."""
+
     def test_two_vertex_instance(self):
         ledger = lpl.enumerate_ledger(
             lpl.reduce_to_lp(line_problem(1.0, r=SKEWED_R, s=SKEWED_S))
         )
-        opt = lpl.optimality_set(ledger)
-        assert len(opt.vertices) == 2
-        found = {tuple(np.round(v, 12)) for v in opt.vertices}
+        assert len(ledger.primal_optimal_vertices) == 2
+        found = {tuple(np.round(v, 12)) for v in ledger.primal_optimal_vertices}
         assert tuple(np.round(SKEWED_VERTEX_A, 12)) in found
         assert tuple(np.round(SKEWED_VERTEX_B, 12)) in found
 
     def test_unique_nondegenerate_single_vertex(self):
         ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(nondegenerate_problem()))
-        assert len(lpl.optimality_set(ledger).vertices) == 1
+        assert len(ledger.primal_optimal_vertices) == 1
 
     def test_matches_primal_only_brute_force(self):
         # Independent oracle: enumerate all primal feasible bases directly and
@@ -352,10 +353,10 @@ class TestOptimalitySet:
                     continue
                 if not any(np.abs(v - w).max() <= 1e-8 for w in oracle):
                     oracle.append(v)
-            opt = lpl.optimality_set(lpl.enumerate_ledger(lp))
-            assert len(opt.vertices) == len(oracle)
-            assert abs(opt.value - best) < 1e-8 * (1 + abs(best))
-            for v in opt.vertices:
+            ledger = lpl.enumerate_ledger(lp)
+            assert len(ledger.primal_optimal_vertices) == len(oracle)
+            assert abs(ledger.optimal_value - best) < 1e-8 * (1 + abs(best))
+            for v in ledger.primal_optimal_vertices:
                 assert any(np.abs(v - w).max() <= 1e-7 for w in oracle)
 
 

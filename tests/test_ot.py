@@ -205,6 +205,37 @@ class TestStrictCyclicalMonotonicity:
             assert unique == strict
 
 
+class TestCertificateShapes:
+    """A certificate of a cost or marginals of the wrong shape raises, before any scan."""
+
+    RECTANGULAR = [[0.0, 1.0, 5.0], [1.0, 0.0, 7.0]]
+
+    @pytest.mark.parametrize("cost", [RECTANGULAR, np.zeros(3), np.zeros((2, 2, 2)), 1.0])
+    @pytest.mark.parametrize("check", [
+        lpl.check_strict_monge,
+        lpl.check_dual_summability,
+        lambda cost: lpl.check_strict_cyclical_monotonicity(cost, [(0, 0), (1, 1)]),
+    ], ids=["monge", "dual", "cyclical"])
+    def test_cost_must_be_square(self, check, cost):
+        with pytest.raises(lpl.DimensionMismatch, match="square"):
+            check(cost)
+
+    @pytest.mark.parametrize("support", [[(0, 0), (2, 2)], [(0, 0), (-1, 1)]])
+    def test_support_must_index_the_cost(self, support):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.check_strict_cyclical_monotonicity(np.eye(2), support)
+
+    @pytest.mark.parametrize("r, s", [
+        ([0.5, 0.5], [0.2, 0.3, 0.5]),
+        ([0.2, 0.3, 0.5], [0.5, 0.5]),
+        ([[0.5, 0.5]], [[0.5, 0.5]]),
+        (0.5, 0.5),
+    ])
+    def test_marginals_must_be_vectors_of_one_length(self, r, s):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.check_primal_summability(r, s)
+
+
 class TestMultinomialCovariance:
     def test_two_point_half(self):
         np.testing.assert_allclose(

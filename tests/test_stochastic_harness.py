@@ -571,6 +571,12 @@ class TestPointToPolytope:
             grid_dist = np.sqrt(((hull_points - v) ** 2).sum(axis=1)).min()
             assert abs(lpl.point_to_polytope(v, V) - grid_dist) < 1e-3
 
+    @pytest.mark.parametrize("v", [np.zeros(3), np.zeros(1), np.float64(0.0), np.zeros((1, 2))])
+    @pytest.mark.parametrize("n_vertices", [1, 2])
+    def test_point_of_another_length_is_rejected(self, v, n_vertices):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.point_to_polytope(v, np.eye(2)[:n_vertices])
+
 
 class TestHausdorff:
     def test_identical_sets(self):
@@ -592,6 +598,12 @@ class TestHausdorff:
     def test_empty_set_rejected(self):
         with pytest.raises(lpl.EmptySet):
             lpl.hausdorff_distance(np.empty((0, 2)), np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("first, second", [(np.eye(2), np.eye(3)), (np.eye(3), np.eye(2)),
+                                               (np.eye(2)[:1], np.eye(3)[:1])])
+    def test_vertices_of_other_lengths_are_rejected(self, first, second):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.hausdorff_distance(first, second)
 
     def test_every_vertex_class_keeps_a_feasible_representative(self):
         # Group optimal bases by the vertex they induce; under a small
