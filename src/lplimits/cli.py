@@ -128,10 +128,13 @@ def _split(x):
     return t - (t - x), x - (t - (t - x))
 
 
-def _two_product(a, b):
-    """hi = fl(a * b) and lo with hi + lo == a * b exactly (Dekker, 1971)."""
-    hi = a * b
-    (a1, a2), (b1, b2) = _split(a), _split(b)
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a, s):
+    """hi = fl(a * 10**s) and lo with hi + lo == a * 10**s exactly (Dekker, 1971)."""
+    hi = a * _POW10[s]
+    (a1, a2), b1, b2 = _split(a), _POW10_HI[s], _POW10_LO[s]
     return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
 
 
@@ -148,28 +151,30 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     a = mag[cells]
     # The 17 significant digits are n = round-half-even(a * 10**(16 - x)), with
     # x the decimal exponent: n in [1e16, 1e17).  hi + lo is that product
-    # exactly, and hi is an even integer above 2**53.  n never rounds up to
-    # 1e17: below a power of ten, a binary64 value is at least 1.1e-16 short.
+    # exactly, and hi is an even integer above 2**53, so n = hi + rint(lo).  n
+    # never rounds up to 1e17: below a power of ten, a binary64 value is at
+    # least 1.1e-16 short.
     x = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _two_product(a, _POW10[16 - x])
-    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
-    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    wrong = np.flatnonzero(shift)  # log10 rounded across a power of ten
-    if len(wrong):
-        x[wrong] += shift[wrong]
-        hi[wrong], lo[wrong] = _two_product(a[wrong], _POW10[16 - x[wrong]])
-    floor = np.floor(lo)
-    n = hi.astype(np.int64) + floor.astype(np.int64)
-    frac = lo - floor
-    n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
-    del a, hi, lo, floor, frac, shift  # each block's temporaries are freed as soon as they are dead
+    hi, lo = _scaled(a, 16 - x)
+    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))  # only these can need a shift
+    if len(edge):
+        hi_e, lo_e = hi[edge], lo[edge]
+        shift = ((hi_e > 1e17) | ((hi_e == 1e17) & (lo_e >= 0))).astype(np.int64)
+        shift -= (hi_e < 1e16) | ((hi_e == 1e16) & (lo_e < 0))
+        wrong = edge[shift != 0]  # log10 rounded across a power of ten
+        x[wrong] += shift[shift != 0]
+        hi[wrong], lo[wrong] = _scaled(a[wrong], 16 - x[wrong])
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    del a, hi, lo  # each block's temporaries are freed as soon as they are dead
     # Cells sorted by exponent (x >= -4) put each exponent's digits in one slice.
     order = np.argsort((x + 4).astype(np.uint8), kind="stable")
     n, x = n[order], x[order]
     quads = np.full((len(n), 6), _QUADS[0])
     zeros = 0
     for col in range(5, 1, -1):  # four 4-digit groups, least significant first
-        n, group = np.divmod(n, 10_000)
+        high = n // 10_000  # not np.divmod, which skips NumPy's fast division by a scalar
+        group = n - high * 10_000
+        n = high
         quads[:, col] = _QUADS[group]
         zeros = zeros + (zeros == 4 * (5 - col)) * _ZEROS4[group]
     quads[:, 1] = _QUADS[n]  # the leading digit

@@ -31,6 +31,11 @@ _PSD_TOL = 1e-10  # allowed covariance asymmetry and negative eigenvalue, times 
 # Multiply-adds per block of row_products.  OpenBLAS runs a GEMM of at most
 # 65536 * 4 multiply-adds on the calling thread alone, so its helper threads stay asleep.
 _PRODUCT_MACS = 1 << 18
+# Up to this many columns, _row_extreme folds the columns: NumPy's reduction
+# along a short row pays a set-up per row (0.9 ms against 0.02 ms for 20,000 x 2).
+# Up to 8 entries it also takes a row one entry at a time, as the fold does;
+# from 9 on it can keep the other zero of a tie of signed zeros.
+_FOLD_COLUMNS = 8
 
 
 def _integer(value, name: str, least: int = 1) -> int:
@@ -187,11 +192,26 @@ def build_cones(
     return tuple(cones)
 
 
+def _row_extreme(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(values, axis=1)`` for ``np.minimum`` or ``np.maximum``, bit for bit.
+
+    Up to ``_FOLD_COLUMNS`` columns it folds them in order as ``ufunc(acc,
+    column)``, which keeps what the row reduction keeps on ties of signed
+    zeros and on NaN.
+    """
+    if values.shape[1] > _FOLD_COLUMNS:
+        return ufunc.reduce(values, axis=1)
+    out = values[:, 0].copy()
+    for column in values.T[1:]:
+        ufunc(out, column, out=out)
+    return out
+
+
 def _smallest_products(cone: ConeH, g_matrix: np.ndarray) -> np.ndarray:
     """Smallest halfspace product of each row; +inf for a cone with no half-spaces."""
     if cone.halfspace_normals.shape[0] == 0:
         return np.full(g_matrix.shape[0], np.inf)
-    return cone.products(g_matrix).min(axis=1)
+    return _row_extreme(np.minimum, cone.products(g_matrix))
 
 
 def cone_contains(cone: ConeH, v, tol: float = DEFAULT_TOLS.boundary_tol) -> Verdict:
@@ -415,7 +435,8 @@ def optimal_value_limit(ledger: BasisLedger, g) -> Union[float, np.ndarray]:
     G = np.asarray(g, dtype=float)
     if G.ndim not in (1, 2) or not 1 <= G.shape[-1] <= ledger.lp.n_rows:
         raise DimensionMismatch(f"g must be a direction or a stack of length 1..{ledger.lp.n_rows}")
-    values = row_products(np.atleast_2d(G), ledger.optimal_duals()[:, : G.shape[-1]].T).max(axis=1)
+    products = row_products(np.atleast_2d(G), ledger.optimal_duals()[:, : G.shape[-1]].T)
+    values = _row_extreme(np.maximum, products)
     return float(values[0]) if G.ndim == 1 else values
 
 

@@ -8,16 +8,18 @@ the set of feasible bases of the pointed polyhedron {y : A'y <= c}, found
 by a walk over single column exchanges in time proportional to the ledger
 rather than to C(d, m).  The walk of a transport LP starts at the spanning
 tree of its row-minimum potentials (``StandardLp.dual_start``); any other
-LP starts at one HiGHS dual simplex solve.  Each basis
-the walk proposes is inverted once; that inverse gives its basic pair, its
-exchange rows and its entry of ``BasisLedger.inverses``.
+LP starts at one HiGHS dual simplex solve.  The walk takes its frontier in
+blocks and inverts each block as one stack, so each basis it proposes is
+inverted once; that inverse gives its basic pair, its exchange rows and its
+entry of ``BasisLedger.inverses``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -42,6 +44,9 @@ DEFAULT_ENUMERATION_CAP = 2_000_000
 # -_WALK_SLACK * feas_tol; the wider band than the pair's -feas_tol absorbs
 # the rounding of the prediction, and the proposed basis's own pair decides.
 _WALK_SLACK = 10.0
+# The walk solves its frontier in blocks whose stacked pivot rows B^-1 A take
+# at most this many bytes; the ratio test holds a few such arrays at once.
+_WALK_BLOCK_BYTES = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +55,8 @@ class StandardLp:
 
     ``dual_start``, when set, is a basis known to be dual feasible; the
     basis walk starts there instead of at a HiGHS solve.
+    ``interior_margin``, when set, is max over feasible x of min(1, min_i x_i)
+    in closed form; the Slater check reads it instead of solving an LP.
     """
 
     constraint_matrix: np.ndarray
@@ -57,6 +64,7 @@ class StandardLp:
     cost: np.ndarray
     variable_names: Optional[tuple[str, ...]] = None
     dual_start: Optional[tuple[int, ...]] = None
+    interior_margin: Optional[float] = None
 
     @property
     def n_rows(self) -> int:
@@ -79,8 +87,8 @@ class Basis:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = tuple(map(int, self.indices))
+        if any(map(operator.le, idx[1:], idx)):
             raise ValueError(f"basis indices must be strictly increasing, got {idx}")
         object.__setattr__(self, "indices", idx)
 
@@ -195,39 +203,54 @@ def make_lp(A, b, c, names=None, tols: Tolerances = DEFAULT_TOLS) -> StandardLp:
     return StandardLp(A, b, c, names)
 
 
-def _invert_basis(lp: StandardLp, indices: Sequence[int], tols: Tolerances):
-    """(pair, inverse) of one basis, both from the basis's one inverse.
+def _solve_block(lp: StandardLp, rows: np.ndarray, tols: Tolerances):
+    """(rows, inverses, x_basic, dual, reduced) of the nonsingular bases among ``rows`` (k, m).
 
-    The basis is singular, and SingularBasis is raised, when the inverse
-    fails or when ||B||_1 ||B^-1||_1 rank_tol is not below 1 (a NaN too).
+    One stacked ``np.linalg.inv`` inverts the block.  A basis is singular
+    when its inverse fails or when ||B||_1 ||B^-1||_1 rank_tol is not below
+    1 (a NaN too).  Each product is one BLAS call per basis, the one the
+    one-basis product makes, so every number is bit-equal to that basis's
+    own ``inv(B)``, ``inv(B) @ b``, ``c_B @ inv(B)`` and ``c - A.T @ y``;
+    a GEMM over the stack (``c - Y @ A``) would round differently.
     """
-    idx = list(indices)
-    sub = lp.constraint_matrix[:, idx]
+    A = lp.constraint_matrix
+    # subs[j] is A[:, rows[j]], laid out so that its 1-norm adds the rows in
+    # order, as np.linalg.norm(A[:, rows[j]], 1) does
+    subs = A[:, rows].transpose(1, 0, 2)
     try:
-        inverse = np.linalg.inv(sub)
-    except np.linalg.LinAlgError:
-        inverse = None
-    if inverse is None or not (
-        np.linalg.norm(sub, 1) * np.linalg.norm(inverse, 1) * tols.rank_tol < 1.0
-    ):
-        raise SingularBasis(f"submatrix for columns {tuple(indices)} is singular")
-    x_basic = inverse @ lp.rhs
-    dual = lp.cost[idx] @ inverse
-    reduced = lp.cost - lp.constraint_matrix.T @ dual
-    primal = np.zeros(lp.n_cols)
-    primal[idx] = x_basic
-    m = lp.n_rows
-    return BasicSolutionPair(
-        basis=Basis(tuple(indices)),
-        primal=primal,
-        dual=dual,
-        reduced_costs=reduced,
-        primal_feasible=bool(x_basic.min() >= -tols.feas_tol),
-        dual_feasible=bool(reduced.min() >= -tols.feas_tol),
-        primal_degenerate=bool(np.sum(primal > tols.feas_tol) < m),
-        dual_degenerate=bool(np.sum(np.abs(reduced) <= tols.feas_tol) > m),
-        objective=float(np.dot(primal, lp.cost)),
-    ), inverse
+        inverses = np.linalg.inv(subs)
+    except np.linalg.LinAlgError:  # one exactly singular basis fails the stack
+        inverses = np.full(subs.shape, np.nan)
+        for j, sub in enumerate(subs):
+            try:
+                inverses[j] = np.linalg.inv(sub)
+            except np.linalg.LinAlgError:
+                pass
+    norms = np.abs(subs).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
+    regular = norms * tols.rank_tol < 1.0
+    if not regular.all():
+        rows, inverses = rows[regular], inverses[regular]
+    dual = np.matmul(lp.cost[rows][:, None, :], inverses)[:, 0]
+    reduced = lp.cost - np.matmul(A.T, dual[..., None])[..., 0]
+    return rows, inverses, inverses @ lp.rhs, dual, reduced
+
+
+def _pairs(lp: StandardLp, rows, x_basic, dual, reduced, tols: Tolerances) -> list[BasicSolutionPair]:
+    """The ``BasicSolutionPair`` of each basis of a solved block, its four flags taken over the block."""
+    k, m = rows.shape
+    primal = np.zeros((k, lp.n_cols))
+    primal[np.arange(k)[:, None], rows] = x_basic
+    flags = zip(
+        (x_basic.min(axis=1) >= -tols.feas_tol).tolist(),
+        (reduced.min(axis=1) >= -tols.feas_tol).tolist(),
+        ((primal > tols.feas_tol).sum(axis=1) < m).tolist(),
+        ((np.abs(reduced) <= tols.feas_tol).sum(axis=1) > m).tolist(),
+    )
+    # the objective is one dot per basis, as a lone pair makes it
+    return [
+        BasicSolutionPair(Basis(indices), x, y, r, *flag, objective=float(np.dot(x, lp.cost)))
+        for indices, x, y, r, flag in zip(map(tuple, rows.tolist()), primal, dual, reduced, flags)
+    ]
 
 
 def basic_pair(lp: StandardLp, basis, tols: Tolerances = DEFAULT_TOLS) -> BasicSolutionPair:
@@ -235,7 +258,10 @@ def basic_pair(lp: StandardLp, basis, tols: Tolerances = DEFAULT_TOLS) -> BasicS
     indices = tuple(basis.indices if isinstance(basis, Basis) else basis)
     if len(indices) != lp.n_rows:
         raise DimensionMismatch(f"basis must have {lp.n_rows} indices, got {len(indices)}")
-    return _invert_basis(lp, indices, tols)[0]
+    rows, _, x_basic, dual, reduced = _solve_block(lp, np.array([indices], dtype=np.intp), tols)
+    if not len(rows):
+        raise SingularBasis(f"submatrix for columns {indices} is singular")
+    return _pairs(lp, rows, x_basic, dual, reduced, tols)[0]
 
 
 def _start_basis(lp: StandardLp) -> tuple[int, ...]:
@@ -266,7 +292,10 @@ def _start_basis(lp: StandardLp) -> tuple[int, ...]:
 
 
 def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
-    """(pair, inverse) of every dual feasible basis: (primal feasible, the rest), each sorted.
+    """(rows, inverses, x_basic, dual, reduced) of every dual feasible basis, and their ledger order.
+
+    The five arrays are in the order the walk kept the bases; ``order``
+    lists them primal feasible first, each part sorted by index tuple.
 
     The dual feasible bases are the feasible bases of the pointed polyhedron
     {y : A'y <= c}, and single column exchanges connect them.  From a basis
@@ -274,56 +303,125 @@ def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
     position i for column j gives reduced costs r + t alpha[i] with
     t = -r_j / alpha_ij.  The walk proposes the exchange when every entry
     stays above ``-_WALK_SLACK * feas_tol``: the dual ratio test with ties,
-    plus the degenerate exchanges of tight columns.  Every proposed basis
-    goes once through ``_invert_basis``, so its pair, its verdict and its
-    alpha come from one inverse; ``enumeration_cap`` bounds the number of
-    proposed bases.
+    plus the degenerate exchanges of tight columns.  Every proposed basis is
+    solved once, in a block of the frontier (``_solve_block``), so its
+    solution, its verdict and its alpha come from one inverse;
+    ``enumeration_cap`` bounds the number of proposed bases.
 
     The walk starts at ``lp.dual_start`` when it is set.  Should that basis
     fail its verdict (rounding on costs of very large magnitude), and for
     every LP without one, it starts at ``_start_basis`` instead; the sorted
-    result does not depend on the start.
+    result does not depend on the start, nor on the order of the walk.
     """
-    found = _walk_from(lp, lp.dual_start, tols, enumeration_cap) if lp.dual_start is not None else []
-    if not found:
-        found = _walk_from(lp, _start_basis(lp), tols, enumeration_cap)
-    if not found:
+    kept = _walk_from(lp, lp.dual_start, tols, enumeration_cap) if lp.dual_start is not None else None
+    if kept is None:
+        kept = _walk_from(lp, _start_basis(lp), tols, enumeration_cap)
+    if kept is None:
         raise NoDualFeasibleBasis("no dual feasible basis exists")
-    found.sort(key=lambda f: f[0].basis.indices)
-    return [f for f in found if f[0].primal_feasible], [f for f in found if not f[0].primal_feasible]
+    m, d = lp.constraint_matrix.shape
+    shapes = ((np.intp, m), (float, m, m), (float, m), (float, m), (float, d))
+    rows, inverses, x_basic, dual, reduced = (
+        np.frombuffer(store, dtype).reshape(-1, *shape) for store, (dtype, *shape) in zip(kept, shapes)
+    )
+    order = np.lexsort((*rows.T[::-1], ~(x_basic.min(axis=1) >= -tols.feas_tol)))
+    return (rows, inverses, x_basic, dual, reduced), order
 
 
 def _walk_from(lp: StandardLp, start: tuple[int, ...], tols: Tolerances, enumeration_cap: int):
-    """(pair, inverse) of every dual feasible basis the walk reaches from ``start``, unsorted."""
+    """The dual feasible bases the walk reaches from ``start`` as five bytearrays, or None if none.
+
+    They hold the rows, inverses, x_basic, dual and reduced of
+    ``_solve_block``, block after block: a bytearray grows in place, so the
+    kept solutions are stored once and never interleave with the blocks'
+    temporaries on the heap.  The frontier is taken in blocks whose pivot
+    rows take at most ``_WALK_BLOCK_BYTES``.  ``seen`` holds every proposed
+    basis, so each is checked and solved once, and the cap counts the same
+    bases, whatever the order of the walk.
+    """
     A = lp.constraint_matrix
-    frontier = [start]
-    seen = set(frontier)
-    found: list[tuple[BasicSolutionPair, np.ndarray]] = []
-    while frontier:
+    m, d = A.shape
+    size = max(1, _WALK_BLOCK_BYTES // (8 * m * d))
+    frontier = np.array([start], dtype=np.intp)
+    seen = {frontier.tobytes()}
+    kept = [bytearray() for _ in range(5)]
+    while len(frontier):
         if len(seen) > enumeration_cap:
             raise EnumerationCapExceeded(f"the basis walk proposed over {enumeration_cap} bases")
-        indices = frontier.pop()
-        try:
-            pair, inverse = _invert_basis(lp, indices, tols)
-        except SingularBasis:
+        block = _solve_block(lp, frontier[:size], tols)
+        frontier = frontier[size:]
+        keep = block[-1].min(axis=1) >= -tols.feas_tol  # dual feasible
+        if not keep.any():
             continue
-        if not pair.dual_feasible:
+        if not keep.all():
+            block = tuple(a[keep] for a in block)
+        for store, a in zip(kept, block):
+            store.extend(np.ascontiguousarray(a))
+        rows, inverses, _, _, reduced = block
+        proposed = _exchanges(A, rows, inverses, reduced, tols)
+        keys = proposed.view(np.dtype((np.void, proposed.itemsize * m))).ravel().tolist()
+        fresh = []
+        for j, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(j)
+        frontier = np.concatenate([frontier, proposed[fresh]])
+    return kept if kept[0] else None
+
+
+def _exchanges(A: np.ndarray, rows: np.ndarray, inverses: np.ndarray, reduced: np.ndarray,
+               tols: Tolerances) -> np.ndarray:
+    """The sorted index rows of every exchange the ratio test proposes from a block of kept bases.
+
+    Only the nonzero pivot entries take part: the bounds are extremes over
+    the entries of one sign, and an exchange needs alpha_ij != 0.  So the
+    test runs on those entries alone (one in three on generic transport at
+    N=4, one in five at N=9), each number formed as the dense test forms it.
+    """
+    k, m = rows.shape
+    d = A.shape[1]
+    alpha = (inverses @ A).ravel()
+    entry = np.flatnonzero(alpha != 0.0)  # ordered by (basis, position, column)
+    alpha = alpha[entry]
+    line = entry // d  # basis * m + position
+    column = entry - line * d
+    basis = line // m
+    cell = basis * d + column  # (basis, column) in a flat (k, d) array
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -reduced.ravel()[cell] / alpha
+        bound = t - _WALK_SLACK * tols.feas_tol / alpha
+    starts = np.flatnonzero(np.concatenate(([True], line[1:] != line[:-1])))
+    upper = np.full(k * m, np.inf)
+    upper[line[starts]] = np.minimum.reduceat(np.where(alpha < 0.0, bound, np.inf), starts)
+    lower = np.full(k * m, -np.inf)
+    lower[line[starts]] = np.maximum.reduceat(np.where(alpha > 0.0, bound, -np.inf), starts)
+    basic = np.zeros((k, d), dtype=bool)
+    basic[np.arange(k)[:, None], rows] = True
+    hit = np.flatnonzero((lower[line] <= t) & (t <= upper[line]) & ~basic.ravel()[cell])
+    nxt = rows[basis[hit]]
+    nxt[np.arange(len(hit)), (line - basis * m)[hit]] = column[hit]
+    nxt.sort(axis=1)
+    return nxt
+
+
+def _permute_rows(stack: np.ndarray, order: np.ndarray) -> None:
+    """Reorder ``stack`` in place so that row k becomes its old row ``order[k]``: one spare row.
+
+    Each cycle of the permutation moves its rows one step along it, so the
+    stack is never held twice.
+    """
+    order = order.tolist()
+    done = [k == source for k, source in enumerate(order)]
+    for start in range(len(order)):
+        if done[start]:
             continue
-        found.append((pair, inverse))
-        alpha = inverse @ A
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -pair.reduced_costs / alpha
-            bound = t - _WALK_SLACK * tols.feas_tol / alpha
-        upper = np.where(alpha < 0.0, bound, np.inf).min(axis=1, keepdims=True)
-        lower = np.where(alpha > 0.0, bound, -np.inf).max(axis=1, keepdims=True)
-        proposed = (alpha != 0.0) & (lower <= t) & (t <= upper)
-        proposed[:, list(indices)] = False
-        for i, j in zip(*np.nonzero(proposed)):
-            nxt = tuple(sorted(indices[:i] + indices[i + 1 :] + (int(j),)))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return found
+        spare = stack[start].copy()
+        k = start
+        while order[k] != start:
+            stack[k] = stack[order[k]]
+            done[k] = True
+            k = order[k]
+        stack[k] = spare
+        done[k] = True
 
 
 def dedup_vertices(points, tol: float) -> tuple[list[np.ndarray], list[int]]:
@@ -354,21 +452,23 @@ def enumerate_ledger(
     vertices are deduplicated in max-norm; the representative of each
     vertex is the lexicographically smallest basis generating it.
     """
-    optimal, rest = _walk(lp, tols, enumeration_cap)
-    pairs, inverses = zip(*optimal, *rest)
-    vertices, vertex_ids = dedup_vertices([p.primal for p, _ in optimal], tols.dedup_tol)
-    value = float(lp.cost @ pairs[0].primal) if optimal else math.nan
-    stack = np.stack(inverses)
-    stack.flags.writeable = False
+    (rows, inverses, *solutions), order = _walk(lp, tols, enumeration_cap)
+    found = _pairs(lp, rows, *solutions, tols)
+    pairs = tuple(found[k] for k in order.tolist())
+    optimal_count = sum(p.primal_feasible for p in pairs)
+    vertices, vertex_ids = dedup_vertices([p.primal for p in pairs[:optimal_count]], tols.dedup_tol)
+    value = float(lp.cost @ pairs[0].primal) if optimal_count else math.nan
+    _permute_rows(inverses, order)
+    inverses.flags.writeable = False
     return BasisLedger(
         lp=lp,
         bases=tuple(p.basis for p in pairs),
         pairs=pairs,
-        optimal_count=len(optimal),
+        optimal_count=optimal_count,
         optimal_value=value,
         primal_optimal_vertices=tuple(vertices),
         vertex_ids=tuple(vertex_ids),
-        inverses=stack,
+        inverses=inverses,
     )
 
 
@@ -381,17 +481,19 @@ def solve_min_index(lp: StandardLp, tols: Tolerances = DEFAULT_TOLS) -> BasicSol
     otherwise LpLimitsError (the problem sits on a tolerance boundary).
     """
     try:
-        optimal, _ = _walk(lp, tols, DEFAULT_ENUMERATION_CAP)
+        (rows, _, *solutions), order = _walk(lp, tols, DEFAULT_ENUMERATION_CAP)
     except NoDualFeasibleBasis:
-        optimal = None
-    if optimal:
-        return optimal[0][0]
+        first = None
+    else:
+        first = _pairs(lp, *(a[order[:1]] for a in (rows, *solutions)), tols)[0]
+    if first is not None and first.primal_feasible:
+        return first
     feasibility = scipy.optimize.linprog(
         np.zeros(lp.n_cols), A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
     )
     if feasibility.status != 0:
         raise Infeasible("no primal feasible basis exists")
-    if optimal is None:
+    if first is None:
         raise Unbounded("primal feasible but no dual feasible basis exists")
     raise LpLimitsError(
         "primal and dual feasible bases both exist but never coincide; "
@@ -414,7 +516,9 @@ def _recession_direction_exists(lp: StandardLp, restrict_cost: bool) -> bool:
 
 
 def _slater_holds(lp: StandardLp, tols: Tolerances) -> bool:
-    """True when the feasible set contains a strictly positive point."""
+    """True when the feasible set contains a strictly positive point: one with min_i x_i > feas_tol."""
+    if lp.interior_margin is not None:
+        return lp.interior_margin > tols.feas_tol
     m, d = lp.n_rows, lp.n_cols
     # variables (x, t): maximize t <= 1 subject to Ax = b, x - t >= 0, x >= 0;
     # the cap keeps the LP bounded along a positive recession direction
@@ -439,7 +543,8 @@ def check_assumptions(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> A
     a3: all optimal dual basic solutions are pairwise distinct; when false
         the witness is the lexicographically first coinciding pair of
         ledger indices.
-    slater: an interior (strictly positive) feasible point exists.
+    slater: an interior (strictly positive) feasible point exists; read
+        from ``lp.interior_margin`` when set, else one HiGHS solve.
     bounded: the feasible polytope is bounded, via the entrywise-nonnegative
         sufficient test or the recession-cone test.
     """

@@ -169,6 +169,12 @@ def reduce_to_lp(ot: OtProblem, tols: Tolerances = DEFAULT_TOLS) -> StandardLp:
     u_0 = 0, v_j = c_0j and u_i = min_j (c_ij - v_j) for i >= 1, reached at
     the first argmin j_i: u_i + v_j <= c_ij on every cell, with equality on
     the tree {(0, j)} + {(i, j_i)}, whose 2N-1 columns form a basis.
+
+    Its ``interior_margin`` is min(1, min(r', s) / N), with r' the row sums
+    the LP implies (its last one is sum(s) - sum(r[:N-1])): the smallest
+    entry of a row or a column is at most its sum over N, and setting every
+    entry to that t leaves marginals r' - Nt and s - Nt that are nonnegative
+    with equal totals, so some coupling of them completes the point.
     """
     N = ot.n_points
     A = incidence_matrix_reduced(N)
@@ -177,7 +183,9 @@ def reduce_to_lp(ot: OtProblem, tols: Tolerances = DEFAULT_TOLS) -> StandardLp:
     lp = make_lp(A, b, ot.cost.ravel(), names=names, tols=tols)
     argmins = np.argmin(ot.cost[1:] - ot.cost[0], axis=1)
     tree = tuple(range(N)) + tuple(i * N + int(j) for i, j in enumerate(argmins, start=1))
-    return replace(lp, dual_start=tree)
+    last_row = ot.s.sum() - ot.r[: N - 1].sum()
+    margin = min(1.0, min(ot.r[: N - 1].min(initial=last_row), ot.s.min()) / N)
+    return replace(lp, dual_start=tree, interior_margin=float(margin))
 
 
 def coupling_from_lp_solution(x: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Coupling:

@@ -500,3 +500,15 @@ class TestRowProducts:
         woken = {tid: after[tid] - ns for tid, ns in before.items() if tid != main and after.get(tid, ns) != ns}
         assert not woken, f"run time gained by other threads (ns): {woken}"
 
+
+
+class TestRowExtreme:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_folded_columns_match_the_row_reduction_bit_for_bit(self, n, h, seed):
+        # Ties of signed zeros and NaNs are where a different fold would show.
+        values = np.random.default_rng(seed).choice(
+            [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 0.5], size=(n, h))
+        for ufunc in (np.minimum, np.maximum):
+            got = lpl.cones_limit._row_extreme(ufunc, values)
+            assert got.tobytes() == ufunc.reduce(values, axis=1).tobytes()

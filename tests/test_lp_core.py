@@ -545,6 +545,114 @@ class TestBasisWalk:
                 assert_same_ledger(ledger, exhaustive_ledger(lp))
 
 
+def reference_walk(lp, tols=lpl.DEFAULT_TOLS):
+    """(ledger, proposed count) from the one-basis-at-a-time walk: one ``np.linalg.inv`` per basis.
+
+    The reference the blocked walk is checked against, bit for bit: each
+    basis's numbers come from its own inverse, ``inverse @ b``,
+    ``c_B @ inverse``, ``c - A.T @ dual`` and ``inverse @ A``.  It starts at
+    ``lp.dual_start``, or at the HiGHS start without one.
+    """
+    A = lp.constraint_matrix
+    m = lp.n_rows
+    slack = lp_core._WALK_SLACK * tols.feas_tol
+    frontier = [tuple(lp_core._start_basis(lp) if lp.dual_start is None else lp.dual_start)]
+    seen = set(frontier)
+    found = []
+    while frontier:
+        indices = frontier.pop()
+        sub = A[:, list(indices)]
+        try:
+            inverse = np.linalg.inv(sub)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.linalg.norm(sub, 1) * np.linalg.norm(inverse, 1) * tols.rank_tol < 1.0:
+            continue
+        x_basic = inverse @ lp.rhs
+        dual = lp.cost[list(indices)] @ inverse
+        reduced = lp.cost - A.T @ dual
+        if not reduced.min() >= -tols.feas_tol:
+            continue
+        primal = np.zeros(lp.n_cols)
+        primal[list(indices)] = x_basic
+        pair = lpl.BasicSolutionPair(
+            basis=lpl.Basis(indices), primal=primal, dual=dual, reduced_costs=reduced,
+            primal_feasible=bool(x_basic.min() >= -tols.feas_tol), dual_feasible=True,
+            primal_degenerate=bool(np.sum(primal > tols.feas_tol) < m),
+            dual_degenerate=bool(np.sum(np.abs(reduced) <= tols.feas_tol) > m),
+            objective=float(np.dot(primal, lp.cost)),
+        )
+        found.append((pair, inverse))
+        alpha = inverse @ A
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -reduced / alpha
+            bound = t - slack / alpha
+        upper = np.where(alpha < 0.0, bound, np.inf).min(axis=1, keepdims=True)
+        lower = np.where(alpha > 0.0, bound, -np.inf).max(axis=1, keepdims=True)
+        proposed = (alpha != 0.0) & (lower <= t) & (t <= upper)
+        proposed[:, list(indices)] = False
+        for i, j in zip(*np.nonzero(proposed)):
+            nxt = tuple(sorted(indices[:i] + indices[i + 1 :] + (int(j),)))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    found.sort(key=lambda f: (not f[0].primal_feasible, f[0].basis.indices))
+    pairs = tuple(pair for pair, _ in found)
+    optimal_count = sum(pair.primal_feasible for pair in pairs)
+    vertices, vertex_ids = lp_core.dedup_vertices([p.primal for p in pairs[:optimal_count]], tols.dedup_tol)
+    ledger = lpl.BasisLedger(
+        lp=lp, bases=tuple(p.basis for p in pairs), pairs=pairs, optimal_count=optimal_count,
+        optimal_value=float(lp.cost @ pairs[0].primal) if optimal_count else math.nan,
+        primal_optimal_vertices=tuple(vertices), vertex_ids=tuple(vertex_ids),
+        inverses=np.stack([inverse for _, inverse in found]),
+    )
+    return ledger, len(seen)
+
+
+def line_n_problem(n_points, p):
+    """N points 0, 1, ..., N-1 on the line, equal marginals, q = 2."""
+    return line_problem(p, r=np.full(n_points, 1 / n_points), xs=np.arange(n_points, dtype=float))
+
+
+WALK_CASES = (
+    [pytest.param(lambda n=n, p=p: lpl.reduce_to_lp(line_n_problem(n, p)), id=f"line-n{n}-p{p:g}")
+     for n in (3, 4, 5) for p in (1.0, 2.0)]
+    + [pytest.param(lambda n=n: generic_transport_lp(n, 0), id=f"generic-n{n}") for n in (3, 4, 5, 6)]
+    + [pytest.param(lambda seed=seed: random_solvable_lp(np.random.default_rng(seed), seed % 2 == 1),
+                    id=f"dense-{seed}") for seed in range(6)]
+)
+
+
+class TestBlockedWalk:
+    @pytest.mark.parametrize("make_lp", WALK_CASES)
+    def test_ledger_is_bit_equal_to_the_per_basis_walk(self, make_lp):
+        lp = make_lp()
+        ledger = lpl.enumerate_ledger(lp)
+        expected, _ = reference_walk(lp)
+        assert ledger.bases == expected.bases
+        assert ledger.optimal_count == expected.optimal_count
+        for pair, want in zip(ledger.pairs, expected.pairs, strict=True):
+            assert_same_pair(pair, want)
+            assert np.float64(pair.objective).tobytes() == np.float64(want.objective).tobytes()
+        assert ledger.inverses.tobytes() == expected.inverses.tobytes()
+        assert ledger.vertex_ids == expected.vertex_ids
+        assert np.float64(ledger.optimal_value).tobytes() == np.float64(expected.optimal_value).tobytes()
+
+    @pytest.mark.parametrize("make_lp", [WALK_CASES[1], WALK_CASES[4], WALK_CASES[-1]])
+    def test_cap_counts_proposed_bases(self, make_lp):
+        lp = make_lp()
+        _, proposed = reference_walk(lp)
+        assert len(lpl.enumerate_ledger(lp, enumeration_cap=proposed).bases) <= proposed
+        with pytest.raises(lpl.EnumerationCapExceeded):
+            lpl.enumerate_ledger(lp, enumeration_cap=proposed - 1)
+
+    def test_blocks_of_one_give_the_same_ledger(self, monkeypatch):
+        lp = generic_transport_lp(5, 0)
+        expected = lpl.enumerate_ledger(lp)
+        monkeypatch.setattr(lp_core, "_WALK_BLOCK_BYTES", 1)
+        assert_same_ledger(lpl.enumerate_ledger(lp), expected)
+
+
 class TestOneInversePerBasis:
     @pytest.mark.parametrize(
         "lp",
@@ -558,7 +666,9 @@ class TestOneInversePerBasis:
         inv = np.linalg.inv
 
         def recording_inv(a):
-            inverted.append(np.asarray(a).copy())
+            # the walk inverts a block of bases as one stack: record each matrix of it
+            stack = np.asarray(a)
+            inverted.extend(matrix.copy() for matrix in stack.reshape(-1, *stack.shape[-2:]))
             return inv(a)
 
         def no_lu(*args, **kwargs):

@@ -1,12 +1,15 @@
 """Transport reduction, certificates, fluctuation model, and functionals."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings, strategies as st
 
 import lplimits as lpl
+from lplimits import lp_core
 from conftest import LINE3, UNIFORM3, line_problem, nondegenerate_problem
 
 
@@ -59,6 +62,30 @@ class TestReduceToLp:
             coupling = pair.primal.reshape(N, N)
             np.testing.assert_allclose(coupling.sum(axis=1), r, atol=1e-10)
             np.testing.assert_allclose(coupling.sum(axis=0), s, atol=1e-10)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.3, 5.0),
+           st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+    def test_interior_margin_matches_highs(self, n, seed, concentration, factor):
+        rng = np.random.default_rng(seed)
+        problem = lpl.make_ot_problem(cost=rng.uniform(0, 1, (n, n)),
+                                      r=rng.dirichlet(np.full(n, concentration)),
+                                      s=rng.dirichlet(np.full(n, concentration)))
+        lp = lpl.reduce_to_lp(problem)
+        assume(lp.interior_margin > 1e-6)  # away from HiGHS's own tolerance band
+        d = lp.n_cols
+        # maximize t <= 1 subject to Ax = b, x - t >= 0, x >= 0
+        res = scipy.optimize.linprog(
+            np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-np.eye(d), np.ones((d, 1))]), b_ub=np.zeros(d),
+            A_eq=np.hstack([lp.constraint_matrix, np.zeros((lp.n_rows, 1))]), b_eq=lp.rhs,
+            bounds=[(0, None)] * d + [(None, 1.0)], method="highs",
+        )
+        assert res.status == 0
+        assert abs(-res.fun - lp.interior_margin) <= 1e-7
+        tols = lpl.DEFAULT_TOLS.with_(feas_tol=lp.interior_margin * factor)
+        highs = dataclasses.replace(lp, interior_margin=None)
+        assert lp_core._slater_holds(lp, tols) == lp_core._slater_holds(highs, tols) == (factor < 1)
 
 
 class TestNorthwestCorner:
