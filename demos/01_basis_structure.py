@@ -28,10 +28,11 @@ for p in (0.5, 1.0, 2.0):
           f"distinct optimal duals: {report.a3_distinct_optimal_duals}")
     for k in range(ledger.optimal_count):
         scheme = np.zeros((3, 3), dtype=int)
-        for col in ledger.bases[k].indices:
+        basis = tuple(ledger.bases[k].tolist())
+        for col in basis:
             scheme[col // 3, col % 3] = 1
         rows = ["".join("*" if v else "." for v in row) for row in scheme]
-        print(f"  basis {ledger.bases[k].indices}  scheme {' / '.join(rows)}")
+        print(f"  basis {basis}  scheme {' / '.join(rows)}")
     print()
 
 print("The convex-cost case (p = 2) keeps four optimal bases.  Their stability")
@@ -44,6 +45,6 @@ print(f"\nSupport partition of the optimum: positive {partition.pos}, "
       f"true zeroes {partition.tz}, degenerate zeroes {partition.dz}")
 cones = lpl.build_cones(ledger, partition)
 for cone in cones:
-    print(f"cone of basis {ledger.bases[cone.basis_index].indices}: "
+    print(f"cone of basis {tuple(ledger.bases[cone.basis_index].tolist())}: "
           f"{cone.halfspace_normals.shape[0]} half-spaces")
     print(np.round(cone.halfspace_normals, 6))

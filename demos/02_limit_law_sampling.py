@@ -34,7 +34,7 @@ print(f"Optimal-value KS: {result.report.value_ks:.4f}")
 
 print("\nCone occupancy of the limit draws (how often each basis wins):")
 for k, freq in enumerate(result.limit_result.occupancy_frequencies):
-    basis = result.spec.ledger.bases[k].indices
+    basis = tuple(result.spec.ledger.bases[k].tolist())
     print(f"  basis {basis}: {freq:.3f}")
 
 freqs = result.support_frequencies

@@ -347,14 +347,14 @@ def cmd_analyze(args):
         "dual_feasible_count": len(ledger.bases),
         "optimal_count": ledger.optimal_count,
         "optimal_value": ledger.optimal_value,
-        "optimal_bases": [list(b.indices) for b in ledger.bases[: ledger.optimal_count]],
+        "optimal_bases": ledger.bases[: ledger.optimal_count].tolist(),
         "degeneracy": [
             {
                 "basis": list(p.basis.indices),
                 "primal_degenerate": p.primal_degenerate,
                 "dual_degenerate": p.dual_degenerate,
             }
-            for p in ledger.optimal_pairs()
+            for p in ledger.pairs
         ],
         "vertices": [v.tolist() for v in ledger.primal_optimal_vertices],
         "assumptions": {
@@ -379,7 +379,7 @@ def cmd_analyze(args):
         out["cones"] = [
             {
                 "basis_index": cone.basis_index,
-                "basis": list(ledger.bases[cone.basis_index].indices),
+                "basis": ledger.bases[cone.basis_index].tolist(),
                 "halfspace_normals": cone.halfspace_normals.tolist(),
             }
             for cone in cones
@@ -418,9 +418,7 @@ def cmd_limit_sample(args):
         "boundary_hits": result.boundary_hits.tolist(),
         "occupancy_counts": result.occupancy_counts.tolist(),
         "occupancy_frequencies": result.occupancy_frequencies.tolist(),
-        "optimal_bases": [
-            list(b.indices) for b in spec.ledger.bases[: spec.ledger.optimal_count]
-        ],
+        "optimal_bases": spec.ledger.bases[: spec.ledger.optimal_count].tolist(),
     }
     files = {"limit_samples.csv": (list(spec.ledger.lp.names()), result.samples),
              "limit_samples.json": sidecar}

@@ -142,9 +142,7 @@ def support_partition(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> S
     x_star = ledger.primal_optimal_vertices[0]
     d = ledger.lp.n_cols
     pos = {i for i in range(d) if x_star[i] > tols.feas_tol}
-    union: set[int] = set()
-    for k in range(ledger.optimal_count):
-        union.update(ledger.bases[k].indices)
+    union = set(ledger.bases[: ledger.optimal_count].ravel().tolist())
     tz = set(range(d)) - union
     dz = union - pos
     return SupportPartition(pos=tuple(sorted(pos)), tz=tuple(sorted(tz)), dz=tuple(sorted(dz)))
@@ -172,7 +170,7 @@ def build_cones(
     expected = m - len(pos)
     cones = []
     for k in range(ledger.optimal_count):
-        idx = ledger.bases[k].indices
+        idx = tuple(ledger.bases[k].tolist())
         j_rows = tuple(j for j, col in enumerate(idx) if col not in pos)
         if len(j_rows) != expected:
             raise LpLimitsError(
@@ -360,7 +358,7 @@ def _limit_rows(spec: LimitLawSpec, g_matrix: np.ndarray, tol: float, seed: int)
     emb = np.zeros((n_samples, spec.ledger.lp.n_rows))
     emb[:, : spec.m0] = g_matrix
     inverses = spec.ledger.inverses
-    columns = [list(spec.ledger.bases[k].indices) for k in range(k_count)]
+    columns = spec.ledger.bases
     if spec.tie_break is TieBreak.MIN_INDEX:
         samples = np.zeros((n_samples, d))
         chosen = np.argmax(feasible, axis=1)
@@ -446,7 +444,7 @@ def pushforward_covariance(ledger: BasisLedger, k: int, covariance: np.ndarray, 
     The direction covariance lives on the first m0 coordinates and is pushed
     through the basis inverse, then scattered to the full variable space.
     """
-    idx = list(ledger.bases[k].indices)
+    idx = ledger.bases[k]
     inverse = ledger.inverses[k]
     m = ledger.lp.n_rows
     emb = np.zeros((m, m))

@@ -10,8 +10,8 @@ rather than to C(d, m).  The walk of a transport LP starts at the spanning
 tree of its row-minimum potentials (``StandardLp.dual_start``); any other
 LP starts at one HiGHS dual simplex solve.  The walk takes its frontier in
 blocks and inverts each block as one stack, so each basis it proposes is
-inverted once; that inverse gives its basic pair, its exchange rows and its
-entry of ``BasisLedger.inverses``.
+inverted once; that inverse gives its exchange rows and, for an optimal
+basis, its basic pair and its entry of ``BasisLedger.inverses``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ DEFAULT_ENUMERATION_CAP = 2_000_000
 _WALK_SLACK = 10.0
 # The walk solves its frontier in blocks whose stacked pivot rows B^-1 A take
 # at most this many bytes; the ratio test holds a few such arrays at once.
+# The resampling solver inverts its bases in blocks of at most this many bytes.
 _WALK_BLOCK_BYTES = 2**22
 
 
@@ -118,17 +119,18 @@ class BasicSolutionPair:
 class BasisLedger:
     """All dual feasible bases of an LP, primal-optimal prefix first.
 
-    ``bases[:optimal_count]`` are primal and dual feasible (hence optimal);
-    the remainder are dual feasible only.  Each block is ordered
-    lexicographically by index tuple.  ``vertex_ids[k]`` maps an optimal
-    basis to the deduplicated vertex it induces.  ``inverses`` is the
-    read-only ``(n_bases, m, m)`` stack of basis inverses in ledger order,
-    the ones the walk made; cones, limit law, pushed-forward covariance and
-    resampling solver all read them here.
+    ``bases`` is the read-only ``(n_bases, m)`` integer array of their
+    columns: rows ``[:optimal_count]`` are primal and dual feasible (hence
+    optimal), the remainder dual feasible only, each part ordered
+    lexicographically.  ``pairs`` and ``inverses`` (read-only, ``(optimal_count,
+    m, m)``, the walk's own) belong to the optimal prefix, the only bases
+    cones, limit law and pushed-forward covariance read; the resampling
+    solver inverts the others itself.  ``vertex_ids[k]`` maps an optimal
+    basis to the deduplicated vertex it induces.
     """
 
     lp: StandardLp
-    bases: tuple[Basis, ...]
+    bases: np.ndarray
     pairs: tuple[BasicSolutionPair, ...]
     optimal_count: int
     optimal_value: float
@@ -136,11 +138,8 @@ class BasisLedger:
     vertex_ids: tuple[int, ...]
     inverses: np.ndarray
 
-    def optimal_pairs(self) -> tuple[BasicSolutionPair, ...]:
-        return self.pairs[: self.optimal_count]
-
     def optimal_duals(self) -> np.ndarray:
-        return np.array([p.dual for p in self.optimal_pairs()])
+        return np.array([p.dual for p in self.pairs])
 
 
 @dataclass(frozen=True)
@@ -292,10 +291,11 @@ def _start_basis(lp: StandardLp) -> tuple[int, ...]:
 
 
 def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
-    """(rows, inverses, x_basic, dual, reduced) of every dual feasible basis, and their ledger order.
+    """(bases, inverses, x_basic, dual, reduced): every dual feasible basis, the optimal ones solved.
 
-    The five arrays are in the order the walk kept the bases; ``order``
-    lists them primal feasible first, each part sorted by index tuple.
+    ``bases`` holds the columns of every kept basis in ledger order, primal
+    feasible first, each part sorted by index tuple; the other four arrays
+    belong to its primal feasible prefix, in the same order.
 
     The dual feasible bases are the feasible bases of the pointed polyhedron
     {y : A'y <= c}, and single column exchanges connect them.  From a basis
@@ -318,32 +318,35 @@ def _walk(lp: StandardLp, tols: Tolerances, enumeration_cap: int):
         kept = _walk_from(lp, _start_basis(lp), tols, enumeration_cap)
     if kept is None:
         raise NoDualFeasibleBasis("no dual feasible basis exists")
-    m, d = lp.constraint_matrix.shape
-    shapes = ((np.intp, m), (float, m, m), (float, m), (float, m), (float, d))
-    rows, inverses, x_basic, dual, reduced = (
-        np.frombuffer(store, dtype).reshape(-1, *shape) for store, (dtype, *shape) in zip(kept, shapes)
-    )
-    order = np.lexsort((*rows.T[::-1], ~(x_basic.min(axis=1) >= -tols.feas_tol)))
-    return (rows, inverses, x_basic, dual, reduced), order
+    rest, rows, *solutions = kept
+    order = np.lexsort(rows.T[::-1])
+    bases = np.concatenate([rows[order], rest[np.lexsort(rest.T[::-1])]], dtype=np.intp)
+    bases.flags.writeable = False
+    return (bases, *(a[order] for a in solutions))
 
 
 def _walk_from(lp: StandardLp, start: tuple[int, ...], tols: Tolerances, enumeration_cap: int):
-    """The dual feasible bases the walk reaches from ``start`` as five bytearrays, or None if none.
+    """The dual feasible bases the walk reaches from ``start``, or None if none.
 
-    They hold the rows, inverses, x_basic, dual and reduced of
-    ``_solve_block``, block after block: a bytearray grows in place, so the
-    kept solutions are stored once and never interleave with the blocks'
-    temporaries on the heap.  The frontier is taken in blocks whose pivot
-    rows take at most ``_WALK_BLOCK_BYTES``.  ``seen`` holds every proposed
-    basis, so each is checked and solved once, and the cap counts the same
-    bases, whatever the order of the walk.
+    Six arrays, in the order the walk kept the bases: the columns of those
+    that are not primal feasible, then the columns, inverses, x_basic, dual
+    and reduced (``_solve_block``) of those that are.  Columns are held in
+    the narrowest unsigned type of a column index, the type of the keys of
+    ``seen`` too.  Each array grows block by block in a bytearray, in place,
+    so what is kept is stored once and never interleaves with the blocks'
+    temporaries on the heap, and the other bases' solutions are dropped once
+    their exchanges are proposed.  The frontier is taken in blocks whose
+    pivot rows take at most ``_WALK_BLOCK_BYTES``.  ``seen`` holds every
+    proposed basis, so each is checked and solved once, and the cap counts
+    the same bases, whatever the order of the walk.
     """
     A = lp.constraint_matrix
     m, d = A.shape
     size = max(1, _WALK_BLOCK_BYTES // (8 * m * d))
+    narrow = np.min_scalar_type(d)
     frontier = np.array([start], dtype=np.intp)
-    seen = {frontier.tobytes()}
-    kept = [bytearray() for _ in range(5)]
+    seen = {frontier.astype(narrow).tobytes()}
+    kept = [bytearray() for _ in range(6)]
     while len(frontier):
         if len(seen) > enumeration_cap:
             raise EnumerationCapExceeded(f"the basis walk proposed over {enumeration_cap} bases")
@@ -354,18 +357,24 @@ def _walk_from(lp: StandardLp, start: tuple[int, ...], tols: Tolerances, enumera
             continue
         if not keep.all():
             block = tuple(a[keep] for a in block)
-        for store, a in zip(kept, block):
-            store.extend(np.ascontiguousarray(a))
-        rows, inverses, _, _, reduced = block
+        rows, inverses, x_basic, _, reduced = block
+        optimal = x_basic.min(axis=1) >= -tols.feas_tol  # primal feasible too
+        kept[0].extend(rows[~optimal].astype(narrow))
+        kept[1].extend(rows[optimal].astype(narrow))
+        for store, a in zip(kept[2:], block[1:]):
+            store.extend(a[optimal])
         proposed = _exchanges(A, rows, inverses, reduced, tols)
-        keys = proposed.view(np.dtype((np.void, proposed.itemsize * m))).ravel().tolist()
+        keys = proposed.astype(narrow).view(np.dtype((np.void, narrow.itemsize * m))).ravel().tolist()
         fresh = []
         for j, key in enumerate(keys):
             if key not in seen:
                 seen.add(key)
                 fresh.append(j)
         frontier = np.concatenate([frontier, proposed[fresh]])
-    return kept if kept[0] else None
+    if not (kept[0] or kept[1]):
+        return None
+    shapes = ((narrow, m), (narrow, m), (float, m, m), (float, m), (float, m), (float, d))
+    return [np.frombuffer(store, dtype).reshape(-1, *shape) for store, (dtype, *shape) in zip(kept, shapes)]
 
 
 def _exchanges(A: np.ndarray, rows: np.ndarray, inverses: np.ndarray, reduced: np.ndarray,
@@ -403,27 +412,6 @@ def _exchanges(A: np.ndarray, rows: np.ndarray, inverses: np.ndarray, reduced: n
     return nxt
 
 
-def _permute_rows(stack: np.ndarray, order: np.ndarray) -> None:
-    """Reorder ``stack`` in place so that row k becomes its old row ``order[k]``: one spare row.
-
-    Each cycle of the permutation moves its rows one step along it, so the
-    stack is never held twice.
-    """
-    order = order.tolist()
-    done = [k == source for k, source in enumerate(order)]
-    for start in range(len(order)):
-        if done[start]:
-            continue
-        spare = stack[start].copy()
-        k = start
-        while order[k] != start:
-            stack[k] = stack[order[k]]
-            done[k] = True
-            k = order[k]
-        stack[k] = spare
-        done[k] = True
-
-
 def dedup_vertices(points, tol: float) -> tuple[list[np.ndarray], list[int]]:
     """First-wins deduplication in max-norm: the distinct points and each point's vertex id."""
     vertices: list[np.ndarray] = []
@@ -446,25 +434,23 @@ def enumerate_ledger(
 ) -> BasisLedger:
     """Enumerate all dual feasible bases by walking the dual feasible basis graph.
 
-    Retains every basis whose submatrix is invertible and whose dual basic
-    solution is feasible, and partitions them into the primal-feasible
-    (optimal) prefix and the rest, each ordered lexicographically.  Optimal
-    vertices are deduplicated in max-norm; the representative of each
-    vertex is the lexicographically smallest basis generating it.
+    Retains the columns of every basis whose submatrix is invertible and
+    whose dual basic solution is feasible, and the basic pair and inverse of
+    the primal feasible (optimal) ones, which come first; each part is
+    ordered lexicographically.  Optimal vertices are deduplicated in
+    max-norm; the representative of each vertex is the lexicographically
+    smallest basis generating it.
     """
-    (rows, inverses, *solutions), order = _walk(lp, tols, enumeration_cap)
-    found = _pairs(lp, rows, *solutions, tols)
-    pairs = tuple(found[k] for k in order.tolist())
-    optimal_count = sum(p.primal_feasible for p in pairs)
-    vertices, vertex_ids = dedup_vertices([p.primal for p in pairs[:optimal_count]], tols.dedup_tol)
-    value = float(lp.cost @ pairs[0].primal) if optimal_count else math.nan
-    _permute_rows(inverses, order)
+    bases, inverses, *solutions = _walk(lp, tols, enumeration_cap)
+    pairs = tuple(_pairs(lp, bases[: len(inverses)], *solutions, tols))
+    vertices, vertex_ids = dedup_vertices([p.primal for p in pairs], tols.dedup_tol)
+    value = float(lp.cost @ pairs[0].primal) if pairs else math.nan
     inverses.flags.writeable = False
     return BasisLedger(
         lp=lp,
-        bases=tuple(p.basis for p in pairs),
+        bases=bases,
         pairs=pairs,
-        optimal_count=optimal_count,
+        optimal_count=len(pairs),
         optimal_value=value,
         primal_optimal_vertices=tuple(vertices),
         vertex_ids=tuple(vertex_ids),
@@ -481,19 +467,18 @@ def solve_min_index(lp: StandardLp, tols: Tolerances = DEFAULT_TOLS) -> BasicSol
     otherwise LpLimitsError (the problem sits on a tolerance boundary).
     """
     try:
-        (rows, _, *solutions), order = _walk(lp, tols, DEFAULT_ENUMERATION_CAP)
+        bases, inverses, *solutions = _walk(lp, tols, DEFAULT_ENUMERATION_CAP)
     except NoDualFeasibleBasis:
-        first = None
+        bases = None
     else:
-        first = _pairs(lp, *(a[order[:1]] for a in (rows, *solutions)), tols)[0]
-    if first is not None and first.primal_feasible:
-        return first
+        if len(inverses):
+            return _pairs(lp, bases[:1], *(a[:1] for a in solutions), tols)[0]
     feasibility = scipy.optimize.linprog(
         np.zeros(lp.n_cols), A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
     )
     if feasibility.status != 0:
         raise Infeasible("no primal feasible basis exists")
-    if first is None:
+    if bases is None:
         raise Unbounded("primal feasible but no dual feasible basis exists")
     raise LpLimitsError(
         "primal and dual feasible bases both exist but never coincide; "
@@ -555,22 +540,19 @@ def check_assumptions(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> A
     nonneg_test = bool(np.all(A >= 0) and np.all(np.abs(A).sum(axis=0) > 0))
     a1 = k >= 1 and (nonneg_test or not _recession_direction_exists(lp, restrict_cost=True))
     a2 = k >= 1 and len(ledger.primal_optimal_vertices) == 1
-    a3 = k >= 1
     witness = None
     duals = ledger.optimal_duals()
-    for j in range(k):
-        for l in range(j + 1, k):
-            if np.max(np.abs(duals[j] - duals[l]), initial=0.0) <= tols.dedup_tol:
-                a3 = False
-                witness = (j, l)
-                break
-        if witness is not None:
+    for j in range(k - 1):  # row j against every later row, first coinciding pair wins
+        gaps = np.max(np.abs(duals[j] - duals[j + 1 :]), axis=1, initial=0.0)
+        close = np.flatnonzero(gaps <= tols.dedup_tol)
+        if close.size:
+            witness = (j, j + 1 + int(close[0]))
             break
     bounded = nonneg_test or not _recession_direction_exists(lp, restrict_cost=False)
     return AssumptionReport(
         a1_bounded_nonempty_optimum=a1,
         a2_unique_optimum=a2,
-        a3_distinct_optimal_duals=a3,
+        a3_distinct_optimal_duals=k >= 1 and witness is None,
         a3_witness=witness,
         slater=_slater_holds(lp, tols),
         bounded=bounded,

@@ -41,7 +41,7 @@ from .errors import (
     TooManyInfeasible,
 )
 # enumerate_ledger is not called here: it stays as the alias lpbench's tracer wraps and checks
-from .lp_core import BasisLedger, dedup_vertices, enumerate_ledger  # noqa: F401
+from .lp_core import _WALK_BLOCK_BYTES, BasisLedger, dedup_vertices, enumerate_ledger  # noqa: F401
 from .ot import OneSample, OtProblem, TwoSample
 from .tolerances import DEFAULT_TOLS, Tolerances
 
@@ -254,9 +254,11 @@ class RepeatedSolver:
     """Solutions of one LP family over many right-hand sides, from its ledger.
 
     Dual feasibility of a basis does not depend on the right-hand side, so
-    the dual feasible bases and their inverses (``BasisLedger.inverses``)
-    are fixed once; each row is then a blocked feasibility scan in
-    lexicographic basis order, which gives its min-index solution
+    the dual feasible bases (``BasisLedger.bases``) are fixed once, and the
+    solver inverts them once, in lexicographic order, with the walk's
+    stacked ``np.linalg.inv`` (so the optimal ones are bit-equal to
+    ``BasisLedger.inverses``); each row is then a blocked feasibility scan in
+    that order, which gives its min-index solution
     (``solve_batch``), its uniform mixture of optimal vertices
     (``mixed_solution``) or its optimal vertex set (``vertices_at``).
     ``ledger`` is the one source of the LP (``ledger.lp``) and of the
@@ -267,9 +269,13 @@ class RepeatedSolver:
         self.ledger = ledger
         self.lp = ledger.lp
         self.tols = tols
-        order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
-        self.inverses = ledger.inverses[order]
-        self.columns = np.array([ledger.bases[k].indices for k in order]).reshape(-1, self.lp.n_rows)
+        self.columns = ledger.bases[np.lexsort(ledger.bases.T[::-1])]
+        n_bases, m = self.columns.shape
+        self.inverses = np.empty((n_bases, m, m))
+        step = max(1, _WALK_BLOCK_BYTES // (8 * m * m))
+        for start in range(0, n_bases, step):
+            block = self.lp.constraint_matrix[:, self.columns[start : start + step]]
+            self.inverses[start : start + step] = np.linalg.inv(block.transpose(1, 0, 2))
 
     def _blocks(self, rhs_batch: np.ndarray):
         """(start, coords, feasible) per block of at most _VERTEX_BLOCK coordinates (or one row).

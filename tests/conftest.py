@@ -111,7 +111,7 @@ def nondegenerate_problem():
 def scheme_ids_of_ledger(ledger) -> list:
     """Map each optimal ledger basis to its conventional scheme number."""
     lookup = {v: k for k, v in EQUAL_MARGINAL_SCHEMES.items()}
-    return [lookup.get(b.indices) for b in ledger.bases[: ledger.optimal_count]]
+    return [lookup.get(tuple(b)) for b in ledger.bases[: ledger.optimal_count].tolist()]
 
 
 @pytest.fixture(scope="session")

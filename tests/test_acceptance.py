@@ -48,7 +48,7 @@ def test_criterion_01_bases_table():
     for p, expected_ids in OPTIMAL_SCHEME_IDS.items():
         ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(p)))
         assert ledger.optimal_count == len(expected_ids)
-        found = {b.indices for b in ledger.bases[: ledger.optimal_count]}
+        found = set(map(tuple, ledger.bases[: ledger.optimal_count].tolist()))
         assert found == {EQUAL_MARGINAL_SCHEMES[i] for i in expected_ids}
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -273,7 +273,7 @@ def test_criterion_10_oracle_equivalence():
         assert abs(pair.objective - ledger.optimal_value) <= 1e-10 * (
             1 + abs(ledger.optimal_value)
         )
-        expected = min(b.indices for b in ledger.bases[: ledger.optimal_count])
+        expected = min(map(tuple, ledger.bases[: ledger.optimal_count].tolist()))
         assert pair.basis.indices == expected
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

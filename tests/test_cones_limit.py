@@ -138,7 +138,7 @@ class TestLimitFunctional:
         k1 = by_scheme[1]
         assert verdicts[k1] is lpl.Verdict.INSIDE
         out = lpl.limit_functional(spec, g)
-        idx = list(spec.ledger.bases[k1].indices)
+        idx = spec.ledger.bases[k1]
         sub = spec.ledger.lp.constraint_matrix[:, idx]
         expected = np.zeros(9)
         expected[idx] = np.linalg.solve(sub, g)
@@ -193,7 +193,7 @@ class TestLimitFunctional:
                     found += 1
                     outs = []
                     for which in (j, k):
-                        idx = list(spec.ledger.bases[which].indices)
+                        idx = spec.ledger.bases[which]
                         sub = lp.constraint_matrix[:, idx]
                         full = np.zeros(9)
                         full[idx] = np.linalg.solve(sub, v)
@@ -378,7 +378,7 @@ class TestOptimalValueLimit:
         ledger = spec_nondegenerate.ledger
         rng = np.random.default_rng(11)
         g = rng.standard_normal(5)
-        lam = ledger.optimal_pairs()[0].dual
+        lam = ledger.pairs[0].dual
         assert lpl.optimal_value_limit(ledger, g) == pytest.approx(float(g @ lam))
 
     def test_zero_direction(self, ledger_p2):

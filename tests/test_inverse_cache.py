@@ -45,13 +45,13 @@ def planted_unique_ledger(seed):
 
 
 def oracle_inverse(ledger, k):
-    return np.linalg.inv(ledger.lp.constraint_matrix[:, list(ledger.bases[k].indices)])
+    return np.linalg.inv(ledger.lp.constraint_matrix[:, ledger.bases[k]])
 
 
 def oracle_normals(ledger, partition, m0):
     out = []
     for k in range(ledger.optimal_count):
-        idx = ledger.bases[k].indices
+        idx = ledger.bases[k].tolist()
         j_rows = [j for j, col in enumerate(idx) if col not in set(partition.pos)]
         out.append(oracle_inverse(ledger, k)[j_rows][:, :m0].copy())
     return out
@@ -95,7 +95,7 @@ def oracle_samples(ledger, feasible, g_matrix, m0, randomized, seed):
     emb = np.zeros((n, ledger.lp.n_rows))
     emb[:, :m0] = g_matrix
     samples = np.zeros((n, ledger.lp.n_cols))
-    columns = [list(ledger.bases[k].indices) for k in range(k_count)]
+    columns = ledger.bases[:k_count].tolist()
     inverses = [oracle_inverse(ledger, k) for k in range(k_count)]
     if not randomized:
         chosen = np.argmax(feasible, axis=1)
@@ -164,7 +164,7 @@ def check_against_oracles(ledger, m0, seed):
         inverse = oracle_inverse(ledger, k)
         emb = np.zeros((ledger.lp.n_rows,) * 2)
         emb[:m0, :m0] = cov
-        idx = list(ledger.bases[k].indices)
+        idx = ledger.bases[k].tolist()
         expected = np.zeros((ledger.lp.n_cols,) * 2)
         expected[np.ix_(idx, idx)] = inverse @ emb @ inverse.T
         np.testing.assert_array_equal(lpl.pushforward_covariance(ledger, k, cov, m0), expected)
@@ -173,9 +173,11 @@ def check_against_oracles(ledger, m0, seed):
 def check_solver_against_oracle(ledger, seed):
     lp = ledger.lp
     solver = lpl.RepeatedSolver(ledger)
-    order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].indices)
+    order = sorted(range(len(ledger.bases)), key=lambda k: ledger.bases[k].tolist())
     inverses = np.array([oracle_inverse(ledger, k) for k in order])
-    columns = [list(ledger.bases[k].indices) for k in order]
+    columns = [ledger.bases[k].tolist() for k in order]
+    assert solver.inverses.tobytes() == inverses.tobytes()
+    assert solver.columns.tolist() == columns
     tols = solver.tols
     rng = np.random.default_rng(seed)
     rhs_batch = lp.rhs + 0.3 * np.abs(lp.rhs).max() * rng.standard_normal((40, lp.n_rows))
@@ -229,11 +231,15 @@ class TestLedgerInverses:
     def test_matches_per_basis_inverse(self, seed):
         ledger = planted_unique_ledger(seed)
         inverses = ledger.inverses
-        assert inverses.shape == (len(ledger.bases),) + (ledger.lp.n_rows,) * 2
+        assert inverses.shape == (ledger.optimal_count,) + (ledger.lp.n_rows,) * 2
         assert ledger.inverses is inverses
         assert not inverses.flags.writeable
-        for k in range(len(ledger.bases)):
+        for k in range(ledger.optimal_count):
             np.testing.assert_array_equal(inverses[k], oracle_inverse(ledger, k))
+        # the solver's one stack holds every basis, in lexicographic order
+        solver = lpl.RepeatedSolver(ledger)
+        for columns, inverse in zip(solver.columns, solver.inverses, strict=True):
+            np.testing.assert_array_equal(inverse, np.linalg.inv(ledger.lp.constraint_matrix[:, columns]))
 
 
 class TestConsumersMatchOracles:
@@ -308,14 +314,14 @@ class TestKeyedMixture:
         out = lpl.evaluate_limit(spec, g, seed=seed).samples
         emb = np.zeros((len(g), lp.n_rows))
         emb[:, :m0] = g
-        scale = np.abs(A).max() * np.abs(ledger.inverses).max()
+        solver = lpl.RepeatedSolver(ledger)
+        scale = np.abs(A).max() * np.abs(solver.inverses).max()
         atol = 1e-10 * scale * (1 + np.abs(g).max())
         np.testing.assert_allclose(out @ A.T, emb, rtol=0, atol=atol)
         feasible = oracle_feasible(normals, g)[0]
         spacings = oracle_spacings((seed,), len(g), ledger.optimal_count)
         assert_on_simplex(mixture_weights(feasible, spacings), feasible)
 
-        solver = lpl.RepeatedSolver(ledger)
         rng = np.random.default_rng(seed)
         rhs_batch = lp.rhs + 0.3 * np.abs(lp.rhs).max() * rng.standard_normal((40, lp.n_rows))
         rhs_batch[0] = lp.rhs

@@ -34,7 +34,7 @@ def _dual_optimal_set_is_multiple(lp, ledger):
     import scipy.optimize
 
     value = ledger.optimal_value
-    lam0 = ledger.optimal_pairs()[0].dual
+    lam0 = ledger.pairs[0].dual
     m = lp.n_rows
     for i in range(m):
         for sign in (1.0, -1.0):
@@ -103,17 +103,24 @@ def exhaustive_ledger(lp, tols=lpl.DEFAULT_TOLS):
             vertices.append(pair.primal)
             vertex_ids.append(len(vertices) - 1)
     value = float(lp.cost @ optimal[0].primal) if optimal else math.nan
-    pairs = tuple(optimal + rest)
     return lpl.BasisLedger(
         lp=lp,
-        bases=tuple(p.basis for p in pairs),
-        pairs=pairs,
+        bases=np.array([p.basis.indices for p in optimal + rest], dtype=np.intp).reshape(-1, lp.n_rows),
+        pairs=tuple(optimal),
         optimal_count=len(optimal),
         optimal_value=value,
         primal_optimal_vertices=tuple(vertices),
         vertex_ids=tuple(vertex_ids),
-        inverses=np.array([np.linalg.inv(lp.constraint_matrix[:, list(p.basis.indices)]) for p in pairs]),
+        inverses=np.array([np.linalg.inv(lp.constraint_matrix[:, list(p.basis.indices)]) for p in optimal])
+        .reshape(-1, lp.n_rows, lp.n_rows),
     )
+
+
+def lexicographic_inverses(ledger):
+    """Every ledger basis's own ``np.linalg.inv``, in lexicographic basis order."""
+    m = ledger.lp.n_rows
+    columns = sorted(ledger.bases.tolist())
+    return np.array([np.linalg.inv(ledger.lp.constraint_matrix[:, c]) for c in columns]).reshape(-1, m, m)
 
 
 def exhaustive_min_index(lp, tols=lpl.DEFAULT_TOLS):
@@ -151,12 +158,17 @@ def assert_same_pair(a, b):
         assert getattr(a, flag) == getattr(b, flag), flag
 
 
+def assert_same_array(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
 def assert_same_ledger(a, b):
-    assert a.bases == b.bases
+    assert_same_array(a.bases, b.bases)
     assert a.optimal_count == b.optimal_count
     for pair, expected in zip(a.pairs, b.pairs, strict=True):
         assert_same_pair(pair, expected)
-    assert a.inverses.tobytes() == b.inverses.tobytes()
+    assert_same_array(a.inverses, b.inverses)
 
 
 def assert_matches_oracle(lp):
@@ -164,15 +176,17 @@ def assert_matches_oracle(lp):
     oracle_error, oracle = _outcome(exhaustive_ledger, lp)
     assert error is oracle_error
     if oracle is not None:
-        assert ledger.bases == oracle.bases
-        for pair, expected in zip(ledger.pairs, oracle.pairs):
+        assert_same_array(ledger.bases, oracle.bases)
+        for pair, expected in zip(ledger.pairs, oracle.pairs, strict=True):
             assert_same_pair(pair, expected)
         assert ledger.optimal_count == oracle.optimal_count
         assert ledger.vertex_ids == oracle.vertex_ids
         assert np.float64(ledger.optimal_value).tobytes() == np.float64(oracle.optimal_value).tobytes()
         for v, w in zip(ledger.primal_optimal_vertices, oracle.primal_optimal_vertices, strict=True):
             assert v.tobytes() == w.tobytes()
+        assert ledger.inverses.shape == oracle.inverses.shape
         np.testing.assert_array_equal(ledger.inverses, oracle.inverses)
+        np.testing.assert_array_equal(lpl.RepeatedSolver(ledger).inverses, lexicographic_inverses(oracle))
     error, pair = _outcome(lpl.solve_min_index, lp)
     oracle_error, expected = _outcome(exhaustive_min_index, lp)
     assert error is oracle_error
@@ -289,18 +303,19 @@ class TestEnumerateLedger:
         never = {EQUAL_MARGINAL_SCHEMES[k] for k in (9, 10, 11, 12)}
         for p in (0.5, 1.0, 2.0, 3.0):
             ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(p)))
-            assert never.isdisjoint({b.indices for b in ledger.bases})
+            assert never.isdisjoint(map(tuple, ledger.bases.tolist()))
 
     def test_square_system_single_basis(self):
         lp = lpl.make_lp(np.eye(3), [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         ledger = lpl.enumerate_ledger(lp)
         assert len(ledger.bases) == ledger.optimal_count == 1
-        assert ledger.bases[0].indices == (0, 1, 2)
+        assert ledger.bases.tolist() == [[0, 1, 2]]
+        assert ledger.bases.dtype == np.intp and not ledger.bases.flags.writeable
 
     def test_blocks_are_lexicographically_sorted(self, ledger_p1):
         k = ledger_p1.optimal_count
-        opt = [b.indices for b in ledger_p1.bases[:k]]
-        rest = [b.indices for b in ledger_p1.bases[k:]]
+        opt = ledger_p1.bases[:k].tolist()
+        rest = ledger_p1.bases[k:].tolist()
         assert opt == sorted(opt) and rest == sorted(rest)
 
     def test_cap_exceeded(self):
@@ -364,7 +379,7 @@ class TestSolveMinIndex:
     def test_equal_marginals_convex_cost_choice(self, ledger_p2):
         # The four optimal bases sorted lexicographically start with scheme 8.
         pair = lpl.solve_min_index(ledger_p2.lp)
-        expected = min(b.indices for b in ledger_p2.bases[: ledger_p2.optimal_count])
+        expected = min(map(tuple, ledger_p2.bases[: ledger_p2.optimal_count].tolist()))
         assert pair.basis.indices == expected == EQUAL_MARGINAL_SCHEMES[8]
 
     def test_square_system(self):
@@ -433,7 +448,7 @@ class TestScanMatchesOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [b.indices for b in ledger.bases] == [(0, 1, 2, 3, 4)]
+        assert ledger.bases.tolist() == [[0, 1, 2, 3, 4]]
         assert ledger.optimal_count == 1
         # One (subset, row, column) stack of all subsets alone would take 28 MB.
         assert peak < 16 * 2**20
@@ -494,15 +509,36 @@ class TestBasisWalk:
         ledger = lpl.enumerate_ledger(lp)
         # Maximal simplices of a regular triangulation of the product of two simplices.
         assert len(ledger.bases) == math.comb(2 * n_points - 2, n_points - 1)
-        assert len(set(ledger.bases)) == len(ledger.bases)
-        kept = {b.indices for b in ledger.bases}
-        for basis in ledger.bases:
+        kept = set(map(tuple, ledger.bases.tolist()))
+        assert len(kept) == len(ledger.bases)
+        for basis in kept:
             assert lpl.basic_pair(lp, basis).dual_feasible
-            assert ratio_test_neighbours(lp, basis.indices) <= kept
+            assert ratio_test_neighbours(lp, basis) <= kept
         res = scipy.optimize.linprog(
             lp.cost, A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
         )
         assert abs(ledger.optimal_value - res.fun) <= 1e-8 * abs(res.fun)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+    def test_generic_count_and_spanning_trees(self, n_points, seed):
+        # C(2N-2, N-1) maximal simplices, each a spanning tree of the bipartite
+        # support graph: 2N-1 cells (i, j) joining N rows and N columns, no cycle.
+        ledger = lpl.enumerate_ledger(generic_transport_lp(n_points, seed))
+        assert len(ledger.bases) == math.comb(2 * n_points - 2, n_points - 1)
+        assert len(set(map(tuple, ledger.bases.tolist()))) == len(ledger.bases)
+        for basis in ledger.bases.tolist():
+            parent = list(range(2 * n_points))
+
+            def root(node):
+                while parent[node] != node:
+                    node = parent[node]
+                return node
+
+            for cell in basis:
+                row, column = root(cell // n_points), root(n_points + cell % n_points)
+                assert row != column, f"basis {basis} has a cycle"
+                parent[row] = column
 
     @pytest.mark.parametrize(
         "problem",
@@ -514,7 +550,7 @@ class TestBasisWalk:
         lp = lpl.reduce_to_lp(problem)
         ledger = lpl.enumerate_ledger(lp)
         # every ledger basis as the given start, then no start: the HiGHS one
-        for start in [b.indices for b in ledger.bases] + [None]:
+        for start in [tuple(b) for b in ledger.bases.tolist()] + [None]:
             again = lpl.enumerate_ledger(dataclasses.replace(lp, dual_start=start))
             assert_same_ledger(again, ledger)
 
@@ -546,12 +582,13 @@ class TestBasisWalk:
 
 
 def reference_walk(lp, tols=lpl.DEFAULT_TOLS):
-    """(ledger, proposed count) from the one-basis-at-a-time walk: one ``np.linalg.inv`` per basis.
+    """(ledger, every inverse, proposed count) from the one-basis-at-a-time walk.
 
     The reference the blocked walk is checked against, bit for bit: each
-    basis's numbers come from its own inverse, ``inverse @ b``,
+    basis's numbers come from its own ``np.linalg.inv``, ``inverse @ b``,
     ``c_B @ inverse``, ``c - A.T @ dual`` and ``inverse @ A``.  It starts at
-    ``lp.dual_start``, or at the HiGHS start without one.
+    ``lp.dual_start``, or at the HiGHS start without one.  The second item
+    stacks the inverse of every kept basis in lexicographic basis order.
     """
     A = lp.constraint_matrix
     m = lp.n_rows
@@ -596,17 +633,19 @@ def reference_walk(lp, tols=lpl.DEFAULT_TOLS):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
+    every = np.stack([inverse for _, inverse in sorted(found, key=lambda f: f[0].basis.indices)])
     found.sort(key=lambda f: (not f[0].primal_feasible, f[0].basis.indices))
     pairs = tuple(pair for pair, _ in found)
     optimal_count = sum(pair.primal_feasible for pair in pairs)
     vertices, vertex_ids = lp_core.dedup_vertices([p.primal for p in pairs[:optimal_count]], tols.dedup_tol)
     ledger = lpl.BasisLedger(
-        lp=lp, bases=tuple(p.basis for p in pairs), pairs=pairs, optimal_count=optimal_count,
+        lp=lp, bases=np.array([p.basis.indices for p in pairs], dtype=np.intp), pairs=pairs[:optimal_count],
+        optimal_count=optimal_count,
         optimal_value=float(lp.cost @ pairs[0].primal) if optimal_count else math.nan,
         primal_optimal_vertices=tuple(vertices), vertex_ids=tuple(vertex_ids),
-        inverses=np.stack([inverse for _, inverse in found]),
+        inverses=np.stack([inverse for _, inverse in found[:optimal_count]]),
     )
-    return ledger, len(seen)
+    return ledger, every, len(seen)
 
 
 def line_n_problem(n_points, p):
@@ -628,20 +667,22 @@ class TestBlockedWalk:
     def test_ledger_is_bit_equal_to_the_per_basis_walk(self, make_lp):
         lp = make_lp()
         ledger = lpl.enumerate_ledger(lp)
-        expected, _ = reference_walk(lp)
-        assert ledger.bases == expected.bases
+        expected, every, _ = reference_walk(lp)
+        assert_same_array(ledger.bases, expected.bases)
         assert ledger.optimal_count == expected.optimal_count
         for pair, want in zip(ledger.pairs, expected.pairs, strict=True):
             assert_same_pair(pair, want)
             assert np.float64(pair.objective).tobytes() == np.float64(want.objective).tobytes()
-        assert ledger.inverses.tobytes() == expected.inverses.tobytes()
+        assert_same_array(ledger.inverses, expected.inverses)
+        # the solver inverts every basis itself, bit-equal to the walk
+        assert_same_array(lpl.RepeatedSolver(ledger).inverses, every)
         assert ledger.vertex_ids == expected.vertex_ids
         assert np.float64(ledger.optimal_value).tobytes() == np.float64(expected.optimal_value).tobytes()
 
     @pytest.mark.parametrize("make_lp", [WALK_CASES[1], WALK_CASES[4], WALK_CASES[-1]])
     def test_cap_counts_proposed_bases(self, make_lp):
         lp = make_lp()
-        _, proposed = reference_walk(lp)
+        _, _, proposed = reference_walk(lp)
         assert len(lpl.enumerate_ledger(lp, enumeration_cap=proposed).bases) <= proposed
         with pytest.raises(lpl.EnumerationCapExceeded):
             lpl.enumerate_ledger(lp, enumeration_cap=proposed - 1)
@@ -684,10 +725,12 @@ class TestOneInversePerBasis:
         assert len(proposed) == len(inverted)
         # on these instances every proposed basis is dual feasible and kept
         assert len(inverted) == len(ledger.bases)
-        for k, basis in enumerate(ledger.bases):
-            sub = lp.constraint_matrix[:, list(basis.indices)]
-            assert sub.tobytes() in proposed
-            np.testing.assert_array_equal(inverses[k], np.linalg.inv(sub))
+        for basis in ledger.bases:
+            assert lp.constraint_matrix[:, basis].tobytes() in proposed
+        # the ledger keeps the inverses of the optimal bases only
+        assert inverses.shape == (ledger.optimal_count, lp.n_rows, lp.n_rows)
+        for k in range(ledger.optimal_count):
+            np.testing.assert_array_equal(inverses[k], np.linalg.inv(lp.constraint_matrix[:, ledger.bases[k]]))
         assert not inverses.flags.writeable
 
 
@@ -711,7 +754,44 @@ class TestHighsOracle:
             lpl.solve_min_index(lp)
 
 
+def a3_double_loop(duals, tol):
+    """Oracle: the lexicographically first pair of optimal duals within tol in max-norm, or None."""
+    for j in range(len(duals)):
+        for l in range(j + 1, len(duals)):
+            if np.max(np.abs(duals[j] - duals[l]), initial=0.0) <= tol:
+                return (j, l)
+    return None
+
+
+@st.composite
+def _planted_duals(draw):
+    """Gaussian duals with planted coincidences: rows copied from other rows, nudged by 0 to 2 dedup_tol."""
+    k = draw(st.integers(0, 30))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    duals = rng.standard_normal((k, m))
+    tol = lpl.DEFAULT_TOLS.dedup_tol
+    for _ in range(draw(st.integers(0, 4)) if k >= 2 else 0):
+        source, target = rng.choice(k, 2, replace=False)
+        nudge = draw(st.sampled_from([0.0, 0.5 * tol, tol, 2 * tol]))
+        duals[target] = duals[source] + nudge * rng.choice([-1.0, 1.0], m)
+    return duals
+
+
 class TestCheckAssumptions:
+    @settings(max_examples=80, deadline=None)
+    @given(_planted_duals())
+    def test_a3_witness_is_the_double_loops(self, ledger_p2, duals):
+        pair = ledger_p2.pairs[0]
+        ledger = dataclasses.replace(
+            ledger_p2, pairs=tuple(dataclasses.replace(pair, dual=dual) for dual in duals), optimal_count=len(duals)
+        )
+        report = lpl.check_assumptions(ledger)
+        expected = a3_double_loop(duals, lpl.DEFAULT_TOLS.dedup_tol)
+        assert report.a3_witness == expected
+        assert all(type(k) is int for k in report.a3_witness or ())
+        assert report.a3_distinct_optimal_duals == (len(duals) >= 1 and expected is None)
+
     def test_equal_marginals_unit_cost_exponent(self, ledger_p1):
         report = lpl.check_assumptions(ledger_p1)
         assert report.a1_bounded_nonempty_optimum
@@ -766,7 +846,7 @@ class TestCheckAssumptions:
 class TestStructuralInvariants:
     def test_strong_duality_and_complementary_slackness(self, ledger_p1):
         lp = ledger_p1.lp
-        for pair in ledger_p1.optimal_pairs():
+        for pair in ledger_p1.pairs:
             primal_value = lp.cost @ pair.primal
             dual_value = lp.rhs @ pair.dual
             assert abs(primal_value - dual_value) < 1e-8 * (1 + abs(primal_value))
@@ -778,7 +858,7 @@ class TestStructuralInvariants:
         for _ in range(40):
             lp = random_solvable_lp(rng, max_m=3, max_d=6)
             ledger = lpl.enumerate_ledger(lp)
-            pairs = ledger.optimal_pairs()
+            pairs = ledger.pairs
             if not any(not p.primal_degenerate for p in pairs):
                 continue
             checked += 1
