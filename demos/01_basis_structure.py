@@ -44,7 +44,7 @@ partition = lpl.support_partition(ledger)
 print(f"\nSupport partition of the optimum: positive {partition.pos}, "
       f"true zeroes {partition.tz}, degenerate zeroes {partition.dz}")
 cones = lpl.build_cones(ledger, partition)
-for cone in cones:
-    print(f"cone of basis {tuple(ledger.bases[cone.basis_index].tolist())}: "
+for k, cone in enumerate(cones):
+    print(f"cone of basis {tuple(ledger.bases[k].tolist())}: "
           f"{cone.halfspace_normals.shape[0]} half-spaces")
     print(np.round(cone.halfspace_normals, 6))

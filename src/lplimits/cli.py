@@ -340,7 +340,7 @@ def _run(args) -> int:
 def cmd_analyze(args):
     tols, lp, payload = _inputs(args)
     ledger = lp_core.enumerate_ledger(lp, tols)
-    report = lp_core.check_assumptions(ledger, tols)
+    report = lp_core.check_assumptions(ledger)
     out: dict = {
         "m": lp.n_rows,
         "d": lp.n_cols,
@@ -369,7 +369,7 @@ def cmd_analyze(args):
         "cones": None,
     }
     if report.a2_unique_optimum:
-        partition = cones_limit.support_partition(ledger, tols=tols)
+        partition = cones_limit.support_partition(ledger)
         cones = cones_limit.build_cones(ledger, partition)
         out["partition"] = {
             "pos": list(partition.pos),
@@ -378,11 +378,11 @@ def cmd_analyze(args):
         }
         out["cones"] = [
             {
-                "basis_index": cone.basis_index,
-                "basis": ledger.bases[cone.basis_index].tolist(),
+                "basis_index": k,
+                "basis": ledger.bases[k].tolist(),
                 "halfspace_normals": cone.halfspace_normals.tolist(),
             }
-            for cone in cones
+            for k, cone in enumerate(cones)
         ]
     return {"analysis.json": out}, payload, None
 
@@ -473,9 +473,9 @@ def cmd_monte_carlo(args):
                 "dz_positive_rates": list(freqs.dz_positive_rates),
             },
             "partition": {
-                "pos": list(result.partition.pos),
-                "tz": list(result.partition.tz),
-                "dz": list(result.partition.dz),
+                "pos": list(result.spec.partition.pos),
+                "tz": list(result.spec.partition.tz),
+                "dz": list(result.spec.partition.dz),
             },
             "hausdorff_by_n": [list(row) for row in hausdorff.summary] if hausdorff is not None else [],
             "limit_occupancy_frequencies": result.limit_result.occupancy_frequencies.tolist(),

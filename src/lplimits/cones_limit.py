@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     NotUnique,
 )
 from .lp_core import BasisLedger
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 _SPACING_BLOCK = 1024  # rows per keyed spacing block of the randomized tie-break
 _PSD_TOL = 1e-10  # allowed covariance asymmetry and negative eigenvalue, times max(1, max |entry|)
@@ -78,14 +78,12 @@ class ConeH:
     ``halfspace_normals`` has nonnegative inner product with v, iff
     v = generator_matrix @ u with u nonnegative on ``j_rows``.  The normals
     are the ``j_rows`` rows of the basis inverse, truncated to the first
-    ``m0`` coordinates when only those are perturbed.
+    m0 coordinates (their width) when only those are perturbed.
     """
 
-    basis_index: int
     halfspace_normals: np.ndarray
     generator_matrix: np.ndarray
     j_rows: tuple[int, ...]
-    m0: int
 
     def products(self, v: np.ndarray) -> np.ndarray:
         """Halfspace inner products for one direction or a stack of them."""
@@ -97,38 +95,39 @@ class ConeH:
 
 @dataclass(frozen=True, eq=False)
 class LimitLawSpec:
-    """Everything needed to evaluate and sample the limiting fluctuation."""
+    """Everything needed to evaluate and sample the limiting fluctuation.
+
+    Directions are N(0, covariance) on the first m0 right-hand-side coordinates, m0 the order
+    of the covariance.  The support partition and one cone per optimal basis, in ledger order,
+    are built from the ledger, once; a non-unique optimum raises NotUnique first.
+    """
 
     ledger: BasisLedger
-    cones: tuple[ConeH, ...]
     tie_break: TieBreak
     covariance: np.ndarray
-    m0: int
     rate_name: str
+    partition: SupportPartition = field(init=False)
+    cones: tuple[ConeH, ...] = field(init=False)
+    m0: int = field(init=False)
 
     def __post_init__(self):
+        partition = support_partition(self.ledger)
         cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (self.m0, self.m0):
-            raise DimensionMismatch(
-                f"covariance must be {self.m0}x{self.m0}, got {cov.shape}"
-            )
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise DimensionMismatch(f"covariance must be a square matrix, got shape {cov.shape}")
+        cones = build_cones(self.ledger, partition, cov.shape[0])
         scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
         if np.abs(cov - cov.T).max(initial=0.0) > _PSD_TOL * scale:
             raise CovarianceNotPSD("covariance is not symmetric")
         if np.linalg.eigvalsh(cov).min() < -_PSD_TOL * scale:
             raise CovarianceNotPSD("covariance has a negative eigenvalue")
-        if len(self.cones) != self.ledger.optimal_count:
-            raise DimensionMismatch("need exactly one cone per optimal basis")
-        sizes = {c.halfspace_normals.shape[0] for c in self.cones}
-        if len(sizes) > 1:
-            raise LpLimitsError("cones disagree on the number of half-spaces")
-        for k, cone in enumerate(self.cones):
-            if cone.basis_index != k or cone.m0 != self.m0:
-                raise LpLimitsError("cone list is not aligned with the ledger")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "cones", cones)
+        object.__setattr__(self, "m0", cov.shape[0])
 
 
-def support_partition(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> SupportPartition:
-    """Classify coordinates of the unique optimum into pos / tz / dz.
+def support_partition(ledger: BasisLedger) -> SupportPartition:
+    """Classify coordinates of the unique optimum into pos / tz / dz, at ``ledger.tols``.
 
     The union of all optimal bases carries the positives and the degenerate
     zeroes; coordinates outside every optimal basis are true zeroes.
@@ -141,7 +140,7 @@ def support_partition(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> S
         )
     x_star = ledger.primal_optimal_vertices[0]
     d = ledger.lp.n_cols
-    pos = {i for i in range(d) if x_star[i] > tols.feas_tol}
+    pos = {i for i in range(d) if x_star[i] > ledger.tols.feas_tol}
     union = set(ledger.bases[: ledger.optimal_count].ravel().tolist())
     tz = set(range(d)) - union
     dz = union - pos
@@ -180,11 +179,9 @@ def build_cones(
         normals.flags.writeable = False
         cones.append(
             ConeH(
-                basis_index=k,
                 halfspace_normals=normals,
                 generator_matrix=ledger.lp.constraint_matrix[:, list(idx)],
                 j_rows=j_rows,
-                m0=m0,
             )
         )
     return tuple(cones)
@@ -221,8 +218,8 @@ def cone_contains(cone: ConeH, v, tol: float = DEFAULT_TOLS.boundary_tol) -> Ver
     same rule: a cone is feasible for a direction unless it is Outside.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (cone.m0,):
-        raise DimensionMismatch(f"direction must have length {cone.m0}, got {v.shape}")
+    if v.shape != cone.halfspace_normals.shape[1:]:
+        raise DimensionMismatch(f"direction has shape {v.shape}, not {cone.halfspace_normals.shape[1:]}")
     smallest = _smallest_products(cone, v[None])[0]
     if abs(smallest) <= tol:
         return Verdict.BOUNDARY
@@ -438,15 +435,16 @@ def optimal_value_limit(ledger: BasisLedger, g) -> Union[float, np.ndarray]:
     return float(values[0]) if G.ndim == 1 else values
 
 
-def pushforward_covariance(ledger: BasisLedger, k: int, covariance: np.ndarray, m0: int) -> np.ndarray:
+def pushforward_covariance(ledger: BasisLedger, k: int, covariance: np.ndarray) -> np.ndarray:
     """Covariance of the basic fluctuation of basis k under N(0, covariance) directions.
 
-    The direction covariance lives on the first m0 coordinates and is pushed
-    through the basis inverse, then scattered to the full variable space.
+    The direction covariance, of order m0, lives on the first m0 coordinates;
+    it is pushed through the basis inverse, then scattered to the full variable space.
     """
     idx = ledger.bases[k]
     inverse = ledger.inverses[k]
     m = ledger.lp.n_rows
+    m0 = len(covariance)
     emb = np.zeros((m, m))
     emb[:m0, :m0] = covariance
     core = inverse @ emb @ inverse.T

@@ -126,7 +126,8 @@ class BasisLedger:
     m, m)``, the walk's own) belong to the optimal prefix, the only bases
     cones, limit law and pushed-forward covariance read; the resampling
     solver inverts the others itself.  ``vertex_ids[k]`` maps an optimal
-    basis to the deduplicated vertex it induces.
+    basis to the deduplicated vertex it induces.  ``tols`` are the
+    tolerances the ledger was built at; every reader of the ledger uses them.
     """
 
     lp: StandardLp
@@ -137,6 +138,7 @@ class BasisLedger:
     primal_optimal_vertices: tuple[np.ndarray, ...]
     vertex_ids: tuple[int, ...]
     inverses: np.ndarray
+    tols: Tolerances
 
     def optimal_duals(self) -> np.ndarray:
         return np.array([p.dual for p in self.pairs])
@@ -455,6 +457,7 @@ def enumerate_ledger(
         primal_optimal_vertices=tuple(vertices),
         vertex_ids=tuple(vertex_ids),
         inverses=inverses,
+        tols=tols,
     )
 
 
@@ -518,8 +521,8 @@ def _slater_holds(lp: StandardLp, tols: Tolerances) -> bool:
     return res.status == 0 and -res.fun > tols.feas_tol
 
 
-def check_assumptions(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
-    """Report the structural flags the limit theory depends on, for the LP ``ledger.lp``.
+def check_assumptions(ledger: BasisLedger) -> AssumptionReport:
+    """Report the structural flags the limit theory depends on, for ``ledger.lp`` at ``ledger.tols``.
 
     a1: the optimality set is nonempty and bounded: the recession-cone
         test, skipped when the entrywise-nonnegative test below already
@@ -544,7 +547,7 @@ def check_assumptions(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> A
     duals = ledger.optimal_duals()
     for j in range(k - 1):  # row j against every later row, first coinciding pair wins
         gaps = np.max(np.abs(duals[j] - duals[j + 1 :]), axis=1, initial=0.0)
-        close = np.flatnonzero(gaps <= tols.dedup_tol)
+        close = np.flatnonzero(gaps <= ledger.tols.dedup_tol)
         if close.size:
             witness = (j, j + 1 + int(close[0]))
             break
@@ -554,7 +557,7 @@ def check_assumptions(ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS) -> A
         a2_unique_optimum=a2,
         a3_distinct_optimal_duals=k >= 1 and witness is None,
         a3_witness=witness,
-        slater=_slater_holds(lp, tols),
+        slater=_slater_holds(lp, ledger.tols),
         bounded=bounded,
     )
 

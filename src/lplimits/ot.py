@@ -16,8 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import cones_limit, lp_core
-from .cones_limit import LimitLawSpec, TieBreak, build_cones, support_partition
+from . import lp_core
+from .cones_limit import LimitLawSpec, TieBreak
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -56,8 +56,10 @@ def _points_2d(points) -> np.ndarray:
 
 def cost_from_points(points_x, points_y=None, p: float = 2.0, q: float = 2.0) -> np.ndarray:
     """Cost matrix c[i, j] = ||x_i - y_j||_q ** p; q may be inf for the max norm."""
-    if p <= 0:
+    if not p > 0:  # NaN too
         raise DimensionMismatch(f"cost exponent p must be positive, got {p}")
+    if not q > 0:
+        raise DimensionMismatch(f"norm exponent q must be positive, got {q}")
     X = _points_2d(points_x)
     Y = X if points_y is None else _points_2d(points_y)
     if X.shape[1] != Y.shape[1]:
@@ -66,8 +68,6 @@ def cost_from_points(points_x, points_y=None, p: float = 2.0, q: float = 2.0) ->
     if np.isinf(q):
         base = diff.max(axis=2)
     else:
-        if q <= 0:
-            raise DimensionMismatch(f"norm exponent q must be positive, got {q}")
         base = (diff**q).sum(axis=2) ** (1.0 / q)
     return base**p
 
@@ -122,6 +122,8 @@ def make_ot_problem(
     cost = np.array(cost, dtype=float)
     if cost.shape != (N, N):
         raise DimensionMismatch(f"cost must be {N}x{N}, got {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise DimensionMismatch("cost contains non-finite entries")
     for arr in (cost, r, s):
         arr.flags.writeable = False
     return OtProblem(
@@ -231,10 +233,12 @@ class CertificateCheck:
 
 
 def _square_cost(cost, tol: Optional[float]) -> tuple[np.ndarray, float]:
-    """cost as a float (N, N) array, and tol or the default for its sum; DimensionMismatch if not square."""
+    """Float (N, N) cost and tol, or the default for its sum; DimensionMismatch unless square and finite."""
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise DimensionMismatch(f"cost must be square, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise DimensionMismatch("cost contains non-finite entries")
     return cost, DEFAULT_TOLS.sum_tol_at(np.abs(cost).sum()) if tol is None else tol
 
 
@@ -486,21 +490,13 @@ def ot_limit_spec(
     The directions are those the mode resamples, with its covariance: the
     first N-1 coordinates of the estimated first marginal (one-sample), or
     both marginal fluctuations stacked (two-sample); m0 is their count.
-    ``support_partition`` raises NotUnique when the optimum is not unique.
-    The LP ``reduce_to_lp(ot, tols)`` and its ledger are built once, here;
-    ``spec.ledger`` holds both (the LP as ``spec.ledger.lp``).
+    The LP ``reduce_to_lp(ot, tols)`` and its ledger are built once, here,
+    and ``spec.ledger`` holds both; a non-unique optimum raises NotUnique.
     """
-    ledger = enumerate_ledger(reduce_to_lp(ot, tols), tols)
-    partition = support_partition(ledger, tols=tols)
-    covariance = mode.covariance(ot)
-    m0 = covariance.shape[0]
-    cones = build_cones(ledger, partition, m0)
     return LimitLawSpec(
-        ledger=ledger,
-        cones=cones,
+        ledger=enumerate_ledger(reduce_to_lp(ot, tols), tols),
         tie_break=tie_break,
-        covariance=covariance,
-        m0=m0,
+        covariance=mode.covariance(ot),
         rate_name=mode.rate_name,
     )
 
@@ -509,6 +505,8 @@ def otc_curve(coupling: Coupling, cost, t_grid) -> np.ndarray:
     """Cumulative transported mass at cost thresholds: sum of entries with cost <= t."""
     cost = np.asarray(cost, dtype=float).ravel()
     weights = coupling.matrix.ravel()
+    if cost.size != weights.size:
+        raise DimensionMismatch(f"cost has {cost.size} entries, the coupling {weights.size}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(np.diff(t_grid) < 0):
         raise DimensionMismatch("t_grid must be a sorted 1-d array")
@@ -544,6 +542,8 @@ def geodesic_at(coupling: Coupling, points_x, points_y, t: float) -> DiscreteMea
         raise DimensionMismatch(f"t must lie in [0, 1], got {t}")
     X = _points_2d(points_x)
     Y = _points_2d(points_y)
+    if {X.shape[0], Y.shape[0]} != {coupling.matrix.shape[0]}:
+        raise DimensionMismatch(f"{X.shape[0]} and {Y.shape[0]} points for N={len(coupling.matrix)}")
     merged: dict[tuple, int] = {}
     locations: list[np.ndarray] = []
     weights: list[float] = []

@@ -261,14 +261,14 @@ class RepeatedSolver:
     that order, which gives its min-index solution
     (``solve_batch``), its uniform mixture of optimal vertices
     (``mixed_solution``) or its optimal vertex set (``vertices_at``).
-    ``ledger`` is the one source of the LP (``ledger.lp``) and of the
-    optimum, optimal value and optimality set at ``lp.rhs``.
+    ``ledger`` is the one source of the LP (``ledger.lp``), of the
+    tolerances (``ledger.tols``) and of the optimum, optimal value and
+    optimality set at ``lp.rhs``.
     """
 
-    def __init__(self, ledger: BasisLedger, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, ledger: BasisLedger):
         self.ledger = ledger
         self.lp = ledger.lp
-        self.tols = tols
         self.columns = ledger.bases[np.lexsort(ledger.bases.T[::-1])]
         n_bases, m = self.columns.shape
         self.inverses = np.empty((n_bases, m, m))
@@ -286,7 +286,7 @@ class RepeatedSolver:
         step = max(1, _VERTEX_BLOCK // max(1, n_bases * m))
         for start in range(0, rhs_batch.shape[0], step):
             coords = basis_products(self.inverses, rhs_batch[start : start + step, None])
-            yield start, coords, (coords >= -self.tols.feas_tol).all(axis=2)
+            yield start, coords, (coords >= -self.ledger.tols.feas_tol).all(axis=2)
 
     def solve_batch(self, rhs_batch: np.ndarray):
         """Lexicographically-first feasible basis per row.
@@ -339,7 +339,7 @@ class RepeatedSolver:
             points = np.zeros((rows.size, self.lp.n_cols))
             points[np.arange(rows.size)[:, None], self.columns[bases]] = coords[rows, bases]
             for row_points in np.split(points, np.cumsum(feasible.sum(axis=1))[:-1]):
-                yield dedup_vertices(list(row_points), self.tols.dedup_tol)[0]
+                yield dedup_vertices(list(row_points), self.ledger.tols.dedup_tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +372,7 @@ def fluctuation_run(solver: RepeatedSolver, config: ExperimentConfig, model) -> 
     if ledger.optimal_count == 0:
         raise Infeasible("the base problem itself is infeasible")
     x_star = ledger.primal_optimal_vertices[0]
-    x_star = np.where(np.abs(x_star) <= solver.tols.feas_tol, 0.0, x_star)
+    x_star = np.where(np.abs(x_star) <= ledger.tols.feas_tol, 0.0, x_star)
     value_star = ledger.optimal_value
     batches: list[FluctuationBatch] = []
     for n in config.sample_sizes:
@@ -783,7 +783,6 @@ class ExperimentResult:
     batches: list[FluctuationBatch]
     limit_result: LimitSampleResult
     hausdorff: Optional[HausdorffExperiment]
-    partition: SupportPartition
     support_frequencies: SupportFrequencies  # of the last sample size's solutions
     spec: cones_limit.LimitLawSpec
     _join_report: Callable[[], ComparisonReport] = field(repr=False)
@@ -809,11 +808,12 @@ def run_experiment(
     are queued right after the draws, the X-Y and X-X blocks right after the
     fluctuations; the KS statistics, covariance error, support frequencies and
     Hausdorff replicates follow while they run.  A stage that raises cancels
-    the queued blocks and waits for the running ones.  The LP and ledger are
-    built once, at tols, by ``ot_limit_spec``; ``spec.ledger`` holds them.
+    the queued blocks and waits for the running ones.  The LP, ledger and
+    support partition are built once, at tols, by ``ot_limit_spec``;
+    ``spec.ledger`` and ``spec.partition`` hold them.
     """
     spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols)
-    solver = RepeatedSolver(spec.ledger, tols)
+    solver = RepeatedSolver(spec.ledger)
     limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1, tols.boundary_tol)
     Y = limit_result.samples[:ENERGY_MAX_ROWS]
     Y_own = Y.compress(_carrying_columns(Y), axis=1)
@@ -828,8 +828,7 @@ def run_experiment(
         limit_values = cones_limit.optimal_value_limit(spec.ledger, limit_result.gaussian_directions)
         ks, cov_err, value_ks = _sample_statistics(
             main.fluctuations, limit_result.samples, main.value_fluctuations, limit_values)
-        partition = cones_limit.support_partition(spec.ledger, tols=tols)
-        frequencies = support_frequencies(main.solutions, partition, tols.feas_tol)
+        frequencies = support_frequencies(main.solutions, spec.partition, tols.feas_tol)
         hausdorff = None
         if config.hausdorff_sizes:
             hausdorff = hausdorff_run(solver, config.mode, config.hausdorff_sizes,
@@ -846,7 +845,6 @@ def run_experiment(
         batches=batches,
         limit_result=limit_result,
         hausdorff=hausdorff,
-        partition=partition,
         support_frequencies=frequencies,
         spec=spec,
         _join_report=join_report,

@@ -97,7 +97,7 @@ def test_criterion_03_nondegenerate_clt():
     solver = lpl.RepeatedSolver(spec.ledger)
     batches = lpl.fluctuation_run(solver, config, lpl.OneSample())
     empirical = np.cov(batches[0].fluctuations, rowvar=False)
-    closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance, spec.m0)
+    closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance)
     err = np.linalg.norm(empirical - closed) / np.linalg.norm(closed)
     assert err <= 0.10
     elapsed = time.perf_counter() - started

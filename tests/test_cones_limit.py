@@ -69,7 +69,7 @@ class TestBuildCones:
         assert len(spec_nondegenerate.cones) == 1
         cone = spec_nondegenerate.cones[0]
         assert cone.halfspace_normals.shape[0] == 0
-        assert lpl.cone_contains(cone, np.zeros(cone.m0)) is lpl.Verdict.INSIDE
+        assert lpl.cone_contains(cone, np.zeros(cone.halfspace_normals.shape[1])) is lpl.Verdict.INSIDE
 
     def test_generator_and_halfspace_representations_agree(self, ledger_p1):
         _, cones = cones_by_scheme(ledger_p1)
@@ -219,11 +219,8 @@ class TestLimitFunctional:
         # perturbed problem infeasible.
         lp = lpl.make_lp([[1.0, 1.0]], [0.0], [1.0, 2.0])
         ledger = lpl.enumerate_ledger(lp)
-        partition = lpl.support_partition(ledger)
-        cones = lpl.build_cones(ledger, partition)
         spec = lpl.LimitLawSpec(
-            ledger=ledger, cones=cones, tie_break=lpl.TieBreak.MIN_INDEX,
-            covariance=np.eye(1), m0=1, rate_name="sqrt(n)",
+            ledger=ledger, tie_break=lpl.TieBreak.MIN_INDEX, covariance=np.eye(1), rate_name="sqrt(n)",
         )
         np.testing.assert_allclose(lpl.limit_functional(spec, np.array([1.0])), [1.0, 0.0])
         with pytest.raises(lpl.NoFeasibleCone):
@@ -239,8 +236,7 @@ class TestSampleLimit:
     def test_zero_covariance_gives_zero_samples(self, spec_p2_two_sample):
         spec = spec_p2_two_sample
         zero_spec = lpl.LimitLawSpec(
-            ledger=spec.ledger, cones=spec.cones, tie_break=spec.tie_break,
-            covariance=np.zeros((5, 5)), m0=5, rate_name=spec.rate_name,
+            ledger=spec.ledger, tie_break=spec.tie_break, covariance=np.zeros((5, 5)), rate_name=spec.rate_name,
         )
         result = lpl.sample_limit(zero_spec, 100, seed=0)
         np.testing.assert_allclose(result.samples, 0.0)
@@ -256,9 +252,7 @@ class TestSampleLimit:
     def test_nondegenerate_covariance_matches_closed_form(self, spec_nondegenerate):
         result = lpl.sample_limit(spec_nondegenerate, 100_000, seed=1)
         empirical = np.cov(result.samples, rowvar=False)
-        closed = lpl.pushforward_covariance(
-            spec_nondegenerate.ledger, 0, spec_nondegenerate.covariance, spec_nondegenerate.m0
-        )
+        closed = lpl.pushforward_covariance(spec_nondegenerate.ledger, 0, spec_nondegenerate.covariance)
         err = np.linalg.norm(empirical - closed) / np.linalg.norm(closed)
         assert err < 0.05
 
@@ -336,10 +330,8 @@ class TestSampleLimit:
         with pytest.raises(lpl.CovarianceNotPSD):
             lpl.LimitLawSpec(
                 ledger=spec_p2_two_sample.ledger,
-                cones=spec_p2_two_sample.cones,
                 tie_break=spec_p2_two_sample.tie_break,
                 covariance=-np.eye(5),
-                m0=5,
                 rate_name="sqrt(n)",
             )
 

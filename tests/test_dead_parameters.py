@@ -9,8 +9,11 @@ So is a side input that defaults to None and is built, when None, by
 problem twice, and nothing checks that the two forms agree.  So is a
 parameter that a function sets, under ``if p is None:``, to a bare
 ``DEFAULT_TOLS.<field>``: that default belongs in the signature, where it is
-spelled once.  This test walks the syntax tree of each module and names
-every such parameter and local; locals whose name starts with ``_`` pass.
+spelled once.  So is a ``tols`` beside a ``ledger``, ``solver`` or ``spec``:
+each of those carries the tolerances its ledger was built at
+(``ledger.tols``), and nothing would check that the two agree.  This test
+walks the syntax tree of each module and names every such parameter and
+local; locals whose name starts with ``_`` pass.
 """
 
 import ast
@@ -179,6 +182,19 @@ def defaults_set_when_none(source: str) -> list[tuple[str, str]]:
     return found
 
 
+_CARRIERS = ("ledger", "solver", "spec")
+
+
+def tols_beside_a_carrier(source: str) -> list[tuple[str, str]]:
+    """(function, carrier) for each function that takes ``tols`` beside a ``ledger``, ``solver`` or ``spec``."""
+    found = []
+    for node in _functions(source):
+        params = _parameters(node)
+        if "tols" in params:
+            found += [(node.name, p) for p in params if p in _CARRIERS]
+    return sorted(found)
+
+
 def unread_locals(source: str) -> list[tuple[str, str]]:
     """(function, local) for each name its function assigns and never reads; _names pass."""
     found = []
@@ -212,6 +228,11 @@ def test_no_side_input_is_built_when_none():
 
 def test_no_default_is_set_when_none():
     found = {path.name: defaults_set_when_none(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
+def test_no_function_takes_tols_beside_a_ledger():
+    found = {path.name: tols_beside_a_carrier(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: params for name, params in found.items() if params} == {}
 
 
@@ -259,6 +280,23 @@ def test_guard_names_a_default_set_when_none():
         "    return v, tol\n"
     )
     assert defaults_set_when_none(source) == [("f", "tol"), ("f", "sum_tol"), ("g", "tol")]
+
+
+def test_guard_names_tols_beside_a_ledger():
+    source = (
+        "def f(ledger, tols=DEFAULT_TOLS):\n"
+        "    return ledger, tols\n"
+        "def g(spec, n, *, tols):\n"
+        "    return spec, n, tols\n"
+        "class Solver:\n"
+        "    def __init__(self, solver, tols):\n"
+        "        self.parts = solver, tols\n"
+        "def h(ot, tols):\n"
+        "    return ot, tols\n"
+        "def k(ledger, tol):\n"
+        "    return ledger, tol\n"
+    )
+    assert tols_beside_a_carrier(source) == [("__init__", "solver"), ("f", "ledger"), ("g", "spec")]
 
 
 def test_guard_names_an_unread_local():

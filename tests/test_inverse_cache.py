@@ -140,10 +140,9 @@ def check_against_oracles(ledger, m0, seed):
     np.testing.assert_array_equal(inside, feasible)
     for policy in lpl.TieBreak:
         randomized = policy is not lpl.TieBreak.MIN_INDEX
-        spec = lpl.LimitLawSpec(
-            ledger=ledger, cones=cones, tie_break=policy,
-            covariance=np.eye(m0), m0=m0, rate_name="sqrt(n)",
-        )
+        spec = lpl.LimitLawSpec(ledger=ledger, tie_break=policy, covariance=np.eye(m0), rate_name="sqrt(n)")
+        for cone, expected in zip(spec.cones, normals, strict=True):
+            np.testing.assert_array_equal(cone.halfspace_normals, expected)
         result = lpl.evaluate_limit(spec, g, seed=seed)
         np.testing.assert_array_equal(
             result.samples, oracle_samples(ledger, feasible, g, m0, randomized, seed)
@@ -159,7 +158,7 @@ def check_against_oracles(ledger, m0, seed):
         one = lpl.evaluate_limit(spec, g[:1], seed=seed).samples[0]
         np.testing.assert_array_equal(lpl.limit_functional(spec, g[0], seed=seed), one)
 
-    cov = np.cov(np.random.default_rng(seed).standard_normal((m0, 2 * m0 + 2)))
+    cov = np.atleast_2d(np.cov(np.random.default_rng(seed).standard_normal((m0, 2 * m0 + 2))))
     for k in range(ledger.optimal_count):
         inverse = oracle_inverse(ledger, k)
         emb = np.zeros((ledger.lp.n_rows,) * 2)
@@ -167,7 +166,7 @@ def check_against_oracles(ledger, m0, seed):
         idx = ledger.bases[k].tolist()
         expected = np.zeros((ledger.lp.n_cols,) * 2)
         expected[np.ix_(idx, idx)] = inverse @ emb @ inverse.T
-        np.testing.assert_array_equal(lpl.pushforward_covariance(ledger, k, cov, m0), expected)
+        np.testing.assert_array_equal(lpl.pushforward_covariance(ledger, k, cov), expected)
 
 
 def check_solver_against_oracle(ledger, seed):
@@ -178,7 +177,7 @@ def check_solver_against_oracle(ledger, seed):
     columns = [ledger.bases[k].tolist() for k in order]
     assert solver.inverses.tobytes() == inverses.tobytes()
     assert solver.columns.tolist() == columns
-    tols = solver.tols
+    tols = solver.ledger.tols
     rng = np.random.default_rng(seed)
     rhs_batch = lp.rhs + 0.3 * np.abs(lp.rhs).max() * rng.standard_normal((40, lp.n_rows))
     rhs_batch[0] = lp.rhs
@@ -305,10 +304,7 @@ class TestKeyedMixture:
         A = lp.constraint_matrix
         m0 = data.draw(st.integers(1, lp.n_rows))
         partition = lpl.support_partition(ledger)
-        spec = lpl.LimitLawSpec(
-            ledger=ledger, cones=lpl.build_cones(ledger, partition, m0),
-            tie_break=RANDOMIZED, covariance=np.eye(m0), m0=m0, rate_name="sqrt(n)",
-        )
+        spec = lpl.LimitLawSpec(ledger=ledger, tie_break=RANDOMIZED, covariance=np.eye(m0), rate_name="sqrt(n)")
         normals = oracle_normals(ledger, partition, m0)
         g = directions(ledger, normals, m0, seed)
         out = lpl.evaluate_limit(spec, g, seed=seed).samples
@@ -336,7 +332,7 @@ class TestKeyedMixture:
         )
         assert np.isnan(mixed[~ok]).all()
         coords = lpl.cones_limit.basis_products(solver.inverses, rhs_batch[:, None])
-        feasible = (coords >= -solver.tols.feas_tol).all(axis=2)
+        feasible = (coords >= -solver.ledger.tols.feas_tol).all(axis=2)
         spacings = oracle_spacings((seed, 1), len(rhs_batch), feasible.shape[1])
         assert_on_simplex(mixture_weights(feasible, spacings), feasible)
 

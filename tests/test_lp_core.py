@@ -113,6 +113,7 @@ def exhaustive_ledger(lp, tols=lpl.DEFAULT_TOLS):
         vertex_ids=tuple(vertex_ids),
         inverses=np.array([np.linalg.inv(lp.constraint_matrix[:, list(p.basis.indices)]) for p in optimal])
         .reshape(-1, lp.n_rows, lp.n_rows),
+        tols=tols,
     )
 
 
@@ -165,7 +166,7 @@ def assert_same_array(a, b):
 
 def assert_same_ledger(a, b):
     assert_same_array(a.bases, b.bases)
-    assert a.optimal_count == b.optimal_count
+    assert a.optimal_count == b.optimal_count and a.tols == b.tols
     for pair, expected in zip(a.pairs, b.pairs, strict=True):
         assert_same_pair(pair, expected)
     assert_same_array(a.inverses, b.inverses)
@@ -644,6 +645,7 @@ def reference_walk(lp, tols=lpl.DEFAULT_TOLS):
         optimal_value=float(lp.cost @ pairs[0].primal) if optimal_count else math.nan,
         primal_optimal_vertices=tuple(vertices), vertex_ids=tuple(vertex_ids),
         inverses=np.stack([inverse for _, inverse in found[:optimal_count]]),
+        tols=tols,
     )
     return ledger, every, len(seen)
 

@@ -247,6 +247,17 @@ class TestCertificateShapes:
         with pytest.raises(lpl.DimensionMismatch, match="square"):
             check(cost)
 
+    @pytest.mark.parametrize("cost", [np.full((3, 3), np.nan), np.diag([0.0, np.inf, 0.0]),
+                                      [[0.0, -np.inf], [1.0, 0.0]]], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("check", [
+        lpl.check_strict_monge,
+        lpl.check_dual_summability,
+        lambda cost: lpl.check_strict_cyclical_monotonicity(cost, [(0, 0), (1, 1)]),
+    ], ids=["monge", "dual", "cyclical"])
+    def test_cost_must_be_finite(self, check, cost):
+        with pytest.raises(lpl.DimensionMismatch, match="non-finite"):
+            check(cost)
+
     @pytest.mark.parametrize("support", [[(0, 0), (2, 2)], [(0, 0), (-1, 1)]])
     def test_support_must_index_the_cost(self, support):
         with pytest.raises(lpl.DimensionMismatch):
@@ -345,6 +356,12 @@ class TestCouplingFunctionals:
         values = lpl.otc_curve(coupling, cost, [0.0, 1.0])
         np.testing.assert_allclose(values, [0.7, 1.0])
 
+    @pytest.mark.parametrize("cost", [np.zeros((2, 2)), np.zeros(10)], ids=["2x2", "ten"])
+    def test_otc_cost_must_match_the_coupling(self, cost):
+        coupling = lpl.coupling_from_matrix(np.diag(UNIFORM3))
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.otc_curve(coupling, cost, [0.0, 1.0])
+
     def test_otc_below_min_cost_is_zero(self):
         coupling = lpl.coupling_from_matrix([[0.5, 0.0], [0.0, 0.5]])
         cost = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -383,6 +400,14 @@ class TestCouplingFunctionals:
         mid = lpl.geodesic_at(coupling, LINE3, LINE3, 0.5)
         np.testing.assert_allclose(np.sort(mid.locations.ravel()), LINE3)
         np.testing.assert_allclose(mid.weights.sum(), 1.0)
+
+    @pytest.mark.parametrize("points_x, points_y", [
+        (LINE3[:2], LINE3), (LINE3, LINE3[:2]), (np.arange(4.0), np.arange(4.0)),
+    ], ids=["short-x", "short-y", "long"])
+    def test_geodesic_point_count_must_be_the_couplings(self, points_x, points_y):
+        coupling = lpl.coupling_from_matrix(np.diag(UNIFORM3))
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.geodesic_at(coupling, points_x, points_y, 0.5)
 
     def test_geodesic_requires_points(self):
         coupling = lpl.coupling_from_matrix(np.diag(UNIFORM3))
@@ -455,6 +480,23 @@ class TestProblemValidation:
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(lpl.DimensionMismatch):
             lpl.cost_from_points([0.0, 1.0], p=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [{"p": np.nan}, {"q": np.nan}, {"q": -np.inf}],
+                             ids=["p-nan", "q-nan", "q-minus-inf"])
+    def test_exponent_must_be_a_positive_number(self, kwargs):
+        with pytest.raises(lpl.DimensionMismatch):
+            lpl.cost_from_points([0.0, 1.0], **kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cost_must_be_finite(self, bad):
+        cost = np.zeros((2, 2))
+        cost[0, 1] = bad
+        with pytest.raises(lpl.DimensionMismatch, match="non-finite"):
+            lpl.make_ot_problem(cost=cost, r=[0.5, 0.5], s=[0.5, 0.5])
+
+    def test_cost_of_a_nan_point_is_rejected(self):
+        with pytest.raises(lpl.DimensionMismatch, match="non-finite"):
+            lpl.make_ot_problem(r=[0.5, 0.5], s=[0.5, 0.5], points_x=[0.0, np.nan])
 
     def test_json_round_trip(self):
         payload = {

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 import lplimits as lpl
-from lplimits import cones_limit, lp_core, stochastic_harness
+from lplimits import cli, cones_limit, lp_core, ot as ot_module, stochastic_harness
 from lplimits.stochastic_harness import _CDIST_BLOCK, _pcg64_states
 from conftest import SKEWED_R, SKEWED_S, line_problem
 
@@ -241,7 +241,7 @@ class TestFluctuationRun:
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=800, seed=2)
         batches = lpl.fluctuation_run(lpl.RepeatedSolver(spec.ledger), config, lpl.OneSample())
         empirical = np.cov(batches[0].fluctuations, rowvar=False)
-        closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance, spec.m0)
+        closed = lpl.pushforward_covariance(spec.ledger, 0, spec.covariance)
         assert np.linalg.norm(empirical - closed) / np.linalg.norm(closed) < 0.15
 
     def test_mostly_infeasible_replicates_abort(self):
@@ -368,7 +368,7 @@ def _boundary_rows(solver, seed, n_directions, ulps=2):
     for _ in range(n_directions):
         v = 0.1 * rng.standard_normal(b.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ts = (-solver.tols.feas_tol - solver.inverses @ b) / (solver.inverses @ v)
+            ts = (-solver.ledger.tols.feas_tol - solver.inverses @ b) / (solver.inverses @ v)
         for t in ts[np.abs(ts) < 5]:
             rows += [b + (t + step * np.spacing(t)) * v for step in range(-ulps, ulps + 1)]
     return np.array(rows)
@@ -378,11 +378,11 @@ def _oracle_vertices_at(solver, rhs):
     """The per-replicate optimality set: one matrix-vector product per basis."""
     coords = solver.inverses @ rhs
     points = []
-    for k in np.flatnonzero((coords >= -solver.tols.feas_tol).all(axis=1)):
+    for k in np.flatnonzero((coords >= -solver.ledger.tols.feas_tol).all(axis=1)):
         full = np.zeros(solver.lp.n_cols)
         full[solver.columns[k]] = coords[k]
         points.append(full)
-    return lp_core.dedup_vertices(points, solver.tols.dedup_tol)[0]
+    return lp_core.dedup_vertices(points, solver.ledger.tols.dedup_tol)[0]
 
 
 def _oracle_hausdorff_rows(lp, model, sizes, replicates, seed):
@@ -460,7 +460,7 @@ class TestBaseProblemFromLedger:
         lp = lpl.reduce_to_lp(line_problem(2.0, r=np.ones(6) / 6, xs=np.arange(6.0)))
         solver = lpl.RepeatedSolver(lpl.enumerate_ledger(lp))
         x_star = solver.ledger.primal_optimal_vertices[0]
-        residue = (x_star != 0) & (np.abs(x_star) <= solver.tols.feas_tol)
+        residue = (x_star != 0) & (np.abs(x_star) <= solver.ledger.tols.feas_tol)
         assert residue.any()
         config = lpl.ExperimentConfig(sample_sizes=(10_000,), replicates=200, seed=5, mode=lpl.TwoSample())
         (batch,) = lpl.fluctuation_run(solver, config, config.mode)
@@ -1159,3 +1159,20 @@ class TestRunExperimentTolerances:
         tols = lpl.DEFAULT_TOLS.with_(boundary_tol=1e-5)
         lpl.run_experiment(line_problem(2.0), config, tols=tols)
         assert seen == [1e-5]
+
+    def test_support_partition_runs_once(self, monkeypatch):
+        calls = []
+        original = cones_limit.support_partition
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (lpl, cli, cones_limit, lp_core, ot_module, stochastic_harness):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, spy)
+        config = lpl.ExperimentConfig(sample_sizes=(500,), replicates=20, seed=16, comparison_samples=200)
+        result = lpl.run_experiment(line_problem(2.0), config)
+        assert len(calls) == 1
+        assert result.spec.partition == original(result.spec.ledger)
