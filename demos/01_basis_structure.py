@@ -43,7 +43,7 @@ ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(problem))
 partition = lpl.support_partition(ledger)
 print(f"\nSupport partition of the optimum: positive {partition.pos}, "
       f"true zeroes {partition.tz}, degenerate zeroes {partition.dz}")
-cones = lpl.build_cones(ledger, partition)
+cones = lpl.build_cones(ledger)
 for k, cone in enumerate(cones):
     print(f"cone of basis {tuple(ledger.bases[k].tolist())}: "
           f"{cone.halfspace_normals.shape[0]} half-spaces")

@@ -370,7 +370,7 @@ def cmd_analyze(args):
     }
     if report.a2_unique_optimum:
         partition = cones_limit.support_partition(ledger)
-        cones = cones_limit.build_cones(ledger, partition)
+        cones = cones_limit.build_cones(ledger)
         out["partition"] = {
             "pos": list(partition.pos),
             "tz": list(partition.tz),
@@ -406,7 +406,7 @@ def _policy(name: str) -> cones_limit.TieBreak:
 def cmd_limit_sample(args):
     tols, problem, payload = _inputs(args)
     spec = ot.ot_limit_spec(problem, _mode(args.mode, args.lam), tie_break=_policy(args.policy), tols=tols)
-    result = cones_limit.sample_limit(spec, args.samples, args.seed, tol=tols.boundary_tol)
+    result = cones_limit.sample_limit(spec, args.samples, args.seed)
     sidecar = {
         "seed": args.seed,
         "mode": args.mode,

@@ -74,16 +74,14 @@ class TieBreak(enum.Enum):
 class ConeH:
     """Polyhedral cone of perturbation directions keeping one basis feasible.
 
-    Dual descriptions: v belongs to the cone iff every row of
-    ``halfspace_normals`` has nonnegative inner product with v, iff
-    v = generator_matrix @ u with u nonnegative on ``j_rows``.  The normals
-    are the ``j_rows`` rows of the basis inverse, truncated to the first
-    m0 coordinates (their width) when only those are perturbed.
+    v belongs to the cone iff every row of ``halfspace_normals`` has
+    nonnegative inner product with v.  The normals are the rows of the basis
+    inverse at the basic positions of coordinates that are not positive at the
+    optimum, truncated to the first m0 coordinates (their width) when only
+    those are perturbed.
     """
 
     halfspace_normals: np.ndarray
-    generator_matrix: np.ndarray
-    j_rows: tuple[int, ...]
 
     def products(self, v: np.ndarray) -> np.ndarray:
         """Halfspace inner products for one direction or a stack of them."""
@@ -98,8 +96,9 @@ class LimitLawSpec:
     """Everything needed to evaluate and sample the limiting fluctuation.
 
     Directions are N(0, covariance) on the first m0 right-hand-side coordinates, m0 the order
-    of the covariance.  The support partition and one cone per optimal basis, in ledger order,
-    are built from the ledger, once; a non-unique optimum raises NotUnique first.
+    of the covariance, which must be square.  The support partition and one cone per optimal
+    basis, in ledger order, are built from the ledger, once; a non-unique optimum raises
+    NotUnique before any cone is built.
     """
 
     ledger: BasisLedger
@@ -111,11 +110,10 @@ class LimitLawSpec:
     m0: int = field(init=False)
 
     def __post_init__(self):
-        partition = support_partition(self.ledger)
         cov = np.asarray(self.covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise DimensionMismatch(f"covariance must be a square matrix, got shape {cov.shape}")
-        cones = build_cones(self.ledger, partition, cov.shape[0])
+        partition, cones = _partition_and_cones(self.ledger, cov.shape[0])
         scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
         if np.abs(cov - cov.T).max(initial=0.0) > _PSD_TOL * scale:
             raise CovarianceNotPSD("covariance is not symmetric")
@@ -147,44 +145,37 @@ def support_partition(ledger: BasisLedger) -> SupportPartition:
     return SupportPartition(pos=tuple(sorted(pos)), tz=tuple(sorted(tz)), dz=tuple(sorted(dz)))
 
 
-def build_cones(
-    ledger: BasisLedger,
-    partition: SupportPartition,
-    m0: Optional[int] = None,
-) -> tuple[ConeH, ...]:
-    """One stability cone per optimal basis.
-
-    The cone of basis k is cut out by the rows of the basis inverse whose
-    basis column is not a positive coordinate of the optimum; with fewer
-    random coordinates (m0 < m) the normals keep only the first m0 columns.
-    """
-    if ledger.optimal_count == 0:
-        raise Infeasible("ledger has no optimal basis")
+def _partition_and_cones(ledger: BasisLedger, m0: int) -> tuple[SupportPartition, tuple[ConeH, ...]]:
+    """``support_partition(ledger)`` and the cones of ``build_cones(ledger, m0)``, the partition computed once."""
+    partition = support_partition(ledger)
     m = ledger.lp.n_rows
-    if m0 is None:
-        m0 = m
     if not 1 <= m0 <= m:
         raise DimensionMismatch(f"m0 must lie in 1..{m}, got {m0}")
     pos = set(partition.pos)
-    expected = m - len(pos)
     cones = []
     for k in range(ledger.optimal_count):
-        idx = tuple(ledger.bases[k].tolist())
-        j_rows = tuple(j for j, col in enumerate(idx) if col not in pos)
-        if len(j_rows) != expected:
+        idx = ledger.bases[k].tolist()
+        j_rows = [j for j, col in enumerate(idx) if col not in pos]
+        if len(j_rows) != m - len(pos):
             raise LpLimitsError(
-                f"basis {idx} does not carry every positive coordinate of the optimum"
+                f"basis {tuple(idx)} does not carry every positive coordinate of the optimum"
             )
-        normals = ledger.inverses[k][list(j_rows)][:, :m0].copy()
+        normals = ledger.inverses[k][j_rows][:, :m0].copy()
         normals.flags.writeable = False
-        cones.append(
-            ConeH(
-                halfspace_normals=normals,
-                generator_matrix=ledger.lp.constraint_matrix[:, list(idx)],
-                j_rows=j_rows,
-            )
-        )
-    return tuple(cones)
+        cones.append(ConeH(normals))
+    return partition, tuple(cones)
+
+
+def build_cones(ledger: BasisLedger, m0: Optional[int] = None) -> tuple[ConeH, ...]:
+    """One stability cone per optimal basis, in ledger order.
+
+    The cone of basis k is cut out by the rows of the basis inverse whose
+    basis column is not a positive coordinate of the optimum, taken from
+    ``support_partition(ledger)``, so a non-unique optimum raises NotUnique;
+    with fewer random coordinates (m0 < m) the normals keep only the first
+    m0 columns.
+    """
+    return _partition_and_cones(ledger, ledger.lp.n_rows if m0 is None else m0)[1]
 
 
 def _row_extreme(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
@@ -216,6 +207,8 @@ def cone_contains(cone: ConeH, v, tol: float = DEFAULT_TOLS.boundary_tol) -> Ver
     Inside when it exceeds tol, Outside otherwise.  A cone with no
     half-spaces is all of the ambient space.  The limit law applies the
     same rule: a cone is feasible for a direction unless it is Outside.
+    The band belongs to the caller, since a cone carries no ledger; the
+    limit law uses ``spec.ledger.tols.boundary_tol``.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != cone.halfspace_normals.shape[1:]:
@@ -379,35 +372,34 @@ def evaluate_limit(
     spec: LimitLawSpec,
     directions: np.ndarray,
     seed: int = 0,
-    tol: float = DEFAULT_TOLS.boundary_tol,
+    tol: Optional[float] = None,
 ) -> LimitSampleResult:
     """Map a stack of externally supplied directions through the limit law.
 
     Accepts any finite (n, m0) array, so non-Gaussian direction streams
-    plug in directly.  Boundary verdicts are counted per cone and resolved
-    to Inside.  The randomized policy takes row i's spacings from row i of
-    ``spacing_blocks((seed,), n, K)``, so results do not depend on n or on
-    any chunking of the rows.  A seed that is not an integer of at least 0
-    is a DimensionMismatch.
+    plug in directly.  Boundary verdicts, within ``tol`` (None: the spec's
+    own band, ``spec.ledger.tols.boundary_tol``), are counted per cone and
+    resolved to Inside.  The randomized policy takes row i's spacings from
+    row i of ``spacing_blocks((seed,), n, K)``, so results do not depend on
+    n or on any chunking of the rows.  A seed that is not an integer of at
+    least 0 is a DimensionMismatch.
     """
     seed = _integer(seed, "seed", least=0)
     g_matrix = np.asarray(directions, dtype=float)
     if g_matrix.ndim != 2 or g_matrix.shape[1] != spec.m0:
         raise DimensionMismatch(f"directions must be an (n, {spec.m0}) array")
+    if tol is None:
+        tol = spec.ledger.tols.boundary_tol
     samples, occupancy, boundary = _limit_rows(spec, g_matrix, tol, seed)
     return LimitSampleResult(samples, g_matrix, occupancy, boundary, seed)
 
 
-def sample_limit(
-    spec: LimitLawSpec,
-    n_samples: int,
-    seed: int,
-    tol: float = DEFAULT_TOLS.boundary_tol,
-) -> LimitSampleResult:
+def sample_limit(spec: LimitLawSpec, n_samples: int, seed: int) -> LimitSampleResult:
     """Draw the limit law at Gaussian directions, reproducibly by seed.
 
     Directions are N(0, covariance) through the symmetric PSD square root,
-    then mapped by evaluate_limit under the spec's tie-break policy.  A sample
+    then mapped by evaluate_limit under the spec's tie-break policy and
+    boundary band (``spec.ledger.tols.boundary_tol``).  A sample
     count that is not an integer of at least 1, or a seed that is not an
     integer of at least 0, is a DimensionMismatch.
     """
@@ -416,7 +408,7 @@ def sample_limit(
     root = psd_sqrt(spec.covariance)
     rng = np.random.default_rng(seed)
     g_matrix = row_products(rng.standard_normal((n_samples, spec.m0)), root.T)
-    return evaluate_limit(spec, g_matrix, seed=seed, tol=tol)
+    return evaluate_limit(spec, g_matrix, seed=seed)
 
 
 def optimal_value_limit(ledger: BasisLedger, g) -> Union[float, np.ndarray]:

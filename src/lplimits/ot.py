@@ -51,6 +51,8 @@ def _points_2d(points) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise DimensionMismatch("points must be a vector or an N x D array")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionMismatch("ground points contain non-finite entries")
     return arr
 
 

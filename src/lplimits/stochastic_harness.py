@@ -810,11 +810,12 @@ def run_experiment(
     Hausdorff replicates follow while they run.  A stage that raises cancels
     the queued blocks and waits for the running ones.  The LP, ledger and
     support partition are built once, at tols, by ``ot_limit_spec``;
-    ``spec.ledger`` and ``spec.partition`` hold them.
+    ``spec.ledger`` and ``spec.partition`` hold them, and the later stages
+    read the tolerances as ``spec.ledger.tols``.
     """
     spec = ot_module.ot_limit_spec(ot, config.mode, config.solver_policy, tols)
     solver = RepeatedSolver(spec.ledger)
-    limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1, tols.boundary_tol)
+    limit_result = sample_limit(spec, config.comparison_samples, config.seed + 1)
     Y = limit_result.samples[:ENERGY_MAX_ROWS]
     Y_own = Y.compress(_carrying_columns(Y), axis=1)
     # the widest B is Y, or X with at most config.replicates rows
@@ -828,7 +829,7 @@ def run_experiment(
         limit_values = cones_limit.optimal_value_limit(spec.ledger, limit_result.gaussian_directions)
         ks, cov_err, value_ks = _sample_statistics(
             main.fluctuations, limit_result.samples, main.value_fluctuations, limit_values)
-        frequencies = support_frequencies(main.solutions, spec.partition, tols.feas_tol)
+        frequencies = support_frequencies(main.solutions, spec.partition, spec.ledger.tols.feas_tol)
         hausdorff = None
         if config.hausdorff_sizes:
             hausdorff = hausdorff_run(solver, config.mode, config.hausdorff_sizes,

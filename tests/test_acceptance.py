@@ -58,8 +58,7 @@ def test_criterion_01_bases_table():
 def test_criterion_02_cones():
     started = time.perf_counter()
     ledger = lpl.enumerate_ledger(lpl.reduce_to_lp(line_problem(1.0)))
-    partition = lpl.support_partition(ledger)
-    cones = lpl.build_cones(ledger, partition)
+    cones = lpl.build_cones(ledger)
     ids = scheme_ids_of_ledger(ledger)
     rng = np.random.default_rng(2024)
     band = 1e-9

@@ -18,8 +18,7 @@ from conftest import (
 
 
 def cones_by_scheme(ledger, m0=None):
-    partition = lpl.support_partition(ledger)
-    cones = lpl.build_cones(ledger, partition, m0)
+    cones = lpl.build_cones(ledger, m0)
     ids = scheme_ids_of_ledger(ledger)
     return {ids[k]: cones[k] for k in range(ledger.optimal_count)}, cones
 
@@ -44,6 +43,8 @@ class TestSupportPartition:
         )
         with pytest.raises(lpl.NotUnique):
             lpl.support_partition(ledger)
+        with pytest.raises(lpl.NotUnique):  # build_cones reads the partition itself
+            lpl.build_cones(ledger)
 
 
 class TestBuildCones:
@@ -61,9 +62,14 @@ class TestBuildCones:
     def test_halfspace_count_is_codimension_of_support(self, ledger_p1, ledger_p2):
         for ledger in (ledger_p1, ledger_p2):
             partition = lpl.support_partition(ledger)
-            cones = lpl.build_cones(ledger, partition)
+            cones = lpl.build_cones(ledger)
             expected = ledger.lp.n_rows - len(partition.pos)
             assert all(c.halfspace_normals.shape[0] == expected for c in cones)
+
+    @pytest.mark.parametrize("m0", [0, 6])
+    def test_m0_outside_the_rows_is_rejected(self, ledger_p1, m0):
+        with pytest.raises(lpl.DimensionMismatch, match="m0"):
+            lpl.build_cones(ledger_p1, m0)
 
     def test_nondegenerate_cone_is_full_space(self, spec_nondegenerate):
         assert len(spec_nondegenerate.cones) == 1
@@ -75,10 +81,14 @@ class TestBuildCones:
         _, cones = cones_by_scheme(ledger_p1)
         rng = np.random.default_rng(1)
         m = ledger_p1.lp.n_rows
-        for cone in cones:
+        pos = set(lpl.support_partition(ledger_p1).pos)
+        for k, cone in enumerate(cones):
+            columns = ledger_p1.bases[k]
+            generator = ledger_p1.lp.constraint_matrix[:, columns]
+            j_rows = [j for j, col in enumerate(columns.tolist()) if col not in pos]
             coeffs = rng.standard_normal((300, m))
-            coeffs[:, list(cone.j_rows)] = np.abs(coeffs[:, list(cone.j_rows)])
-            generated = coeffs @ cone.generator_matrix.T
+            coeffs[:, j_rows] = np.abs(coeffs[:, j_rows])
+            generated = coeffs @ generator.T
             verdicts = cone.products(generated).min(axis=1)
             assert verdicts.min() >= -1e-9
 
@@ -106,9 +116,8 @@ class TestConeContains:
             assert inside_both.any()
 
     def test_restriction_agrees_with_zero_padding(self, ledger_p2):
-        partition = lpl.support_partition(ledger_p2)
-        full = lpl.build_cones(ledger_p2, partition, m0=5)
-        restricted = lpl.build_cones(ledger_p2, partition, m0=2)
+        full = lpl.build_cones(ledger_p2, m0=5)
+        restricted = lpl.build_cones(ledger_p2, m0=2)
         rng = np.random.default_rng(3)
         for v2 in rng.standard_normal((200, 2)):
             padded = np.concatenate([v2, np.zeros(3)])

@@ -11,7 +11,9 @@ parameter that a function sets, under ``if p is None:``, to a bare
 ``DEFAULT_TOLS.<field>``: that default belongs in the signature, where it is
 spelled once.  So is a ``tols`` beside a ``ledger``, ``solver`` or ``spec``:
 each of those carries the tolerances its ledger was built at
-(``ledger.tols``), and nothing would check that the two agree.  This test
+(``ledger.tols``), and nothing would check that the two agree.  So is a
+``partition`` beside a ``ledger`` or ``spec``: the ledger determines its
+support partition (``support_partition(ledger)``, ``spec.partition``).  This test
 walks the syntax tree of each module and names every such parameter and
 local; locals whose name starts with ``_`` pass.
 """
@@ -182,16 +184,20 @@ def defaults_set_when_none(source: str) -> list[tuple[str, str]]:
     return found
 
 
-_CARRIERS = ("ledger", "solver", "spec")
+_CARRIERS = {"tols": ("ledger", "solver", "spec"), "partition": ("ledger", "spec")}
 
 
-def tols_beside_a_carrier(source: str) -> list[tuple[str, str]]:
-    """(function, carrier) for each function that takes ``tols`` beside a ``ledger``, ``solver`` or ``spec``."""
+def carried_beside_a_carrier(source: str, fact: str) -> list[tuple[str, str]]:
+    """(function, carrier) for each function that takes ``fact`` beside a parameter that carries it.
+
+    ``_CARRIERS`` names the carriers of each fact: ``tols`` rides on a
+    ``ledger``, ``solver`` or ``spec``, and ``partition`` on a ``ledger`` or ``spec``.
+    """
     found = []
     for node in _functions(source):
         params = _parameters(node)
-        if "tols" in params:
-            found += [(node.name, p) for p in params if p in _CARRIERS]
+        if fact in params:
+            found += [(node.name, p) for p in params if p in _CARRIERS[fact]]
     return sorted(found)
 
 
@@ -232,7 +238,13 @@ def test_no_default_is_set_when_none():
 
 
 def test_no_function_takes_tols_beside_a_ledger():
-    found = {path.name: tols_beside_a_carrier(path.read_text(encoding="utf-8")) for path in SOURCES}
+    found = {path.name: carried_beside_a_carrier(path.read_text(encoding="utf-8"), "tols") for path in SOURCES}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
+def test_no_function_takes_a_partition_beside_a_ledger():
+    found = {path.name: carried_beside_a_carrier(path.read_text(encoding="utf-8"), "partition")
+             for path in SOURCES}
     assert {name: params for name, params in found.items() if params} == {}
 
 
@@ -296,7 +308,23 @@ def test_guard_names_tols_beside_a_ledger():
         "def k(ledger, tol):\n"
         "    return ledger, tol\n"
     )
-    assert tols_beside_a_carrier(source) == [("__init__", "solver"), ("f", "ledger"), ("g", "spec")]
+    assert carried_beside_a_carrier(source, "tols") == [("__init__", "solver"), ("f", "ledger"), ("g", "spec")]
+
+
+def test_guard_names_a_partition_beside_a_ledger():
+    source = (
+        "def build_cones(ledger, partition, m0=None):\n"
+        "    return ledger, partition, m0\n"
+        "def g(spec, *, partition=None):\n"
+        "    return spec, partition\n"
+        "def h(solver, partition):\n"
+        "    return solver, partition\n"
+        "def frequencies(solutions, partition, feas_tol):\n"
+        "    return solutions, partition, feas_tol\n"
+        "def k(ledger, tols, pos):\n"
+        "    return ledger, tols, pos\n"
+    )
+    assert carried_beside_a_carrier(source, "partition") == [("build_cones", "ledger"), ("g", "spec")]
 
 
 def test_guard_names_an_unread_local():

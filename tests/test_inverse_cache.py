@@ -127,7 +127,7 @@ def directions(ledger, normals, m0, seed):
 
 def check_against_oracles(ledger, m0, seed):
     partition = lpl.support_partition(ledger)
-    cones = lpl.build_cones(ledger, partition, m0)
+    cones = lpl.build_cones(ledger, m0)
     normals = oracle_normals(ledger, partition, m0)
     for cone, expected in zip(cones, normals, strict=True):
         np.testing.assert_array_equal(cone.halfspace_normals, expected)

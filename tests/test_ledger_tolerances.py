@@ -2,16 +2,21 @@
 
 Two small LPs sit between the default tolerances and ``LOOSE``: on each,
 the ledger's tolerances and the defaults give different verdicts, so a
-reader that fell back to the defaults would be seen.
+reader that fell back to the defaults would be seen.  The limit law's
+boundary band is read from its spec's ledger too: at ``WIDE_BAND`` the
+eight cones of line N=3 with p=1 count boundary hits that the default band
+never sees.
 """
 
 import numpy as np
 import pytest
 
 import lplimits as lpl
+from conftest import line_problem
 
 LOOSE = lpl.DEFAULT_TOLS.with_(feas_tol=1e-4, dedup_tol=1e-4)
 LOOSE_FEAS = lpl.DEFAULT_TOLS.with_(feas_tol=1e-4)
+WIDE_BAND = lpl.DEFAULT_TOLS.with_(boundary_tol=0.5)
 
 
 def tight_support_lp():
@@ -74,3 +79,31 @@ class TestLedgerTolerances:
         report = lpl.check_assumptions(ledger)
         assert report.a3_witness == witness
         assert report.a3_distinct_optimal_duals is (witness is None)
+
+
+@pytest.fixture(scope="module")
+def wide_band_spec():
+    return lpl.ot_limit_spec(line_problem(1.0), lpl.TwoSample(0.5), tols=WIDE_BAND)
+
+
+class TestSpecBand:
+    def test_sample_limit_counts_at_the_specs_band(self, wide_band_spec):
+        result = lpl.sample_limit(wide_band_spec, 2000, seed=0)
+        assert result.boundary_hits.sum() == 11_396
+
+    def test_evaluate_limit_defaults_to_the_specs_band(self, wide_band_spec):
+        g = lpl.sample_limit(wide_band_spec, 2000, seed=0).gaussian_directions
+        own = lpl.evaluate_limit(wide_band_spec, g, seed=0)
+        assert own.boundary_hits.sum() == 11_396
+        explicit = lpl.evaluate_limit(wide_band_spec, g, seed=0, tol=WIDE_BAND.boundary_tol)
+        np.testing.assert_array_equal(own.boundary_hits, explicit.boundary_hits)
+        assert own.samples.tobytes() == explicit.samples.tobytes()
+        narrow = lpl.evaluate_limit(wide_band_spec, g, seed=0, tol=lpl.DEFAULT_TOLS.boundary_tol)
+        assert narrow.boundary_hits.sum() == 0
+
+    def test_build_cones_is_the_specs_cones(self, wide_band_spec):
+        cones = lpl.build_cones(wide_band_spec.ledger, wide_band_spec.m0)
+        assert len(cones) == len(wide_band_spec.cones) == 8
+        for cone, own in zip(cones, wide_band_spec.cones, strict=True):
+            assert cone.halfspace_normals.shape == own.halfspace_normals.shape == (2, 5)
+            assert cone.halfspace_normals.tobytes() == own.halfspace_normals.tobytes()

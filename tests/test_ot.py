@@ -414,6 +414,11 @@ class TestCouplingFunctionals:
         with pytest.raises(lpl.MissingGroundPoints):
             lpl.geodesic_at(coupling, None, None, 0.5)
 
+    def test_geodesic_rejects_a_nan_point(self):
+        coupling = lpl.coupling_from_matrix(np.diag([0.5, 0.5]))
+        with pytest.raises(lpl.DimensionMismatch, match="non-finite"):
+            lpl.geodesic_at(coupling, [0.0, np.nan], [0.0, 1.0], 0.5)
+
 
 class TestCertify:
     def test_uniqueness_via_monotonicity_despite_symmetric_cost(self):
@@ -497,6 +502,14 @@ class TestProblemValidation:
     def test_cost_of_a_nan_point_is_rejected(self):
         with pytest.raises(lpl.DimensionMismatch, match="non-finite"):
             lpl.make_ot_problem(r=[0.5, 0.5], s=[0.5, 0.5], points_x=[0.0, np.nan])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_cost_of_an_infinite_point_is_rejected(self, bad):
+        # before any subtraction: inf - inf would warn, an error under the suite's filter
+        with pytest.raises(lpl.DimensionMismatch, match="non-finite"):
+            lpl.cost_from_points([0.0, bad])
+        with pytest.raises(lpl.DimensionMismatch, match="non-finite"):
+            lpl.cost_from_points([0.0, 1.0], [bad, 1.0])
 
     def test_json_round_trip(self):
         payload = {

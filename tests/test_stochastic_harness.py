@@ -1146,13 +1146,13 @@ class TestSampleSizeTypes:
 class TestRunExperimentTolerances:
     def test_boundary_tol_reaches_limit_draws(self, monkeypatch):
         seen = []
-        original = cones_limit.evaluate_limit
+        original = cones_limit._limit_rows
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("tol"))
-            return original(*args, **kwargs)
+        def spy(spec, g_matrix, tol, seed):
+            seen.append(tol)
+            return original(spec, g_matrix, tol, seed)
 
-        monkeypatch.setattr(cones_limit, "evaluate_limit", spy)
+        monkeypatch.setattr(cones_limit, "_limit_rows", spy)
         config = lpl.ExperimentConfig(
             sample_sizes=(500,), replicates=20, seed=16, comparison_samples=200
         )
